@@ -15,6 +15,7 @@ FNV_PRIME = 1099511628211
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
+_PERIOD = 256
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -26,18 +27,22 @@ def fnv1a_64(data: bytes) -> int:
 
 
 def _keystream(passphrase: str, length: int) -> bytes:
+    # The low byte of x' depends only on the low byte of x, so the stream
+    # repeats every 256 bytes: compute one period and tile it.
     state = fnv1a_64(passphrase.encode("utf-8"))
-    out = bytearray(length)
-    for i in range(length):
+    period = bytearray(min(length, _PERIOD))
+    for i in range(len(period)):
         state = (state * _LCG_MULT + _LCG_INC) & _MASK64
-        out[i] = state & 0xFF
-    return bytes(out)
+        period[i] = state & 0xFF
+    return bytes(period * (length // _PERIOD + 1))[:length]
 
 
 def encrypt_bytes(payload: bytes, passphrase: str) -> bytes:
     """XOR `payload` with the passphrase-derived keystream."""
-    stream = _keystream(passphrase, len(payload))
-    return bytes(p ^ k for p, k in zip(payload, stream))
+    length = len(payload)
+    stream = _keystream(passphrase, length)
+    return (int.from_bytes(payload, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(length, "little")
 
 
 def decrypt_bytes(payload: bytes, passphrase: str) -> bytes:

@@ -11,7 +11,11 @@ import io
 import zipfile
 from dataclasses import dataclass, field
 
-from .errors import MissingEntryDefinitionsError, MissingMetadataError
+from .errors import (
+    MissingEntryDefinitionsError,
+    MissingMetadataError,
+    UnsafeMemberNameError,
+)
 
 META_PATH = "TOSCA-Metadata/TOSCA.meta"
 META_VERSION = "1.1"
@@ -43,6 +47,13 @@ def _render_meta(entry: str) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _member_info(path: str) -> zipfile.ZipInfo:
+    # a bare ZipInfo is stored uncompressed whatever the archive's default
+    info = zipfile.ZipInfo(path, date_time=_ZIP_DATE)
+    info.compress_type = zipfile.ZIP_DEFLATED
+    return info
+
+
 def pack_csar(entry: str, files: dict[str, bytes]) -> bytes:
     """Zip `files` plus generated metadata naming `entry` as the main template."""
     if entry not in files:
@@ -50,11 +61,9 @@ def pack_csar(entry: str, files: dict[str, bytes]) -> bytes:
             f"entry definitions {entry!r} not among the files to pack")
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
-        meta_info = zipfile.ZipInfo(META_PATH, date_time=_ZIP_DATE)
-        archive.writestr(meta_info, _render_meta(entry))
+        archive.writestr(_member_info(META_PATH), _render_meta(entry))
         for path in sorted(files):
-            info = zipfile.ZipInfo(path, date_time=_ZIP_DATE)
-            archive.writestr(info, files[path])
+            archive.writestr(_member_info(path), files[path])
     return buffer.getvalue()
 
 
@@ -69,14 +78,24 @@ def _parse_meta(raw: bytes) -> dict[str, str]:
     return metadata
 
 
+def _check_member_name(name: str):
+    """Refuse names that would resolve outside the directory unpacked into."""
+    parts = name.replace("\\", "/").split("/")
+    if parts[0] == "" or parts[0][1:2] == ":" or ".." in parts:
+        raise UnsafeMemberNameError(
+            f"archive member {name!r} would be written outside the destination")
+
+
 def unpack_csar(data: bytes) -> CsarArchive:
-    """Read a CSAR back into memory, validating its metadata."""
+    """Read a CSAR back into memory, validating its metadata and member names."""
     try:
         archive = zipfile.ZipFile(io.BytesIO(data))
     except zipfile.BadZipFile as exc:
         raise MissingMetadataError(f"not a zip archive: {exc}") from exc
     with archive:
         names = archive.namelist()
+        for name in names:
+            _check_member_name(name)
         if META_PATH not in names:
             raise MissingMetadataError(f"archive lacks {META_PATH}")
         metadata = _parse_meta(archive.read(META_PATH))

@@ -59,6 +59,10 @@ class MissingEntryDefinitionsError(ToscaflowError):
     """CSAR metadata names an entry definitions file that is not in the archive."""
 
 
+class UnsafeMemberNameError(ToscaflowError):
+    """A CSAR member name is absolute, drive-qualified, or climbs out with '..'."""
+
+
 # --- verification -----------------------------------------------------------
 
 class HostCycleError(ToscaflowError):

@@ -137,33 +137,36 @@ def plan(template: ServiceTemplate, defs=None) -> DeploymentPlan:
 
 
 def _find_cycle(graph: DependencyGraph) -> list[str]:
+    """One cycle, found by depth-first search from the sorted vertices.
+
+    An explicit stack of successor iterators stands in for recursion, so a
+    dependency chain of any length fits.
+    """
     adjacency = {}
     for edge in graph.edges:
         adjacency.setdefault(edge.source, []).append(edge.target)
     for targets in adjacency.values():
         targets.sort()
     colors = {}
-    stack_path = []
-
-    def visit(vertex):
-        colors[vertex] = "grey"
-        stack_path.append(vertex)
-        for nxt in adjacency.get(vertex, ()):
-            if colors.get(nxt) == "grey":
-                return stack_path[stack_path.index(nxt):]
-            if nxt not in colors:
-                found = visit(nxt)
-                if found:
-                    return found
-        colors[vertex] = "black"
-        stack_path.pop()
-        return None
-
-    for vertex in sorted(graph.vertices):
-        if vertex not in colors:
-            found = visit(vertex)
-            if found:
-                return found
+    path = []
+    for root in sorted(graph.vertices):
+        if root in colors:
+            continue
+        colors[root] = "grey"
+        path.append(root)
+        pending = [iter(adjacency.get(root, ()))]
+        while pending:
+            for nxt in pending[-1]:
+                if colors.get(nxt) == "grey":
+                    return path[path.index(nxt):]
+                if nxt not in colors:
+                    colors[nxt] = "grey"
+                    path.append(nxt)
+                    pending.append(iter(adjacency.get(nxt, ())))
+                    break
+            else:
+                colors[path.pop()] = "black"
+                pending.pop()
     return []
 
 

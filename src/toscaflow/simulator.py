@@ -16,6 +16,7 @@ store contents.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -72,32 +73,69 @@ _STANDALONE_COPIES = {
 }
 
 
+# The kernels are bulk forms of the per-byte definitions in their docstrings
+# and must give identical bytes; the tests compare them with per-byte oracles.
+
+_HALVE = bytes(b // 2 for b in range(256))
+
+# blur works on windows of this many output bytes, so the lane integers of
+# one window stay small however large the payload is
+_BLUR_WINDOW = 4096
+
+# a run of two to 255 equal bytes; singletons fall between the matches
+_RUN = re.compile(rb"(.)\1{1,254}", re.S)
+
+
 def grayscale_transform(payload: bytes) -> bytes:
     """Stand-in image grayscale: halve every byte."""
-    return bytes(b // 2 for b in payload)
+    return bytes(payload).translate(_HALVE)
 
 
 def blur_transform(payload: bytes) -> bytes:
     """Stand-in blur: mean over a centered window of 3, edges clamped."""
-    n = len(payload)
-    return bytes(
-        (payload[max(0, i - 1)] + payload[i] + payload[min(n - 1, i + 1)]) // 3
-        for i in range(n))
+    if not payload:
+        return b""
+    padded = payload[:1] + payload + payload[-1:]
+    out = bytearray()
+    for start in range(0, len(payload), _BLUR_WINDOW):
+        out += _blur_window(padded[start:start + _BLUR_WINDOW + 2])
+    return bytes(out)
+
+
+def _blur_window(padded: bytes) -> bytes:
+    """Means of the len(padded) - 2 windows of three in `padded`.
+
+    Each byte goes into its own 32-bit lane of one integer, so one addition
+    of two shifted copies sums every window (at most 765, no carry between
+    lanes).  (s * 683) >> 11 == s // 3 for every s in 0..765; the product
+    stays below 2**20, so the low byte of each lane is the mean.
+    """
+    width = 4 * len(padded)
+    lanes = bytearray(width)
+    lanes[::4] = padded
+    x = int.from_bytes(lanes, "little")
+    sums = x + (x >> 32) + (x >> 64)
+    return ((sums * 683) >> 11).to_bytes(width, "little")[:width - 8:4]
 
 
 def rle_compress(payload: bytes) -> bytes:
     """Run-length encode byte runs as (count, byte) pairs, count <= 255."""
     out = bytearray()
-    i = 0
-    while i < len(payload):
-        byte = payload[i]
-        run = 1
-        while i + run < len(payload) and payload[i + run] == byte and run < 255:
-            run += 1
-        out.append(run)
-        out.append(byte)
-        i += run
+    start = 0
+    for run in _RUN.finditer(payload):
+        _append_singletons(out, payload[start:run.start()])
+        out += bytes((run.end() - run.start(), payload[run.start()]))
+        start = run.end()
+    _append_singletons(out, payload[start:])
     return bytes(out)
+
+
+def _append_singletons(out: bytearray, chunk: bytes):
+    """Append a (1, byte) pair for every byte of `chunk`."""
+    base = len(out)
+    out += bytes(2 * len(chunk))
+    out[base::2] = b"\x01" * len(chunk)
+    out[base + 1::2] = chunk
 
 
 BUILTIN_FUNCTIONS = {

@@ -1,4 +1,6 @@
+import io
 import json
+import zipfile
 
 from toscaflow.cli import main
 from toscaflow.csar import unpack_csar
@@ -174,6 +176,24 @@ def test_csar_unpack_non_zip_exits_2(tmp_path, capsys):
     bogus = tmp_path / "bogus.csar"
     bogus.write_bytes(b"not a zip")
     assert main(["csar", "unpack", str(bogus), str(tmp_path / "out")]) == 2
+
+
+def test_csar_unpack_refuses_member_outside_dest(tmp_path, capsys):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as crafted:
+        crafted.writestr("TOSCA-Metadata/TOSCA.meta",
+                         "Entry-Definitions: service.yaml\n")
+        crafted.writestr("service.yaml", b"x")
+        crafted.writestr("../escaped.txt", b"escaped")
+    archive = tmp_path / "work" / "crafted.csar"
+    archive.parent.mkdir()
+    archive.write_bytes(buffer.getvalue())
+    dest = tmp_path / "work" / "out"
+
+    assert main(["csar", "unpack", str(archive), str(dest)]) == 2
+    assert "escaped.txt" in capsys.readouterr().err
+    assert not (tmp_path / "work" / "escaped.txt").exists()
+    assert not dest.exists()
 
 
 def test_verify_entry_inside_archive_matches_direct(fixture_path, tmp_path):

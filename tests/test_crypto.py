@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from toscaflow.crypto import (
     FNV_OFFSET_BASIS,
     decrypt_bytes,
@@ -51,6 +53,17 @@ def test_keystream_bit_exact_against_oracle():
         passphrase = "".join(rng.choice("abcdefgh") for _ in range(rng.randint(0, 8)))
         assert encrypt_bytes(payload, passphrase) == \
             oracle_encrypt(payload, passphrase)
+
+
+@pytest.mark.parametrize("length", [255, 256, 257, 511, 512, 513, 4097, 65537])
+@pytest.mark.parametrize("passphrase", ["", "s3cret", "pässwörd-\u6697\u53f7"])
+def test_keystream_bit_exact_past_one_period(length, passphrase):
+    # the keystream repeats every 256 bytes; lengths around the period
+    # boundaries catch a tiling that is off by one
+    rng = random.Random(length)
+    payload = bytes(rng.randrange(256) for _ in range(length))
+    assert encrypt_bytes(payload, passphrase) == \
+        oracle_encrypt(payload, passphrase)
 
 
 def test_mismatched_passphrase_garbles():

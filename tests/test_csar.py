@@ -4,7 +4,11 @@ import zipfile
 import pytest
 
 from toscaflow.csar import META_PATH, pack_csar, unpack_csar
-from toscaflow.errors import MissingEntryDefinitionsError, MissingMetadataError
+from toscaflow.errors import (
+    MissingEntryDefinitionsError,
+    MissingMetadataError,
+    UnsafeMemberNameError,
+)
 
 
 FILES = {
@@ -54,3 +58,38 @@ def test_unpack_rejects_dangling_entry_definitions():
         archive.writestr("other.yaml", b"x")
     with pytest.raises(MissingEntryDefinitionsError):
         unpack_csar(buffer.getvalue())
+
+
+def test_pack_deflates_members():
+    files = dict(FILES, **{"data/log.txt": b"the same line again\n" * 500})
+    packed = pack_csar("service.yaml", files)
+    assert packed == pack_csar("service.yaml", files)
+    assert unpack_csar(packed).files == files
+    assert len(packed) < sum(len(payload) for payload in files.values())
+    with zipfile.ZipFile(io.BytesIO(packed)) as archive:
+        assert {info.compress_type for info in archive.infolist()} \
+            == {zipfile.ZIP_DEFLATED}
+
+
+def _archive_with(member):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr(META_PATH, "Entry-Definitions: service.yaml\n")
+        archive.writestr("service.yaml", b"x")
+        archive.writestr(zipfile.ZipInfo(member), b"escaped")
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("member", [
+    "../escaped.txt", "playbooks/../../escaped.txt", "/abs/escaped.txt",
+    "\\abs\\escaped.txt", "C:/escaped.txt", "c:escaped.txt",
+    "playbooks\\..\\..\\escaped.txt",
+])
+def test_unpack_rejects_unsafe_member_names(member):
+    with pytest.raises(UnsafeMemberNameError):
+        unpack_csar(_archive_with(member))
+
+
+def test_unpack_accepts_dotted_but_safe_names():
+    archive = unpack_csar(_archive_with("playbooks/..hidden/v1..2.yml"))
+    assert archive.files["playbooks/..hidden/v1..2.yml"] == b"escaped"

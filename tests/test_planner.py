@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import builders as b
@@ -8,8 +10,11 @@ from toscaflow.model import ServiceTemplate
 from toscaflow.planner import (
     CONNECTS_TO,
     HOSTED_ON,
+    DependencyEdge,
+    DependencyGraph,
     DeploymentPlan,
     PlanStep,
+    _find_cycle,
     build_graph,
     plan,
     undeploy_plan,
@@ -79,6 +84,61 @@ def test_mutually_connected_pipelines_cycle(load_fixture):
     with pytest.raises(DependencyCycleError) as excinfo:
         plan(template)
     assert set(excinfo.value.members) == {"Exec_A", "Exec_B"}
+
+
+def test_long_dependency_ring_names_its_cycle():
+    # longer than the interpreter's recursion limit
+    size = 5000
+    stack, nifi = b.nifi_stack()
+    names = [f"Exec_{i:04d}" for i in range(size)]
+    ring = [
+        b.node(name, b.PRC + "ExecutePython",
+               props={"name": name, "script_path": "run.py"},
+               reqs=[("host", nifi), ("ConnectToPipeline", names[(i + 1) % size])])
+        for i, name in enumerate(names)]
+    with pytest.raises(DependencyCycleError) as excinfo:
+        plan(b.template(*stack, *ring))
+    assert excinfo.value.members == names
+
+
+def _recursive_find_cycle(graph):
+    # the recursive depth-first search _find_cycle replaced, as a reference
+    adjacency = {}
+    for edge in graph.edges:
+        adjacency.setdefault(edge.source, []).append(edge.target)
+    colors, path = {}, []
+
+    def visit(vertex):
+        colors[vertex] = "grey"
+        path.append(vertex)
+        for nxt in sorted(adjacency.get(vertex, ())):
+            if colors.get(nxt) == "grey":
+                return path[path.index(nxt):]
+            if nxt not in colors:
+                found = visit(nxt)
+                if found:
+                    return found
+        colors[vertex] = "black"
+        path.pop()
+        return None
+
+    for vertex in sorted(graph.vertices):
+        if vertex not in colors:
+            found = visit(vertex)
+            if found:
+                return found
+    return []
+
+
+def test_find_cycle_matches_recursive_search():
+    rng = random.Random(3)
+    for _ in range(300):
+        vertices = [f"n{i}" for i in range(rng.randint(1, 12))]
+        edges = [DependencyEdge(rng.choice(vertices), rng.choice(vertices),
+                                CONNECTS_TO)
+                 for _ in range(rng.randint(0, 16))]
+        graph = DependencyGraph(vertices=vertices, edges=edges)
+        assert _find_cycle(graph) == _recursive_find_cycle(graph)
 
 
 def test_validate_plan_rejects_reordered_dependency(load_fixture):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders as b
 from toscaflow import catalog as cat
@@ -45,6 +47,42 @@ def test_builtin_transforms_match_their_definitions():
     assert blur_transform(payload) == oracle_blur(payload)
     assert rle_compress(payload) == oracle_rle(payload)
     assert rle_compress(b"\x05" * 600) == bytes([255, 5, 255, 5, 90, 5])
+
+
+# run-heavy payloads: a few byte values, each repeated up to 300 times
+_RUNS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 300)), max_size=20) \
+    .map(lambda runs: b"".join(bytes([value]) * count for value, count in runs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=600), _RUNS))
+def test_transforms_match_oracles_on_arbitrary_bytes(payload):
+    assert grayscale_transform(payload) == oracle_gray(payload)
+    assert blur_transform(payload) == oracle_blur(payload)
+    assert rle_compress(payload) == oracle_rle(payload)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4095, 4096, 4097, 8193])
+def test_blur_small_payloads_and_window_edges(length):
+    payload = bytes((i * 131 + i // 7) % 256 for i in range(length))
+    assert blur_transform(payload) == oracle_blur(payload)
+
+
+def test_blur_extreme_values():
+    payload = bytes([255, 255, 255, 0, 255, 0, 0, 254, 255]) * 1000
+    assert blur_transform(payload) == oracle_blur(payload)
+    assert blur_transform(b"\xff") == b"\xff"
+
+
+@pytest.mark.parametrize("run", [254, 255, 256, 257, 510, 511])
+def test_rle_runs_around_the_count_cap(run):
+    payload = b"\x01\x02" + b"\x09" * run + b"\x03"
+    assert rle_compress(payload) == oracle_rle(payload)
+
+
+def test_rle_all_singletons():
+    payload = bytes(range(256)) * 3
+    assert rle_compress(payload) == bytes(b for v in payload for b in (1, v))
 
 
 # -- instantiate -----------------------------------------------------------------
