@@ -30,8 +30,19 @@ def _fail(message: str) -> int:
 
 
 def _load_template(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_service_template(handle.read(), filename=path)
+    """The parsed template, or None after printing why it could not be read.
+
+    A ToscaflowError is printed with its source location when it has one.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_service_template(handle.read(), filename=path)
+    except OSError as exc:
+        _fail(str(exc))
+    except ToscaflowError as exc:
+        location = getattr(exc, "location", None)
+        _fail(f"{exc} at {location}" if location else str(exc))
+    return None
 
 
 def _print_report(diagnostics, report_format: str, fixed: bool):
@@ -50,15 +61,23 @@ def _unremedied(diagnostics) -> bool:
                for d in diagnostics)
 
 
+def _load_verified(path: str):
+    """(template, None) for a template with no unremedied finding, else
+    (None, exit code) after printing the parse error or the findings."""
+    template = _load_template(path)
+    if template is None:
+        return None, EXIT_USAGE
+    _, diagnostics = verify(template)
+    if _unremedied(diagnostics):
+        _print_report(diagnostics, "text", fixed=False)
+        return None, EXIT_FINDINGS
+    return template, None
+
+
 def cmd_verify(args) -> int:
-    try:
-        template = _load_template(args.template)
-    except OSError as exc:
-        return _fail(str(exc))
-    except ToscaflowError as exc:
-        location = getattr(exc, "location", None)
-        where = f" at {location}" if location else ""
-        return _fail(f"{exc}{where}")
+    template = _load_template(args.template)
+    if template is None:
+        return EXIT_USAGE
     fixed_template, diagnostics = verify(template, fix=args.fix, seed=args.seed)
     any_fix = any(d.fix for d in diagnostics)
     _print_report(diagnostics, args.report, fixed=any_fix)
@@ -69,16 +88,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    try:
-        template = _load_template(args.template)
-    except OSError as exc:
-        return _fail(str(exc))
-    except ToscaflowError as exc:
-        return _fail(str(exc))
-    _, diagnostics = verify(template)
-    if _unremedied(diagnostics):
-        _print_report(diagnostics, "text", fixed=False)
-        return EXIT_FINDINGS
+    template, code = _load_verified(args.template)
+    if template is None:
+        return code
     try:
         deployment = plan(template)
     except DependencyCycleError as exc:
@@ -96,16 +108,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        template = _load_template(args.template)
-    except OSError as exc:
-        return _fail(str(exc))
-    except ToscaflowError as exc:
-        return _fail(str(exc))
-    _, diagnostics = verify(template, seed=args.seed)
-    if _unremedied(diagnostics):
-        _print_report(diagnostics, "text", fixed=False)
-        return EXIT_FINDINGS
+    template, code = _load_verified(args.template)
+    if template is None:
+        return code
 
     injections = []
     if args.inject:
@@ -193,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="emit the deployment order")
     p_plan.add_argument("template")
     p_plan.add_argument("--format", choices=("text", "json"), default="text")
-    p_plan.add_argument("--seed", type=int, default=None)
     p_plan.set_defaults(func=cmd_plan)
 
     p_sim = sub.add_parser("simulate", help="run the topology on the virtual clock")
@@ -202,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--until", type=int, default=100,
                        help="last tick to process (default 100)")
     p_sim.add_argument("--metrics", help="write metrics JSON here")
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_csar = sub.add_parser("csar", help="pack or unpack a CSAR archive")
@@ -212,12 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("archive", help="output .csar path")
     p_pack.add_argument("--entry", default="service.yaml",
                         help="entry definitions file inside the directory")
-    p_pack.add_argument("--seed", type=int, default=None)
     p_pack.set_defaults(func=cmd_csar, action="pack")
     p_unpack = csar_sub.add_parser("unpack")
     p_unpack.add_argument("archive")
     p_unpack.add_argument("dest", help="directory to unpack into")
-    p_unpack.add_argument("--seed", type=int, default=None)
     p_unpack.set_defaults(func=cmd_csar, action="unpack")
 
     return parser

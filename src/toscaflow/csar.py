@@ -86,6 +86,16 @@ def _check_member_name(name: str):
             f"archive member {name!r} would be written outside the destination")
 
 
+def _check_member_clashes(names):
+    """Refuse a file member whose name is also a directory of another member."""
+    directories = {name[:i] for name in names
+                   for i, char in enumerate(name) if char == "/"}
+    for name in names:
+        if name in directories:
+            raise UnsafeMemberNameError(
+                f"archive member {name!r} is also a directory of another member")
+
+
 def unpack_csar(data: bytes) -> CsarArchive:
     """Read a CSAR back into memory, validating its metadata and member names."""
     try:
@@ -96,6 +106,7 @@ def unpack_csar(data: bytes) -> CsarArchive:
         names = archive.namelist()
         for name in names:
             _check_member_name(name)
+        _check_member_clashes(names)
         if META_PATH not in names:
             raise MissingMetadataError(f"archive lacks {META_PATH}")
         metadata = _parse_meta(archive.read(META_PATH))

@@ -29,6 +29,10 @@ class UnknownTemplateError(ToscaflowError):
     """An expression or lookup referenced a node template that does not exist."""
 
 
+class CyclicPropertyError(ToscaflowError):
+    """A chain of get_property reads returns to a property it already read."""
+
+
 # --- parsing / packaging ----------------------------------------------------
 
 class TemplateSyntaxError(ToscaflowError):
@@ -60,7 +64,8 @@ class MissingEntryDefinitionsError(ToscaflowError):
 
 
 class UnsafeMemberNameError(ToscaflowError):
-    """A CSAR member name is absolute, drive-qualified, or climbs out with '..'."""
+    """A CSAR member name is absolute, drive-qualified, climbs out with '..',
+    or names a file that another member's name uses as a directory."""
 
 
 # --- verification -----------------------------------------------------------

@@ -18,6 +18,7 @@ import yaml
 
 from .errors import (
     CyclicDerivationError,
+    CyclicPropertyError,
     UnknownArtifactError,
     UnknownPropertyError,
     UnknownTemplateError,
@@ -282,30 +283,41 @@ def evaluate_intrinsic(expr, node: NodeTemplate, template: ServiceTemplate, defs
 
     Literals come back unchanged.  `get_artifact: [SELF, name]` yields the
     declared artifact path; `get_property: [SELF|<template>, name]` yields
-    the assigned value (recursively evaluated) or the type default.  `defs`
+    the assigned value (itself evaluated) or the type default.  `defs`
     defaults to the built-in catalog plus the template's inline types.
+    Raises CyclicPropertyError when a chain of get_property reads comes
+    back to a (template, property) pair it already read.
     """
-    call = _as_intrinsic(expr)
-    if call is None:
-        return expr
+    reading = {}  # (template name, property) pairs read so far, in order
+    while True:
+        call = _as_intrinsic(expr)
+        if call is None:
+            return expr
+        fn, args = call
+        if len(args) != 2:
+            raise ValueError(f"{fn} expects two arguments, got {args!r}")
+        subject, item = str(args[0]), str(args[1])
+        target = _resolve_subject(subject, node, template)
+
+        if fn == "get_artifact":
+            if item not in target.artifacts:
+                raise UnknownArtifactError(
+                    f"node {target.name!r} declares no artifact {item!r}"
+                )
+            return target.artifacts[item]
+
+        if item not in target.property_values:
+            break
+        pair = (target.name, item)
+        if pair in reading:
+            raise CyclicPropertyError(
+                "get_property cycle: "
+                + " -> ".join(f"{n}.{p}" for n, p in [*reading, pair]))
+        reading[pair] = None
+        expr, node = target.property_values[item], target
+
     if defs is None:
         defs = template.combined_definitions()
-    fn, args = call
-    if len(args) != 2:
-        raise ValueError(f"{fn} expects two arguments, got {args!r}")
-    subject, item = str(args[0]), str(args[1])
-
-    if fn == "get_artifact":
-        target = _resolve_subject(subject, node, template)
-        if item not in target.artifacts:
-            raise UnknownArtifactError(
-                f"node {target.name!r} declares no artifact {item!r}"
-            )
-        return target.artifacts[item]
-
-    target = _resolve_subject(subject, node, template)
-    if item in target.property_values:
-        return evaluate_intrinsic(target.property_values[item], target, template, defs)
     resolved = resolve_type(target.type, defs)
     if item in resolved.properties:
         return resolved.properties[item].default

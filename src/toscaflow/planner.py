@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DependencyCycleError
 from .model import ServiceTemplate
-from .verifier import Locality, _Ctx, _connection_pairs, _pair_locality
+from .topology import Locality, Topology
 
 HOSTED_ON = "HostedOn"
 CONNECTS_TO = "ConnectsTo"
@@ -59,7 +59,6 @@ class DeploymentPlan:
 def build_graph(template: ServiceTemplate, defs=None) -> DependencyGraph:
     """One HostedOn edge per host assignment, one ConnectsTo edge per
     pipeline connection (source depends on target)."""
-    ctx = _Ctx(template, template.combined_definitions() if defs is None else defs)
     vertices = sorted(template.node_templates)
     edges = []
     for name in vertices:
@@ -68,18 +67,18 @@ def build_graph(template: ServiceTemplate, defs=None) -> DependencyGraph:
             if assignment.name == "host" \
                     and assignment.target in template.node_templates:
                 edges.append(DependencyEdge(name, assignment.target, HOSTED_ON))
-    for (a, b) in sorted(_connection_pairs(ctx)):
-        edges.append(DependencyEdge(a, b, CONNECTS_TO))
+    edges += [DependencyEdge(a, b, CONNECTS_TO)
+              for a, b in Topology(template, defs).pairs]
     return DependencyGraph(vertices=vertices, edges=edges)
 
 
-def _remote_targets(template, ctx, graph):
+def _remote_targets(topo, graph):
     """source -> sorted remote connection targets, for plan annotations."""
     out = {}
     for edge in graph.edges:
         if edge.kind != CONNECTS_TO:
             continue
-        if _pair_locality(ctx, edge.source, edge.target) is Locality.REMOTE:
+        if topo.locality(edge.source, edge.target) is Locality.REMOTE:
             out.setdefault(edge.source, []).append(edge.target)
     return {source: sorted(targets) for source, targets in out.items()}
 
@@ -90,9 +89,8 @@ def plan(template: ServiceTemplate, defs=None) -> DeploymentPlan:
     Ties are broken by template name, then by operation rank.  Raises
     DependencyCycleError naming one cycle when no order exists.
     """
-    defs = template.combined_definitions() if defs is None else defs
-    ctx = _Ctx(template, defs)
-    graph = build_graph(template, defs)
+    topo = Topology(template, defs)
+    graph = build_graph(template, topo.defs)
 
     steps = [(name, op) for name in graph.vertices for op in OPERATIONS]
     successors = {step: [] for step in steps}
@@ -126,7 +124,7 @@ def plan(template: ServiceTemplate, defs=None) -> DeploymentPlan:
     if len(ordered) != len(steps):
         raise DependencyCycleError(_find_cycle(graph))
 
-    annotations = _remote_targets(template, ctx, graph)
+    annotations = _remote_targets(topo, graph)
     plan_steps = []
     for name, op in ordered:
         annotation = None

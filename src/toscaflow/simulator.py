@@ -25,7 +25,7 @@ from .cron import CronExpr, parse_cron
 from .crypto import decrypt_bytes, encrypt_bytes
 from .errors import DuplicateFunctionError, UnsupportedTypeError
 from .model import ServiceTemplate
-from .verifier import _Ctx
+from .topology import Topology
 
 _SRC = "radon.nodes.datapipeline.source."
 _PRC = "radon.nodes.datapipeline.process."
@@ -225,20 +225,23 @@ class _Stage:
         self.flow.events_this_tick.append((self.name, "error", reason))
 
 
-class _ConsumerStage(_Stage):
-    """Polls a bound store bucket and turns new objects into flow items."""
+class _StoreReader(_Stage):
+    """A stage that takes the new objects of one (provider, bucket) `source`."""
 
-    def __init__(self, flow, name, strategy, cron, provider, bucket):
+    def __init__(self, flow, name, strategy, cron, source):
         super().__init__(flow, name, strategy, cron)
-        self.provider = provider
-        self.bucket = bucket
-        self.cursor = -1
+        self.source = source
+        self.cursor = -1  # seq of the last store event taken
 
-    def fire(self, tick: int):
+    def _take_new_objects(self, tick: int):
+        """Yield (event, item) for each source event written by `tick` since
+        the last one taken, in write order; each item is born and visits
+        this stage."""
+        provider, bucket = self.source
         for event in self.flow.store_events:
             if event.seq <= self.cursor:
                 continue
-            if event.provider != self.provider or event.bucket != self.bucket:
+            if event.provider != provider or event.bucket != bucket:
                 continue
             if event.tick > tick:
                 continue
@@ -246,14 +249,22 @@ class _ConsumerStage(_Stage):
             item = FlowItem(
                 payload=event.payload,
                 attributes={
-                    "source_provider": event.provider,
-                    "source_bucket": event.bucket,
+                    "source_provider": provider,
+                    "source_bucket": bucket,
                     "key": event.key,
                 },
             )
             self.flow.born += 1
             self.consumed += 1
             item.visit(self.name, tick)
+            yield event, item
+
+
+class _ConsumerStage(_StoreReader):
+    """Polls a bound store bucket and turns new objects into flow items."""
+
+    def fire(self, tick: int):
+        for event, item in self._take_new_objects(tick):
             self.flow.events_this_tick.append((self.name, "consume", event.key))
             self._emit(item)
 
@@ -352,37 +363,16 @@ class _PublisherStage(_Stage):
             self.flow.events_this_tick.append((self.name, "deliver", key))
 
 
-class _StandaloneCopyStage(_Stage):
+class _StandaloneCopyStage(_StoreReader):
     """Self-contained bucket-to-bucket copy firing on its cron schedule."""
 
     def __init__(self, flow, name, cron, source, destination):
-        super().__init__(flow, name, "CRON_DRIVEN", cron)
-        self.source = source
+        super().__init__(flow, name, "CRON_DRIVEN", cron, source)
         self.destination = destination
-        self.cursor = -1
 
     def fire(self, tick: int):
-        provider, bucket = self.source
-        for event in self.flow.store_events:
-            if event.seq <= self.cursor:
-                continue
-            if event.provider != provider or event.bucket != bucket:
-                continue
-            if event.tick > tick:
-                continue
-            self.cursor = event.seq
-            item = FlowItem(
-                payload=event.payload,
-                attributes={
-                    "source_provider": provider,
-                    "source_bucket": bucket,
-                    "key": event.key,
-                },
-            )
-            self.flow.born += 1
-            self.consumed += 1
-            item.visit(self.name, tick)
-            dest_provider, dest_bucket = self.destination
+        dest_provider, dest_bucket = self.destination
+        for event, item in self._take_new_objects(tick):
             self.flow._store_write(dest_provider, dest_bucket, event.key,
                                    event.payload, tick)
             self.emitted += 1
@@ -515,86 +505,68 @@ def instantiate(template: ServiceTemplate, defs=None) -> Flow:
     Raises UnsupportedTypeError when a pipeline node's type has no
     simulation behaviour (abstract blocks, AWS shell/SQL tasks).
     """
-    defs = template.combined_definitions() if defs is None else defs
-    ctx = _Ctx(template, defs)
+    topo = Topology(template, defs)
     flow = Flow(template)
-
-    pipelines = [name for name in sorted(template.node_templates)
-                 if ctx.is_pipeline(name)]
-
-    for name in pipelines:
-        for assignment, _ in ctx.connection_assignments(name):
-            target = assignment.target
-            if target not in template.node_templates:
-                continue
-            edge = (name, target)
-            if edge not in flow.queues:
-                flow.queues[edge] = deque()
-                flow.out_edges.setdefault(name, []).append(target)
-                flow.in_edges.setdefault(target, []).append(name)
-    for targets in flow.out_edges.values():
-        targets.sort()
-    for sources in flow.in_edges.values():
-        sources.sort()
-
-    for name in pipelines:
-        flow.blocks[name] = _build_stage(ctx, flow, name)
-
-    flow._firing_order = _topological_firing_order(pipelines, flow.out_edges)
+    # the pairs are sorted, so every adjacency list comes out sorted
+    for source, target in topo.pairs:
+        flow.queues[(source, target)] = deque()
+        flow.out_edges.setdefault(source, []).append(target)
+        flow.in_edges.setdefault(target, []).append(source)
+    for name in topo.pipelines:
+        flow.blocks[name] = _build_stage(topo, flow, name)
+    flow._firing_order = _topological_firing_order(topo.pipelines, flow.out_edges)
     return flow
 
 
-def _scheduling(ctx, name, resolved):
+def _scheduling(topo, name, resolved):
     if "schedulingStrategy" in resolved.properties:
-        strategy = ctx.effective_property(name, "schedulingStrategy")
+        strategy = topo.effective_property(name, "schedulingStrategy")
     else:
         strategy = "CRON_DRIVEN"  # standalone tasks schedule by cron only
     cron = None
     if strategy == "CRON_DRIVEN":
-        cron = parse_cron(str(ctx.effective_property(name, "schedulingPeriodCRON")))
+        cron = parse_cron(str(topo.effective_property(name, "schedulingPeriodCRON")))
     return strategy, cron
 
 
-def _build_stage(ctx, flow, name) -> _Stage:
-    resolved = ctx.resolved_node(name)
-    if resolved is None:
-        raise UnsupportedTypeError(f"type of {name!r} does not resolve")
+def _build_stage(topo, flow, name) -> _Stage:
+    resolved = topo.resolved_node(name)  # pipelines always resolve
     ancestry = resolved.ancestry
-    strategy, cron = _scheduling(ctx, name, resolved)
+    strategy, cron = _scheduling(topo, name, resolved)
 
     for type_name, (provider, bucket_prop) in _CONSUMER_BINDINGS.items():
         if type_name in ancestry:
-            bucket = str(ctx.effective_property(name, bucket_prop) or "")
-            return _ConsumerStage(flow, name, strategy, cron, provider, bucket)
+            bucket = str(topo.effective_property(name, bucket_prop) or "")
+            return _ConsumerStage(flow, name, strategy, cron, (provider, bucket))
 
     for type_name, (provider, bucket_prop) in _PUBLISHER_BINDINGS.items():
         if type_name in ancestry:
-            bucket = str(ctx.effective_property(name, bucket_prop) or "")
+            bucket = str(topo.effective_property(name, bucket_prop) or "")
             return _PublisherStage(flow, name, strategy, cron, provider, bucket)
 
     if cat.ENCRYPT in ancestry or cat.DECRYPT in ancestry:
-        passphrase = ctx.effective_property(name, "passphrase")
+        passphrase = topo.effective_property(name, "passphrase")
         return _CipherStage(flow, name, strategy, cron, passphrase,
                             decrypt=cat.DECRYPT in ancestry)
 
     for type_name, key_prop in _INVOKER_KEYS.items():
         if type_name in ancestry:
-            key = str(ctx.effective_property(name, key_prop) or "")
+            key = str(topo.effective_property(name, key_prop) or "")
             return _TransformStage(flow, name, strategy, cron, key)
 
     if _PRC + "RouteToRemote" in ancestry:
-        predicate = ctx.effective_property(name, "route_predicate")
+        predicate = topo.effective_property(name, "route_predicate")
         return _RouterStage(flow, name, strategy, cron, predicate)
 
     for type_name, (source, destination) in _STANDALONE_COPIES.items():
         if type_name in ancestry:
-            src = (source[0], str(ctx.effective_property(name, source[1]) or ""))
+            src = (source[0], str(topo.effective_property(name, source[1]) or ""))
             dst = (destination[0],
-                   str(ctx.effective_property(name, destination[1]) or ""))
+                   str(topo.effective_property(name, destination[1]) or ""))
             return _StandaloneCopyStage(flow, name, cron, src, dst)
 
     raise UnsupportedTypeError(
-        f"pipeline node {name!r} of type {ctx.template.node_templates[name].type!r} "
+        f"pipeline node {name!r} of type {topo.template.node_templates[name].type!r} "
         f"has no simulation behaviour")
 
 

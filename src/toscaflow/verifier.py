@@ -28,24 +28,13 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from enum import Enum
 
 from . import catalog as cat
 from .cron import is_valid_cron
-from .errors import (
-    HostCycleError,
-    MissingHostError,
-    NotAPipelineError,
-    ToscaflowError,
-    VerifierNonConvergenceError,
-)
-from .model import (
-    UNBOUNDED,
-    RequirementAssignment,
-    ServiceTemplate,
-    evaluate_intrinsic,
-    resolve_type,
-)
+from .errors import VerifierNonConvergenceError
+from .model import UNBOUNDED, RequirementAssignment, ServiceTemplate
+# colocated and host_chain are re-exported for callers of this module
+from .topology import Locality, Topology, colocated, host_chain
 
 R1_REQ_MATCH = "R1-REQ-MATCH"
 R2_LOCALITY = "R2-LOCALITY"
@@ -83,158 +72,9 @@ class Diagnostic:
                 "fix": self.fix}
 
 
-class Locality(Enum):
-    LOCAL = "local"
-    REMOTE = "remote"
-
-
 def report_to_dict(diagnostics, fixed: bool):
     """The stable JSON shape of a verification report."""
     return {"diagnostics": [d.to_dict() for d in diagnostics], "fixed": fixed}
-
-
-class _Ctx:
-    """Per-template resolution cache with failure-tolerant helpers."""
-
-    def __init__(self, template: ServiceTemplate, defs):
-        self.template = template
-        self.defs = defs
-        self._resolved = {}
-
-    def resolved_type(self, type_name):
-        if type_name not in self._resolved:
-            try:
-                self._resolved[type_name] = resolve_type(type_name, self.defs)
-            except ToscaflowError:
-                self._resolved[type_name] = None
-        return self._resolved[type_name]
-
-    def resolved_node(self, node_name):
-        node = self.template.node_templates.get(node_name)
-        return None if node is None else self.resolved_type(node.type)
-
-    def subtype(self, a, b) -> bool:
-        resolved = self.resolved_type(a)
-        return resolved is not None and b in resolved.ancestry
-
-    def is_pipeline(self, node_name) -> bool:
-        resolved = self.resolved_node(node_name)
-        return resolved is not None and cat.ABSTRACT_DATA_PIPELINE in resolved.ancestry
-
-    def effective_property(self, node_name, prop_name):
-        """Assigned value (intrinsics evaluated) or the type default."""
-        node = self.template.node_templates[node_name]
-        if prop_name in node.property_values:
-            try:
-                return evaluate_intrinsic(node.property_values[prop_name], node,
-                                          self.template, self.defs)
-            except (ToscaflowError, ValueError):
-                return None
-        resolved = self.resolved_node(node_name)
-        if resolved is not None and prop_name in resolved.properties:
-            return resolved.properties[prop_name].default
-        return None
-
-    def connection_assignments(self, node_name):
-        """(assignment, effective relationship kind) for pipeline connections.
-
-        An assignment counts as a connection when its requirement definition
-        demands a ConnectToPipeline-typed capability.  Assignments whose
-        requirement name does not exist on the type are R1 territory and are
-        skipped here.
-        """
-        node = self.template.node_templates[node_name]
-        resolved = self.resolved_node(node_name)
-        if resolved is None:
-            return []
-        by_name = {r.name: r for r in resolved.requirements}
-        out = []
-        for assignment in node.requirement_assignments:
-            req = by_name.get(assignment.name)
-            if req is None:
-                continue
-            if not self.subtype(req.capability_type, cat.CONNECT_TO_PIPELINE_CAP):
-                continue
-            kind = assignment.relationship or req.relationship_type
-            out.append((assignment, kind))
-        return out
-
-
-def _defs_for(template, defs):
-    return template.combined_definitions() if defs is None else defs
-
-
-# --------------------------------------------------------------------------
-# hosting
-# --------------------------------------------------------------------------
-
-def host_chain(node_name: str, template: ServiceTemplate, defs=None) -> list[str]:
-    """The node followed by its transitive hosts, up to an unhosted template.
-
-    Follows the first ``host`` assignment of each template.  Raises
-    HostCycleError on a loop and MissingHostError when a required host is
-    unassigned or names a missing template.
-    """
-    defs = _defs_for(template, defs)
-    ctx = _Ctx(template, defs)
-    return _host_chain(ctx, node_name)
-
-
-def _host_chain(ctx: _Ctx, node_name: str) -> list[str]:
-    if node_name not in ctx.template.node_templates:
-        raise MissingHostError(f"no node template named {node_name!r}")
-    chain = [node_name]
-    visited = {node_name}
-    current = node_name
-    while True:
-        resolved = ctx.resolved_node(current)
-        if resolved is None:
-            raise MissingHostError(f"type of {current!r} does not resolve")
-        host_req = next((r for r in resolved.requirements if r.name == "host"), None)
-        if host_req is None:
-            return chain
-        node = ctx.template.node_templates[current]
-        assignment = next((a for a in node.requirement_assignments
-                           if a.name == "host"), None)
-        if assignment is None:
-            if host_req.occurrences[0] >= 1:
-                raise MissingHostError(f"{current!r} has no host assignment")
-            return chain
-        target = assignment.target
-        if target not in ctx.template.node_templates:
-            raise MissingHostError(f"{current!r} is hosted on unknown template "
-                                   f"{target!r}")
-        if target in visited:
-            raise HostCycleError(
-                "host cycle: " + " -> ".join(chain + [target]))
-        chain.append(target)
-        visited.add(target)
-        current = target
-
-
-def colocated(a: str, b: str, template: ServiceTemplate, defs=None) -> Locality:
-    """LOCAL when both pipelines sit on the same NiFi template, else REMOTE."""
-    defs = _defs_for(template, defs)
-    ctx = _Ctx(template, defs)
-    return _colocated(ctx, a, b)
-
-
-def _colocated(ctx: _Ctx, a: str, b: str) -> Locality:
-    for name in (a, b):
-        if not ctx.is_pipeline(name):
-            raise NotAPipelineError(f"{name!r} is not a pipeline node")
-    nifi_a = _nearest_nifi(ctx, a)
-    nifi_b = _nearest_nifi(ctx, b)
-    return Locality.LOCAL if nifi_a == nifi_b else Locality.REMOTE
-
-
-def _nearest_nifi(ctx: _Ctx, node_name: str) -> str:
-    for ancestor in _host_chain(ctx, node_name):
-        resolved = ctx.resolved_node(ancestor)
-        if resolved is not None and cat.NIFI in resolved.ancestry \
-                and ancestor != node_name:
-            return ancestor
-    raise MissingHostError(f"{node_name!r} has no NiFi host in its chain")
 
 
 # --------------------------------------------------------------------------
@@ -243,16 +83,15 @@ def _nearest_nifi(ctx: _Ctx, node_name: str) -> str:
 
 def check_requirements(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
     """R1 requirement/capability matching plus R5 hosting conformance."""
-    ctx = _Ctx(template, _defs_for(template, defs))
-    return _check_requirements(ctx)
+    return _check_requirements(Topology(template, defs))
 
 
-def _check_requirements(ctx: _Ctx) -> list[Diagnostic]:
+def _check_requirements(topo: Topology) -> list[Diagnostic]:
     out = []
-    t = ctx.template
+    t = topo.template
     for name in sorted(t.node_templates):
         node = t.node_templates[name]
-        resolved = ctx.resolved_node(name)
+        resolved = topo.resolved_node(name)
         if resolved is None:
             out.append(Diagnostic(R1_REQ_MATCH, ERROR, [name],
                                   f"type {node.type!r} does not resolve"))
@@ -275,16 +114,16 @@ def _check_requirements(ctx: _Ctx) -> list[Diagnostic]:
                     f"{name!r} requirement {assignment.name!r} targets missing "
                     f"template {target!r}"))
                 continue
-            out.extend(_check_assignment(ctx, name, node, req, assignment))
-        out.extend(_check_occurrences(ctx, name, resolved, counts))
+            out.extend(_check_assignment(topo, name, node, req, assignment))
+        out.extend(_check_occurrences(topo, name, resolved, counts))
     return out
 
 
-def _check_assignment(ctx: _Ctx, name, node, req, assignment):
+def _check_assignment(topo: Topology, name, node, req, assignment):
     out = []
     target = assignment.target
-    target_node = ctx.template.node_templates[target]
-    target_resolved = ctx.resolved_node(target)
+    target_node = topo.template.node_templates[target]
+    target_resolved = topo.resolved_node(target)
     if target_resolved is None:
         out.append(Diagnostic(
             R1_REQ_MATCH, ERROR, [name, target],
@@ -292,7 +131,7 @@ def _check_assignment(ctx: _Ctx, name, node, req, assignment):
         return out
 
     # declared node type conformance; hosting violations get their own rule
-    if req.node_type and ctx.resolved_type(req.node_type) is not None:
+    if req.node_type and topo.resolved_type(req.node_type) is not None:
         if req.node_type not in target_resolved.ancestry:
             rule = R5_HOSTING if req.name == "host" else R1_REQ_MATCH
             out.append(Diagnostic(
@@ -302,9 +141,9 @@ def _check_assignment(ctx: _Ctx, name, node, req, assignment):
                 f"{target_node.type!r}"))
 
     # the target must offer a capability of the demanded type that accepts us
-    if req.capability_type and ctx.resolved_type(req.capability_type) is not None:
+    if req.capability_type and topo.resolved_type(req.capability_type) is not None:
         matching = [c for c in target_resolved.capabilities.values()
-                    if ctx.subtype(c.capability_type, req.capability_type)]
+                    if topo.subtype(c.capability_type, req.capability_type)]
         if not matching:
             out.append(Diagnostic(
                 R1_REQ_MATCH, ERROR, [name, target],
@@ -313,7 +152,7 @@ def _check_assignment(ctx: _Ctx, name, node, req, assignment):
         else:
             accepted = any(
                 not c.valid_source_types
-                or any(ctx.subtype(node.type, s) for s in c.valid_source_types)
+                or any(topo.subtype(node.type, s) for s in c.valid_source_types)
                 for c in matching)
             if not accepted:
                 out.append(Diagnostic(
@@ -323,7 +162,7 @@ def _check_assignment(ctx: _Ctx, name, node, req, assignment):
 
     # an explicit relationship override must refine the declared one
     if assignment.relationship is not None and req.relationship_type:
-        if not ctx.subtype(assignment.relationship, req.relationship_type):
+        if not topo.subtype(assignment.relationship, req.relationship_type):
             out.append(Diagnostic(
                 R1_REQ_MATCH, ERROR, [name, target],
                 f"relationship {assignment.relationship!r} on {name!r} is not "
@@ -331,10 +170,10 @@ def _check_assignment(ctx: _Ctx, name, node, req, assignment):
     return out
 
 
-def _check_occurrences(ctx: _Ctx, name, resolved, counts):
+def _check_occurrences(topo: Topology, name, resolved, counts):
     out = []
     connect_reqs = [r for r in resolved.requirements
-                    if ctx.subtype(r.capability_type, cat.CONNECT_TO_PIPELINE_CAP)]
+                    if topo.subtype(r.capability_type, cat.CONNECT_TO_PIPELINE_CAP)]
     other_reqs = [r for r in resolved.requirements if r not in connect_reqs]
     for req in other_reqs:
         count = counts.get(req.name, 0)
@@ -367,47 +206,15 @@ def _check_occurrences(ctx: _Ctx, name, resolved, counts):
     return out
 
 
-def _connection_pairs(ctx: _Ctx):
-    """Ordered pipeline pairs -> their connection edges (assignment, kind)."""
-    pairs = {}
-    for name in sorted(ctx.template.node_templates):
-        if not ctx.is_pipeline(name):
-            continue
-        for assignment, kind in ctx.connection_assignments(name):
-            target = assignment.target
-            if target not in ctx.template.node_templates:
-                continue
-            if not ctx.is_pipeline(target):
-                continue
-            pairs.setdefault((name, target), []).append((assignment, kind))
-    return pairs
-
-
-def _pair_locality(ctx: _Ctx, a, b):
-    try:
-        return _colocated(ctx, a, b)
-    except (MissingHostError, HostCycleError, NotAPipelineError):
-        return None  # hosting is broken; R1/R5 already cover it
-
-
-def _kind_bucket(ctx: _Ctx, kind):
-    if ctx.subtype(kind, cat.CONNECT_NIFI_LOCAL):
-        return Locality.LOCAL
-    if ctx.subtype(kind, cat.CONNECT_NIFI_REMOTE):
-        return Locality.REMOTE
-    return None
-
-
 def check_locality(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
     """R2 wrong-kind connections and R3 duplicate connections."""
-    ctx = _Ctx(template, _defs_for(template, defs))
-    return _check_locality(ctx)
+    return _check_locality(Topology(template, defs))
 
 
-def _check_locality(ctx: _Ctx) -> list[Diagnostic]:
+def _check_locality(topo: Topology) -> list[Diagnostic]:
     out = []
-    for (a, b), edges in sorted(_connection_pairs(ctx).items()):
-        locality = _pair_locality(ctx, a, b)
+    for (a, b), edges in topo.pairs.items():
+        locality = topo.locality(a, b)
         if locality is None:
             continue
         desired = cat.CONNECT_NIFI_LOCAL if locality is Locality.LOCAL \
@@ -418,20 +225,13 @@ def _check_locality(ctx: _Ctx) -> list[Diagnostic]:
                 f"{len(edges)} connections between {a!r} and {b!r}; blocks are "
                 f"{locality.value}, exactly one {desired!r} belongs here"))
         else:
-            bucket = _kind_bucket(ctx, edges[0][1])
+            bucket = topo.kind_locality(edges[0][1])
             if bucket is not None and bucket is not locality:
                 out.append(Diagnostic(
                     R2_LOCALITY, FIXABLE, [a, b],
                     f"connection {a!r} -> {b!r} uses a {bucket.value} "
                     f"relationship but the blocks are {locality.value}"))
     return out
-
-
-def _encryption_graph(ctx: _Ctx):
-    adjacency = {name: set() for name in ctx.template.node_templates}
-    for (a, b) in _connection_pairs(ctx):
-        adjacency[a].add(b)
-    return adjacency
 
 
 def _reachable_from(adjacency, start):
@@ -448,24 +248,24 @@ def _reachable_from(adjacency, start):
 
 def check_encryption(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
     """R4: Encrypt/Decrypt pairing and passphrase agreement."""
-    ctx = _Ctx(template, _defs_for(template, defs))
-    return _check_encryption(ctx)
+    return _check_encryption(Topology(template, defs))
 
 
-def _encrypt_decrypt_pairs(ctx: _Ctx):
-    adjacency = _encryption_graph(ctx)
-    encrypts = sorted(n for n in ctx.template.node_templates
-                      if ctx.subtype(ctx.template.node_templates[n].type, cat.ENCRYPT))
-    decrypts = sorted(n for n in ctx.template.node_templates
-                      if ctx.subtype(ctx.template.node_templates[n].type, cat.DECRYPT))
+def _encrypt_decrypt_pairs(topo: Topology):
+    adjacency = {}
+    for (a, b) in topo.pairs:
+        adjacency.setdefault(a, []).append(b)
+    names = sorted(topo.template.node_templates)
+    encrypts = [n for n in names if topo.is_a(n, cat.ENCRYPT)]
+    decrypts = [n for n in names if topo.is_a(n, cat.DECRYPT)]
     reach = {e: _reachable_from(adjacency, e) for e in encrypts}
     pairs = [(e, d) for e in encrypts for d in decrypts if d in reach[e]]
     return encrypts, decrypts, pairs
 
 
-def _check_encryption(ctx: _Ctx) -> list[Diagnostic]:
+def _check_encryption(topo: Topology) -> list[Diagnostic]:
     out = []
-    encrypts, decrypts, pairs = _encrypt_decrypt_pairs(ctx)
+    encrypts, decrypts, pairs = _encrypt_decrypt_pairs(topo)
     paired_e = {e for e, _ in pairs}
     paired_d = {d for _, d in pairs}
     for e in encrypts:
@@ -479,8 +279,8 @@ def _check_encryption(ctx: _Ctx) -> list[Diagnostic]:
                 R4_ENCRYPTION, ERROR, [d],
                 f"Decrypt node {d!r} is not reachable from any Encrypt node"))
     for e, d in pairs:
-        if ctx.effective_property(e, "passphrase") != \
-                ctx.effective_property(d, "passphrase"):
+        if topo.effective_property(e, "passphrase") != \
+                topo.effective_property(d, "passphrase"):
             out.append(Diagnostic(
                 R4_ENCRYPTION, FIXABLE, [e, d],
                 f"passphrases of {e!r} and {d!r} differ"))
@@ -489,32 +289,29 @@ def _check_encryption(ctx: _Ctx) -> list[Diagnostic]:
 
 def check_scheduling(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
     """R6: allowed strategies and parseable cron expressions."""
-    ctx = _Ctx(template, _defs_for(template, defs))
-    return _check_scheduling(ctx)
+    return _check_scheduling(Topology(template, defs))
 
 
-def _check_scheduling(ctx: _Ctx) -> list[Diagnostic]:
+def _check_scheduling(topo: Topology) -> list[Diagnostic]:
     out = []
-    for name in sorted(ctx.template.node_templates):
-        resolved = ctx.resolved_node(name)
-        if resolved is None or cat.ABSTRACT_DATA_PIPELINE not in resolved.ancestry:
-            continue
+    for name in topo.pipelines:
+        resolved = topo.resolved_node(name)
         if "schedulingStrategy" in resolved.properties:
-            strategy = ctx.effective_property(name, "schedulingStrategy")
+            strategy = topo.effective_property(name, "schedulingStrategy")
             if strategy not in cat.SCHEDULING_STRATEGIES:
                 out.append(Diagnostic(
                     R6_SCHEDULING, ERROR, [name],
                     f"{name!r} has schedulingStrategy {strategy!r}, allowed: "
                     f"{', '.join(cat.SCHEDULING_STRATEGIES)}"))
             elif strategy == "CRON_DRIVEN":
-                expr = ctx.effective_property(name, "schedulingPeriodCRON")
+                expr = topo.effective_property(name, "schedulingPeriodCRON")
                 if not isinstance(expr, str) or not is_valid_cron(expr):
                     out.append(Diagnostic(
                         R6_SCHEDULING, ERROR, [name],
                         f"{name!r} is CRON driven but {expr!r} is not a valid "
                         f"cron expression"))
         elif "schedulingPeriodCRON" in resolved.properties:
-            expr = ctx.effective_property(name, "schedulingPeriodCRON")
+            expr = topo.effective_property(name, "schedulingPeriodCRON")
             if not isinstance(expr, str) or not is_valid_cron(expr):
                 out.append(Diagnostic(
                     R6_SCHEDULING, ERROR, [name],
@@ -531,20 +328,19 @@ def _passphrase(rng: random.Random) -> str:
     return "".join(rng.choice("0123456789abcdef") for _ in range(32))
 
 
-def _fix_locality_pair(ctx: _Ctx, a: str, b: str) -> str:
+def _fix_locality_pair(topo: Topology, a: str, b: str) -> str:
     """Leave exactly one connection a -> b, of the locality-correct kind."""
-    locality = _pair_locality(ctx, a, b)
+    locality = topo.locality(a, b)
     desired = cat.CONNECT_NIFI_LOCAL if locality is Locality.LOCAL \
         else cat.CONNECT_NIFI_REMOTE
-    node = ctx.template.node_templates[a]
-    edges = [(assignment, kind) for assignment, kind
-             in ctx.connection_assignments(a) if assignment.target == b]
+    node = topo.template.node_templates[a]
+    edges = topo.pairs[(a, b)]
     keeper = next((assignment for assignment, kind in edges
-                   if _kind_bucket(ctx, kind) is locality), None)
+                   if topo.kind_locality(kind) is locality), None)
     rewrote = False
     if keeper is None:
         keeper = edges[0][0]
-        _rewrite_assignment_kind(ctx, a, keeper, desired)
+        _rewrite_assignment_kind(topo, a, keeper, desired)
         rewrote = True
     drop = {id(assignment) for assignment, _ in edges
             if assignment is not keeper}
@@ -558,12 +354,12 @@ def _fix_locality_pair(ctx: _Ctx, a: str, b: str) -> str:
     return action
 
 
-def _rewrite_assignment_kind(ctx: _Ctx, node_name: str,
+def _rewrite_assignment_kind(topo: Topology, node_name: str,
                              assignment: RequirementAssignment, desired: str):
-    resolved = ctx.resolved_node(node_name)
+    resolved = topo.resolved_node(node_name)
     counterpart = next(
         (r for r in resolved.requirements
-         if ctx.subtype(r.capability_type, cat.CONNECT_TO_PIPELINE_CAP)
+         if topo.subtype(r.capability_type, cat.CONNECT_TO_PIPELINE_CAP)
          and r.relationship_type == desired),
         None)
     if counterpart is not None:
@@ -573,7 +369,7 @@ def _rewrite_assignment_kind(ctx: _Ctx, node_name: str,
         assignment.relationship = desired
 
 
-def _fix_encryption(ctx: _Ctx, pairs, rng: random.Random) -> dict:
+def _fix_encryption(topo: Topology, pairs, rng: random.Random) -> dict:
     """One fresh passphrase per connected mismatch component."""
     parent = {}
 
@@ -597,7 +393,7 @@ def _fix_encryption(ctx: _Ctx, pairs, rng: random.Random) -> dict:
         members = sorted(components[root])
         fresh = _passphrase(rng)
         for member in members:
-            ctx.template.node_templates[member].property_values["passphrase"] = fresh
+            topo.template.node_templates[member].property_values["passphrase"] = fresh
         for e, d in pairs:
             if e in members:
                 descriptions[(e, d)] = (
@@ -605,12 +401,12 @@ def _fix_encryption(ctx: _Ctx, pairs, rng: random.Random) -> dict:
     return descriptions
 
 
-def _run_checks(ctx: _Ctx) -> list[Diagnostic]:
+def _run_checks(topo: Topology) -> list[Diagnostic]:
     out = []
-    out.extend(_check_requirements(ctx))
-    out.extend(_check_locality(ctx))
-    out.extend(_check_encryption(ctx))
-    out.extend(_check_scheduling(ctx))
+    out.extend(_check_requirements(topo))
+    out.extend(_check_locality(topo))
+    out.extend(_check_encryption(topo))
+    out.extend(_check_scheduling(topo))
     return out
 
 
@@ -623,13 +419,12 @@ def verify(template: ServiceTemplate, fix: bool = False, seed: int | None = None
     The input template is never mutated.
     """
     work = copy.deepcopy(template) if fix else template
-    defs = _defs_for(work, defs)
+    topo = Topology(work, defs)
     rng = random.Random(seed)
     reported: dict = {}
     ordered: list[Diagnostic] = []
     for attempt in range(MAX_FIX_PASSES + 1):
-        ctx = _Ctx(work, defs)
-        diagnostics = _run_checks(ctx)
+        diagnostics = _run_checks(topo)
         for diag in diagnostics:
             if diag.key() not in reported:
                 reported[diag.key()] = diag
@@ -640,21 +435,22 @@ def verify(template: ServiceTemplate, fix: bool = False, seed: int | None = None
         if attempt == MAX_FIX_PASSES:
             raise VerifierNonConvergenceError(
                 f"fixable diagnostics remain after {MAX_FIX_PASSES} fix passes")
-        _apply_fixes(ctx, fixables, rng, reported)
+        _apply_fixes(topo, fixables, rng, reported)
+        topo = Topology(work, topo.defs)  # the fixes changed the template
     return work, ordered
 
 
-def _apply_fixes(ctx: _Ctx, fixables, rng, reported):
+def _apply_fixes(topo: Topology, fixables, rng, reported):
     encryption_pairs = []
     for diag in fixables:
         if diag.rule in (R2_LOCALITY, R3_DUPLICATE_CONN):
             a, b = diag.nodes
-            description = _fix_locality_pair(ctx, a, b)
+            description = _fix_locality_pair(topo, a, b)
             reported[diag.key()].fix = description
         elif diag.rule == R4_ENCRYPTION:
             encryption_pairs.append(tuple(diag.nodes))
     if encryption_pairs:
-        descriptions = _fix_encryption(ctx, encryption_pairs, rng)
+        descriptions = _fix_encryption(topo, encryption_pairs, rng)
         for diag in fixables:
             if diag.rule == R4_ENCRYPTION:
                 reported[diag.key()].fix = descriptions.get(tuple(diag.nodes))

@@ -2,6 +2,8 @@ import io
 import json
 import zipfile
 
+import pytest
+
 from toscaflow.cli import main
 from toscaflow.csar import unpack_csar
 from toscaflow.parsing import parse_service_template
@@ -211,3 +213,67 @@ def test_verify_entry_inside_archive_matches_direct(fixture_path, tmp_path):
     _, direct_diags = verify(direct)
     assert [(d.rule, d.nodes) for d in inside_diags] == \
         [(d.rule, d.nodes) for d in direct_diags]
+
+
+SELF_REFERENCING_STRATEGY = """\
+tosca_definitions_version: tosca_simple_yaml_1_3
+topology_template:
+  node_templates:
+    VM_0:
+      type: tosca.nodes.Compute
+    Nifi_0:
+      type: radon.nodes.nifi.Nifi
+      properties: {component_version: "1.14.0"}
+      requirements:
+        - host: VM_0
+    Py:
+      type: radon.nodes.datapipeline.process.ExecutePython
+      properties:
+        name: p
+        script_path: run.py
+        schedulingStrategy: { get_property: [SELF, schedulingStrategy] }
+      requirements:
+        - host: Nifi_0
+"""
+
+
+def test_verify_self_referencing_property_exits_1(tmp_path, capsys):
+    path = tmp_path / "self.yaml"
+    path.write_text(SELF_REFERENCING_STRATEGY)
+    assert main(["verify", str(path)]) == 1
+    assert "R6-SCHEDULING\terror\tPy" in capsys.readouterr().out
+
+
+def test_plan_and_simulate_show_the_error_location(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("tosca_definitions_version: tosca_simple_yaml_1_3\n"
+                    "topology_template:\n"
+                    "  node_templates:\n"
+                    "    A:\n"
+                    "      typo: x\n")
+    for command in ("verify", "plan", "simulate"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.endswith(f" at {path}:5:7\n"), command
+
+
+def test_plan_has_no_seed_option(fixture_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["plan", fixture_path("s3_to_gcs.yaml"), "--seed", "1"])
+    assert stop.value.code == 2
+
+
+def test_csar_unpack_refuses_member_clash(tmp_path, capsys):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as crafted:
+        crafted.writestr("TOSCA-Metadata/TOSCA.meta",
+                         "Entry-Definitions: service.yaml\n")
+        crafted.writestr("service.yaml", b"x")
+        crafted.writestr("a", b"file")
+        crafted.writestr("a/b", b"file below a file")
+    archive = tmp_path / "clash.csar"
+    archive.write_bytes(buffer.getvalue())
+    dest = tmp_path / "out"
+
+    assert main(["csar", "unpack", str(archive), str(dest)]) == 2
+    assert "'a'" in capsys.readouterr().err
+    assert not dest.exists()

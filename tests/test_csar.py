@@ -84,6 +84,7 @@ def _archive_with(member):
     "../escaped.txt", "playbooks/../../escaped.txt", "/abs/escaped.txt",
     "\\abs\\escaped.txt", "C:/escaped.txt", "c:escaped.txt",
     "playbooks\\..\\..\\escaped.txt",
+    "service.yaml/below-a-file.txt", "TOSCA-Metadata",
 ])
 def test_unpack_rejects_unsafe_member_names(member):
     with pytest.raises(UnsafeMemberNameError):

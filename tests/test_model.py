@@ -3,6 +3,7 @@ import pytest
 from toscaflow import catalog as cat
 from toscaflow.errors import (
     CyclicDerivationError,
+    CyclicPropertyError,
     UnknownArtifactError,
     UnknownPropertyError,
     UnknownTemplateError,
@@ -153,3 +154,22 @@ def test_evaluate_errors():
     with pytest.raises(UnknownTemplateError):
         evaluate_intrinsic({"get_property": ["Ghost", "BucketName"]},
                            node, template)
+
+
+def test_evaluate_self_referencing_property_is_a_cycle():
+    node, template = _minio_template()
+    node.property_values["BucketName"] = {"get_property": ["SELF", "BucketName"]}
+    with pytest.raises(CyclicPropertyError, match="ConsMinIO_0.BucketName"):
+        evaluate_intrinsic(node.property_values["BucketName"], node, template)
+
+
+def test_evaluate_two_node_property_cycle():
+    python = "radon.nodes.datapipeline.process.ExecutePython"
+    a = NodeTemplate("A", python, property_values={
+        "script_path": "{ get_property: [B, script_path]}"})
+    b = NodeTemplate("B", python, property_values={
+        "script_path": {"get_property": ["A", "script_path"]}})
+    template = ServiceTemplate(node_templates={"A": a, "B": b})
+    with pytest.raises(CyclicPropertyError,
+                       match="B.script_path -> A.script_path -> B.script_path"):
+        evaluate_intrinsic(a.property_values["script_path"], a, template)

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import builders as b
+import topology_gen
 from toscaflow import catalog as cat
 from toscaflow.errors import DuplicateFunctionError, UnsupportedTypeError
+from toscaflow.model import RequirementAssignment
+from toscaflow.planner import CONNECTS_TO, build_graph
 from toscaflow.simulator import (
     blur_transform,
     grayscale_transform,
@@ -14,7 +17,7 @@ from toscaflow.simulator import (
     parse_schedule,
     rle_compress,
 )
-from toscaflow.verifier import verify
+from toscaflow.verifier import ERROR, verify
 
 
 def oracle_gray(p):
@@ -225,6 +228,46 @@ def test_unregistered_function_counts_errors():
     assert metrics["per_block"]["Fn"]["errors"] == 1
     assert flow.error_items[0].blocks == ["Src", "Fn"]
     assert metrics["stores"].get("minio/out") is None
+
+
+def _connects_to(template):
+    return {(e.source, e.target) for e in build_graph(template).edges
+            if e.kind == CONNECTS_TO}
+
+
+def test_connection_to_a_compute_node_gets_no_queue():
+    template = _two_stage()
+    template.node_templates["Src"].requirement_assignments.append(
+        RequirementAssignment("connectToPipeline", "VM_0"))
+    flow = instantiate(template)
+    assert set(flow.queues) == _connects_to(template) == {("Src", "Dst")}
+
+
+def test_queues_are_the_planner_connections(load_fixture):
+    templates = [load_fixture(name) for name in (
+        "cyclic.yaml", "duplicate_connection.yaml", "encrypt_mismatch.yaml",
+        "image_pipeline.yaml", "s3_to_gcs.yaml")]
+    for seed in range(300):
+        template = topology_gen.random_topology(seed)
+        if not [d for d in verify(template)[1] if d.severity == ERROR]:
+            templates.append(template)
+    assert len(templates) == 69
+    for template in templates:
+        assert set(instantiate(template).queues) == _connects_to(template)
+
+
+def test_self_referencing_script_path_is_an_unregistered_function():
+    template = _two_stage()
+    fn = b.node("Fn", b.PRC + "ExecutePython",
+                props={"name": "f",
+                       "script_path": {"get_property": ["SELF", "script_path"]}},
+                reqs=[("host", "Nifi_0"), ("ConnectToPipeline", "Dst")])
+    template.node_templates["Fn"] = fn
+    template.node_templates["Src"].requirement_assignments[1].target = "Fn"
+    flow = instantiate(template)
+    flow.put_object("minio", "in", "k", b"\x01")
+    assert flow.run_until(1)["per_block"]["Fn"]["errors"] == 1
+    assert flow.error_items[0].attributes["error"] == "no function registered as ''"
 
 
 def test_register_function_duplicate_rejected(load_fixture):

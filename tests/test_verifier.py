@@ -7,6 +7,7 @@ import topology_gen
 from bruteforce import diagnostics_as_set, rule_violations
 from toscaflow import catalog as cat
 from toscaflow.errors import HostCycleError, MissingHostError, NotAPipelineError
+from toscaflow.topology import Topology
 from toscaflow.verifier import (
     ERROR,
     FIXABLE,
@@ -259,6 +260,15 @@ def test_strategy_outside_allowed_set():
     assert [(d.rule, d.nodes) for d in diags] == [(R6_SCHEDULING, ["Src"])]
 
 
+def test_self_referencing_strategy_is_an_r6_finding():
+    stack, nifi, source, dest = _stacked_pipeline_pair()
+    source.property_values["schedulingStrategy"] = {
+        "get_property": ["SELF", "schedulingStrategy"]}
+    _, diags = verify(b.template(*stack, source, dest))
+    assert [(d.rule, d.nodes) for d in diags] == [(R6_SCHEDULING, ["Src"])]
+    assert "schedulingStrategy None" in diags[0].message
+
+
 def test_standalone_task_needs_valid_cron():
     aws = b.node("AWS", cat.AWS_PLATFORM)
     task = b.node("Copy", b.STA + "AWSCopyS3ToS3",
@@ -292,19 +302,16 @@ def test_fixes_never_change_the_template_set(load_fixture):
 
 
 def test_post_fix_locality_agrees_on_every_edge():
-    from toscaflow.verifier import _Ctx, _connection_pairs, _pair_locality, \
-        _kind_bucket
-
     for seed in range(40):
         template = topology_gen.random_topology(seed)
         fixed, _ = verify(template, fix=True, seed=seed)
-        ctx = _Ctx(fixed, fixed.combined_definitions())
-        for (a, bb), edges in _connection_pairs(ctx).items():
-            locality = _pair_locality(ctx, a, bb)
+        topo = Topology(fixed)
+        for (a, bb), edges in topo.pairs.items():
+            locality = topo.locality(a, bb)
             if locality is None:
                 continue
             assert len(edges) == 1
-            bucket = _kind_bucket(ctx, edges[0][1])
+            bucket = topo.kind_locality(edges[0][1])
             if bucket is not None:
                 assert bucket is locality, (seed, a, bb)
 
