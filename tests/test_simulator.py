@@ -415,3 +415,130 @@ def test_parse_schedule_hex_and_file(tmp_path):
 def test_parse_schedule_rejects_malformed(line):
     with pytest.raises(ValueError):
         parse_schedule(line)
+
+
+# -- the engine, pinned event by event -----------------------------------------------
+
+def _engine_record(flow, t_end):
+    """Every tick's events, every delivered and errored trail, the stores."""
+    def trail(item):
+        return " ".join(f"{block}@{tick}" for block, tick in item.trail)
+
+    ticks = {}
+    while flow.clock <= t_end:
+        now = flow.clock
+        events = [f"{stage} {kind} {arg!r}" for stage, kind, arg in flow.tick()]
+        if events:
+            ticks[now] = events
+    return {
+        "ticks": ticks,
+        "delivered": [trail(item) for item in flow.delivered_items],
+        "errored": [(trail(item), item.attributes["error"])
+                    for item in flow.error_items],
+        "stores": {f"{provider}/{bucket}": {key: payload.hex()
+                                            for key, payload in sorted(objects.items())}
+                   for (provider, bucket), objects in sorted(flow.stores.items())},
+    }
+
+
+def test_engine_events_and_trails_on_the_image_pipeline(load_fixture):
+    flow = instantiate(load_fixture("image_pipeline.yaml"))
+    # the Azure branch has no function until tick 4: the lookup happens per item
+    compress = flow.functions.pop("azure-compress")
+    for tick, key in [(0, "a"), (2, "b"), (2, "c"), (5, "a")]:
+        flow.schedule_injection(tick, "minio", "firstbucket", key, bytes([tick, 9, 9]))
+    early = _engine_record(flow, 3)
+    flow.register_function("azure-compress", compress)
+    late = _engine_record(flow, 7)
+
+    lambdas = ["ConsMinIO_0 emit 'InvokeLambda_0'",
+               "InvokeLambda_0 emit 'InvokeLambda_1'",
+               "InvokeLambda_1 emit 'InvokeImageFaaSFunction_0'",
+               "InvokeLambda_1 emit 'PubGCS_0'"]
+    assert early["ticks"] == {
+        0: ["ConsMinIO_0 consume 'a'", *lambdas,
+            "InvokeImageFaaSFunction_0 error \"no function registered as "
+            "'azure-compress'\"",
+            "PubGCS_0 deliver 'a'"],
+        2: ["ConsMinIO_0 consume 'b'", lambdas[0],
+            "ConsMinIO_0 consume 'c'", lambdas[0],
+            lambdas[1], lambdas[1], *lambdas[2:], *lambdas[2:],
+            "InvokeImageFaaSFunction_0 error \"no function registered as "
+            "'azure-compress'\"",
+            "InvokeImageFaaSFunction_0 error \"no function registered as "
+            "'azure-compress'\"",
+            "PubGCS_0 deliver 'b'", "PubGCS_0 deliver 'c'"],
+    }
+    assert late["ticks"] == {
+        5: ["ConsMinIO_0 consume 'a'", *lambdas,
+            "InvokeImageFaaSFunction_0 emit 'PubsAzureBlob_0'",
+            "PubGCS_0 deliver 'a'", "PubsAzureBlob_0 deliver 'a'"],
+    }
+    gcs = "ConsMinIO_0@{0} InvokeLambda_0@{0} InvokeLambda_1@{0} PubGCS_0@{0}"
+    azure = ("ConsMinIO_0@{0} InvokeLambda_0@{0} InvokeLambda_1@{0} "
+             "InvokeImageFaaSFunction_0@{0}")
+    assert late["delivered"] == [gcs.format(0), gcs.format(2), gcs.format(2),
+                                 gcs.format(5), azure.format(5) + " PubsAzureBlob_0@5"]
+    assert late["errored"] == [
+        (azure.format(tick), "no function registered as 'azure-compress'")
+        for tick in (0, 2, 2)]
+    assert late["stores"] == {
+        "azure/blurredcontainer": {"a": "010201030104"},
+        "gcs/radongcs": {"a": "020304", "b": "020304", "c": "020304"},
+        "minio/firstbucket": {"a": "050909", "b": "020909", "c": "020909"},
+    }
+
+
+def _store_relay():
+    """raw -(cron copy)-> staged -(cron consumer)-> Pub -> out"""
+    stack, nifi = b.nifi_stack()
+    aws = b.node("AWS", cat.AWS_PLATFORM)
+    copy_node = b.node("Copy", b.STA + "AWSCopyS3ToS3",
+                       props={"name": "c", "SourceBucketName": "raw",
+                              "DestinationBucketName": "staged",
+                              "cred_file_path": "c", "LogBucketName": "logs",
+                              "schedulingPeriodCRON": "0 * * * * ?"},
+                       reqs=[("host", "AWS")])
+    consumer = b.node("Cons", b.SRC + "ConsS3Bucket",
+                      props={"name": "s", "BucketName": "staged",
+                             "cred_file_path": "c", "Region": "r",
+                             "schedulingStrategy": "CRON_DRIVEN",
+                             "schedulingPeriodCRON": "30 * * * * ?"},
+                      reqs=[("host", nifi), ("connectToPipeline", "Pub")])
+    publisher = b.node("Pub", b.DST + "PubsMinIO",
+                       props={"name": "d", "BucketName": "out",
+                              "cred_file_path": "c", "MinIO_Endpoint": "e"},
+                       reqs=[("host", nifi)])
+    return b.template(*stack, aws, copy_node, consumer, publisher)
+
+
+def test_engine_events_and_trails_on_a_store_relay():
+    template = _store_relay()
+    assert verify(template)[1] == []
+    flow = instantiate(template)
+    # an empty key is copied as it is, and published as item-<born>
+    flow.put_object("s3", "raw", "", b"\x00")
+    flow.schedule_injection(5, "s3", "raw", "a", b"\x01")
+    flow.schedule_injection(61, "s3", "raw", "b", b"\x02")
+    flow.schedule_injection(61, "s3", "raw", "", b"\x03")
+    record = _engine_record(flow, 150)
+
+    assert record["ticks"] == {
+        0: ["Copy deliver ''"],
+        30: ["Cons consume ''", "Cons emit 'Pub'", "Pub deliver 'item-2'"],
+        60: ["Copy deliver 'a'"],
+        90: ["Cons consume 'a'", "Cons emit 'Pub'", "Pub deliver 'a'"],
+        120: ["Copy deliver 'b'", "Copy deliver ''"],
+        150: ["Cons consume 'b'", "Cons emit 'Pub'",
+              "Cons consume ''", "Cons emit 'Pub'",
+              "Pub deliver 'b'", "Pub deliver 'item-8'"],
+    }
+    assert record["delivered"] == [
+        "Copy@0", "Cons@30 Pub@30", "Copy@60", "Cons@90 Pub@90",
+        "Copy@120", "Copy@120", "Cons@150 Pub@150", "Cons@150 Pub@150"]
+    assert record["errored"] == []
+    assert record["stores"] == {
+        "minio/out": {"a": "01", "b": "02", "item-2": "00", "item-8": "03"},
+        "s3/raw": {"": "03", "a": "01", "b": "02"},
+        "s3/staged": {"": "03", "a": "01", "b": "02"},
+    }
