@@ -69,12 +69,12 @@ def _compose(text, filename):
     try:
         root = yaml.compose(text)
     except yaml.MarkedYAMLError as exc:
-        location = None
-        if exc.problem_mark is not None:
-            location = SourceLocation(
-                filename, exc.problem_mark.line + 1, exc.problem_mark.column + 1
-            )
-        raise TemplateSyntaxError(str(exc), location) from exc
+        # the context mark is where the broken construct starts; the problem
+        # mark is where the parser gave up, often the end of the stream
+        message = ": ".join(filter(None, (exc.context, exc.problem))) or str(exc)
+        mark = exc.context_mark or exc.problem_mark
+        location = mark and SourceLocation(filename, mark.line + 1, mark.column + 1)
+        raise TemplateSyntaxError(message, location) from exc
     except yaml.YAMLError as exc:
         raise TemplateSyntaxError(str(exc), SourceLocation(filename, 1, 1)) from exc
     return root

@@ -19,6 +19,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 from . import catalog as cat
 from .cron import CronExpr, parse_cron
@@ -177,24 +179,41 @@ class StoreEvent:
 
 
 class _Stage:
-    """Common behaviour: scheduling, metrics, queue plumbing."""
+    """One block: on each firing it takes its items in and handles each one.
 
-    def __init__(self, flow, name, strategy, cron: CronExpr | None):
+    A stage with a `source` (provider, bucket) takes the objects written
+    there since it last fired; any other stage drains its input queues.
+    `cron` None means event-driven: the stage fires every tick.  `handle`
+    does what the block's kind does with one item.
+    """
+
+    def __init__(self, flow, name, cron: CronExpr | None, handle, *,
+                 source=None, destination=None, function=None,
+                 function_key="", clauses=()):
         self.flow = flow
         self.name = name
-        self.strategy = strategy  # "EVENT_DRIVEN" | "CRON_DRIVEN"
         self.cron = cron
+        self.handle = handle
+        self.source = source
+        self.destination = destination
+        self.function = function
+        self.function_key = function_key
+        self.clauses = clauses
+        self.cursor = -1  # seq of the last store event taken
         self.consumed = 0
         self.emitted = 0
         self.errors = 0
 
     def should_fire(self, tick: int) -> bool:
-        if self.strategy == "CRON_DRIVEN":
-            return self.cron is not None and self.cron.matches(tick)
-        return True
+        return self.cron is None or self.cron.matches(tick)
 
     def fire(self, tick: int):
-        raise NotImplementedError
+        items = self._drain_inputs() if self.source is None \
+            else self._take_new_objects(tick)
+        for item in items:
+            self.consumed += 1
+            item.visit(self.name, tick)
+            self.handle(self, item, tick)
 
     def _drain_inputs(self):
         items = []
@@ -204,7 +223,7 @@ class _Stage:
                 items.append(queue.popleft())
         return items
 
-    def _emit(self, item: FlowItem, targets=None):
+    def emit(self, item: FlowItem, targets=None):
         flow = self.flow
         outs = targets if targets is not None \
             else flow.out_edges.get(self.name, [])
@@ -218,27 +237,20 @@ class _Stage:
             self.emitted += 1
             flow.events_this_tick.append((self.name, "emit", target))
 
-    def _divert_error(self, item: FlowItem, reason: str):
+    def divert_error(self, item: FlowItem, reason: str):
         self.errors += 1
         item.attributes["error"] = reason
         self.flow.error_items.append(item)
         self.flow.events_this_tick.append((self.name, "error", reason))
 
-
-class _StoreReader(_Stage):
-    """A stage that takes the new objects of one (provider, bucket) `source`."""
-
-    def __init__(self, flow, name, strategy, cron, source):
-        super().__init__(flow, name, strategy, cron)
-        self.source = source
-        self.cursor = -1  # seq of the last store event taken
-
     def _take_new_objects(self, tick: int):
-        """Yield (event, item) for each source event written by `tick` since
-        the last one taken, in write order; each item is born and visits
-        this stage."""
+        """Yield an item for each source event written by `tick` since the
+        last one taken, in write order, each born here.  Only the events
+        that existed when the stage fired are read, so a copy into its own
+        bucket copies each object once per firing."""
         provider, bucket = self.source
-        for event in self.flow.store_events:
+        events = self.flow.store_events
+        for event in islice(events, len(events)):
             if event.seq <= self.cursor:
                 continue
             if event.provider != provider or event.bucket != bucket:
@@ -246,7 +258,8 @@ class _StoreReader(_Stage):
             if event.tick > tick:
                 continue
             self.cursor = event.seq
-            item = FlowItem(
+            self.flow.born += 1
+            yield FlowItem(
                 payload=event.payload,
                 attributes={
                     "source_provider": provider,
@@ -254,130 +267,43 @@ class _StoreReader(_Stage):
                     "key": event.key,
                 },
             )
-            self.flow.born += 1
-            self.consumed += 1
-            item.visit(self.name, tick)
-            yield event, item
 
 
-class _ConsumerStage(_StoreReader):
-    """Polls a bound store bucket and turns new objects into flow items."""
-
-    def fire(self, tick: int):
-        for event, item in self._take_new_objects(tick):
-            self.flow.events_this_tick.append((self.name, "consume", event.key))
-            self._emit(item)
+def _consume(stage, item, tick):
+    stage.flow.events_this_tick.append((stage.name, "consume", item.attributes["key"]))
+    stage.emit(item)
 
 
-class _TransformStage(_Stage):
-    """Applies a byte transform looked up in the function registry."""
-
-    def __init__(self, flow, name, strategy, cron, function_key):
-        super().__init__(flow, name, strategy, cron)
-        self.function_key = function_key
-
-    def fire(self, tick: int):
-        for item in self._drain_inputs():
-            self.consumed += 1
-            item.visit(self.name, tick)
-            transform = self.flow.functions.get(self.function_key)
-            if transform is None:
-                self._divert_error(item, f"no function registered as "
-                                   f"{self.function_key!r}")
-                continue
-            item.payload = transform(item.payload)
-            self._emit(item)
+def _transform(stage, item, tick):
+    """Apply the stage's fixed function, or the registered one it names."""
+    transform = stage.function or stage.flow.functions.get(stage.function_key)
+    if transform is None:
+        stage.divert_error(item, f"no function registered as {stage.function_key!r}")
+        return
+    item.payload = transform(item.payload)
+    stage.emit(item)
 
 
-class _CipherStage(_Stage):
-    def __init__(self, flow, name, strategy, cron, passphrase, decrypt):
-        super().__init__(flow, name, strategy, cron)
-        self.passphrase = passphrase or ""
-        self.operation = decrypt_bytes if decrypt else encrypt_bytes
-
-    def fire(self, tick: int):
-        for item in self._drain_inputs():
-            self.consumed += 1
-            item.visit(self.name, tick)
-            item.payload = self.operation(item.payload, self.passphrase)
-            self._emit(item)
+def _route(stage, item, tick):
+    """Forward to the targets of every clause the item's attributes match."""
+    targets = sorted({target for target, attribute, value in stage.clauses
+                      if item.attributes.get(attribute) == value})
+    if not targets:
+        stage.divert_error(item, "no route predicate matched")
+        return
+    stage.emit(item, targets=targets)
 
 
-class _RouterStage(_Stage):
-    """Forwards each item to the outgoing edges whose predicate matches.
-
-    The predicate language is a placeholder: semicolon-separated
-    ``target:attribute=value`` clauses matched against item attributes.
-    Items matching no clause are diverted to the error trail.
-    """
-
-    def __init__(self, flow, name, strategy, cron, predicate):
-        super().__init__(flow, name, strategy, cron)
-        self.clauses = self._parse(predicate)
-
-    @staticmethod
-    def _parse(predicate):
-        clauses = []
-        for raw in str(predicate or "").split(";"):
-            raw = raw.strip()
-            if not raw or ":" not in raw:
-                continue
-            target, condition = raw.split(":", 1)
-            if "=" not in condition:
-                continue
-            attribute, value = condition.split("=", 1)
-            clauses.append((target.strip(), attribute.strip(), value.strip()))
-        return clauses
-
-    def fire(self, tick: int):
-        available = set(self.flow.out_edges.get(self.name, ()))
-        for item in self._drain_inputs():
-            self.consumed += 1
-            item.visit(self.name, tick)
-            targets = sorted({target for target, attribute, value in self.clauses
-                              if target in available
-                              and item.attributes.get(attribute) == value})
-            if not targets:
-                self._divert_error(item, "no route predicate matched")
-                continue
-            self._emit(item, targets=targets)
-
-
-class _PublisherStage(_Stage):
-    """Terminal sink: writes every incoming item to its bound store."""
-
-    def __init__(self, flow, name, strategy, cron, provider, bucket):
-        super().__init__(flow, name, strategy, cron)
-        self.provider = provider
-        self.bucket = bucket
-
-    def fire(self, tick: int):
-        for item in self._drain_inputs():
-            self.consumed += 1
-            item.visit(self.name, tick)
-            key = item.attributes.get("key") or f"item-{self.flow.born}"
-            self.flow._store_write(self.provider, self.bucket, key,
-                                   item.payload, tick)
-            self.emitted += 1
-            self.flow.delivered_items.append(item)
-            self.flow.events_this_tick.append((self.name, "deliver", key))
-
-
-class _StandaloneCopyStage(_StoreReader):
-    """Self-contained bucket-to-bucket copy firing on its cron schedule."""
-
-    def __init__(self, flow, name, cron, source, destination):
-        super().__init__(flow, name, "CRON_DRIVEN", cron, source)
-        self.destination = destination
-
-    def fire(self, tick: int):
-        dest_provider, dest_bucket = self.destination
-        for event, item in self._take_new_objects(tick):
-            self.flow._store_write(dest_provider, dest_bucket, event.key,
-                                   event.payload, tick)
-            self.emitted += 1
-            self.flow.delivered_items.append(item)
-            self.flow.events_this_tick.append((self.name, "deliver", event.key))
+def _deliver(stage, item, tick):
+    """Write the item to the destination store.  A copy keeps the source key
+    as it is; a publisher names a keyless item after the items born so far."""
+    flow = stage.flow
+    key = item.attributes["key"] if stage.source is not None \
+        else item.attributes.get("key") or f"item-{flow.born}"
+    flow._store_write(*stage.destination, key, item.payload, tick)
+    stage.emitted += 1
+    flow.delivered_items.append(item)
+    flow.events_this_tick.append((stage.name, "deliver", key))
 
 
 class Flow:
@@ -518,56 +444,72 @@ def instantiate(template: ServiceTemplate, defs=None) -> Flow:
     return flow
 
 
-def _scheduling(topo, name, resolved):
-    if "schedulingStrategy" in resolved.properties:
-        strategy = topo.effective_property(name, "schedulingStrategy")
-    else:
-        strategy = "CRON_DRIVEN"  # standalone tasks schedule by cron only
-    cron = None
-    if strategy == "CRON_DRIVEN":
-        cron = parse_cron(str(topo.effective_property(name, "schedulingPeriodCRON")))
-    return strategy, cron
+def _match(table, ancestry):
+    """The value of the first `table` type in `ancestry`, else None."""
+    return next((value for type_name, value in table.items()
+                 if type_name in ancestry), None)
 
 
 def _build_stage(topo, flow, name) -> _Stage:
     resolved = topo.resolved_node(name)  # pipelines always resolve
     ancestry = resolved.ancestry
-    strategy, cron = _scheduling(topo, name, resolved)
 
-    for type_name, (provider, bucket_prop) in _CONSUMER_BINDINGS.items():
-        if type_name in ancestry:
-            bucket = str(topo.effective_property(name, bucket_prop) or "")
-            return _ConsumerStage(flow, name, strategy, cron, (provider, bucket))
+    def prop(key):
+        return topo.effective_property(name, key)
 
-    for type_name, (provider, bucket_prop) in _PUBLISHER_BINDINGS.items():
-        if type_name in ancestry:
-            bucket = str(topo.effective_property(name, bucket_prop) or "")
-            return _PublisherStage(flow, name, strategy, cron, provider, bucket)
+    def bucket(binding):
+        provider, key = binding
+        return provider, str(prop(key) or "")
 
+    # standalone tasks have no schedulingStrategy: they schedule by cron only
+    cron = None
+    if "schedulingStrategy" not in resolved.properties \
+            or prop("schedulingStrategy") == "CRON_DRIVEN":
+        cron = parse_cron(str(prop("schedulingPeriodCRON")))
+    stage = partial(_Stage, flow, name, cron)
+
+    if binding := _match(_CONSUMER_BINDINGS, ancestry):
+        return stage(_consume, source=bucket(binding))
+    if binding := _match(_PUBLISHER_BINDINGS, ancestry):
+        return stage(_deliver, destination=bucket(binding))
     if cat.ENCRYPT in ancestry or cat.DECRYPT in ancestry:
-        passphrase = topo.effective_property(name, "passphrase")
-        return _CipherStage(flow, name, strategy, cron, passphrase,
-                            decrypt=cat.DECRYPT in ancestry)
-
-    for type_name, key_prop in _INVOKER_KEYS.items():
-        if type_name in ancestry:
-            key = str(topo.effective_property(name, key_prop) or "")
-            return _TransformStage(flow, name, strategy, cron, key)
-
+        operation = decrypt_bytes if cat.DECRYPT in ancestry else encrypt_bytes
+        return stage(_transform, function=partial(
+            operation, passphrase=prop("passphrase") or ""))
+    if key_prop := _match(_INVOKER_KEYS, ancestry):
+        # looked up per item: functions may be registered after instantiate
+        return stage(_transform, function_key=str(prop(key_prop) or ""))
     if _PRC + "RouteToRemote" in ancestry:
-        predicate = topo.effective_property(name, "route_predicate")
-        return _RouterStage(flow, name, strategy, cron, predicate)
-
-    for type_name, (source, destination) in _STANDALONE_COPIES.items():
-        if type_name in ancestry:
-            src = (source[0], str(topo.effective_property(name, source[1]) or ""))
-            dst = (destination[0],
-                   str(topo.effective_property(name, destination[1]) or ""))
-            return _StandaloneCopyStage(flow, name, cron, src, dst)
+        available = flow.out_edges.get(name, ())
+        return stage(_route, clauses=[
+            clause for clause in _parse_predicate(prop("route_predicate"))
+            if clause[0] in available])
+    if copy := _match(_STANDALONE_COPIES, ancestry):
+        return stage(_deliver, source=bucket(copy[0]), destination=bucket(copy[1]))
 
     raise UnsupportedTypeError(
         f"pipeline node {name!r} of type {topo.template.node_templates[name].type!r} "
         f"has no simulation behaviour")
+
+
+def _parse_predicate(predicate):
+    """(target, attribute, value) clauses of a route predicate.
+
+    The predicate language is a placeholder: semicolon-separated
+    ``target:attribute=value`` clauses matched against item attributes;
+    malformed clauses are ignored.
+    """
+    clauses = []
+    for raw in str(predicate or "").split(";"):
+        raw = raw.strip()
+        if not raw or ":" not in raw:
+            continue
+        target, condition = raw.split(":", 1)
+        if "=" not in condition:
+            continue
+        attribute, value = condition.split("=", 1)
+        clauses.append((target.strip(), attribute.strip(), value.strip()))
+    return clauses
 
 
 # --------------------------------------------------------------------------

@@ -79,17 +79,22 @@ class Topology:
 
         None when the value cannot be evaluated.
         """
+        return self.evaluate_property(node_name, prop_name)[0]
+
+    def evaluate_property(self, node_name, prop_name):
+        """(effective value, None), or (None, why) when the assigned value
+        cannot be evaluated."""
         node = self.template.node_templates[node_name]
         if prop_name in node.property_values:
             try:
                 return evaluate_intrinsic(node.property_values[prop_name], node,
-                                          self.template, self.defs)
-            except (ToscaflowError, ValueError):
-                return None
+                                          self.template, self.defs), None
+            except (ToscaflowError, ValueError) as exc:
+                return None, str(exc)
         resolved = self.resolved_node(node_name)
         if resolved is not None and prop_name in resolved.properties:
-            return resolved.properties[prop_name].default
-        return None
+            return resolved.properties[prop_name].default, None
+        return None, None
 
     # -- connections ---------------------------------------------------------
 

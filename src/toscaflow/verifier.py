@@ -294,29 +294,28 @@ def check_scheduling(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
 
 def _check_scheduling(topo: Topology) -> list[Diagnostic]:
     out = []
+
+    def finding(name, message, why):
+        out.append(Diagnostic(R6_SCHEDULING, ERROR, [name],
+                              f"{message} ({why})" if why else message))
+
     for name in topo.pipelines:
         resolved = topo.resolved_node(name)
         if "schedulingStrategy" in resolved.properties:
-            strategy = topo.effective_property(name, "schedulingStrategy")
+            strategy, why = topo.evaluate_property(name, "schedulingStrategy")
             if strategy not in cat.SCHEDULING_STRATEGIES:
-                out.append(Diagnostic(
-                    R6_SCHEDULING, ERROR, [name],
-                    f"{name!r} has schedulingStrategy {strategy!r}, allowed: "
-                    f"{', '.join(cat.SCHEDULING_STRATEGIES)}"))
+                finding(name, f"{name!r} has schedulingStrategy {strategy!r}, "
+                        f"allowed: {', '.join(cat.SCHEDULING_STRATEGIES)}", why)
             elif strategy == "CRON_DRIVEN":
-                expr = topo.effective_property(name, "schedulingPeriodCRON")
+                expr, why = topo.evaluate_property(name, "schedulingPeriodCRON")
                 if not isinstance(expr, str) or not is_valid_cron(expr):
-                    out.append(Diagnostic(
-                        R6_SCHEDULING, ERROR, [name],
-                        f"{name!r} is CRON driven but {expr!r} is not a valid "
-                        f"cron expression"))
+                    finding(name, f"{name!r} is CRON driven but {expr!r} is not "
+                            f"a valid cron expression", why)
         elif "schedulingPeriodCRON" in resolved.properties:
-            expr = topo.effective_property(name, "schedulingPeriodCRON")
+            expr, why = topo.evaluate_property(name, "schedulingPeriodCRON")
             if not isinstance(expr, str) or not is_valid_cron(expr):
-                out.append(Diagnostic(
-                    R6_SCHEDULING, ERROR, [name],
-                    f"{name!r} schedules only by cron but {expr!r} is not a "
-                    f"valid cron expression"))
+                finding(name, f"{name!r} schedules only by cron but {expr!r} is "
+                        f"not a valid cron expression", why)
     return out
 
 

@@ -256,6 +256,19 @@ def test_plan_and_simulate_show_the_error_location(tmp_path, capsys):
         assert capsys.readouterr().err.endswith(f" at {path}:5:7\n"), command
 
 
+def test_yaml_syntax_error_is_one_line_at_the_broken_construct(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("tosca_definitions_version: tosca_simple_yaml_1_3\n"
+                    "topology_template:\n"
+                    "  node_templates:\n"
+                    "    A:\n"
+                    "      type: [unclosed\n")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: while parsing a flow sequence: expected ',' or ']', "
+                   f"but got '<stream end>' at {path}:5:13\n")
+
+
 def test_plan_has_no_seed_option(fixture_path, capsys):
     with pytest.raises(SystemExit) as stop:
         main(["plan", fixture_path("s3_to_gcs.yaml"), "--seed", "1"])

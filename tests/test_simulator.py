@@ -542,3 +542,23 @@ def test_engine_events_and_trails_on_a_store_relay():
         "s3/raw": {"": "03", "a": "01", "b": "02"},
         "s3/staged": {"": "03", "a": "01", "b": "02"},
     }
+
+
+def test_copy_into_its_own_bucket_copies_once_per_firing():
+    aws = b.node("AWS", cat.AWS_PLATFORM)
+    copy_node = b.node("Copy", b.STA + "AWSCopyS3ToS3",
+                       props={"name": "c", "SourceBucketName": "same",
+                              "DestinationBucketName": "same",
+                              "cred_file_path": "c", "LogBucketName": "logs",
+                              "schedulingPeriodCRON": "0 * * * * ?"},
+                       reqs=[("host", "AWS")])
+    template = b.template(aws, copy_node)
+    assert verify(template)[1] == []
+    flow = instantiate(template)
+    flow.schedule_injection(2, "s3", "same", "k", b"\x01")
+    metrics = flow.run_until(60)
+    assert [item.trail for item in flow.delivered_items] == [[("Copy", 60)]]
+    assert metrics["per_block"]["Copy"] == {"consumed": 1, "emitted": 1, "errors": 0}
+    assert flow.stores[("s3", "same")] == {"k": b"\x01"}
+    flow.run_until(120)
+    assert flow.born == len(flow.delivered_items) == 2

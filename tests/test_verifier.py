@@ -269,6 +269,27 @@ def test_self_referencing_strategy_is_an_r6_finding():
     assert "schedulingStrategy None" in diags[0].message
 
 
+def test_r6_says_why_a_value_is_unknown():
+    stack, nifi, source, dest = _stacked_pipeline_pair()
+    source.property_values["schedulingStrategy"] = {
+        "get_property": ["SELF", "schedulingStrategy"]}
+    aws = b.node("AWS", cat.AWS_PLATFORM)
+    task = b.node("Copy", b.STA + "AWSCopyS3ToS3",
+                  props={"name": "c", "SourceBucketName": "a",
+                         "DestinationBucketName": "b", "cred_file_path": "c",
+                         "LogBucketName": "l",
+                         "schedulingPeriodCRON": {
+                             "get_property": ["SELF", "schedulingPeriodCRON"]}},
+                  reqs=[("host", "AWS")])
+    diags = check_scheduling(b.template(*stack, source, dest, aws, task))
+    assert [d.message for d in diags] == [
+        "'Copy' schedules only by cron but None is not a valid cron expression "
+        "(get_property cycle: Copy.schedulingPeriodCRON -> Copy.schedulingPeriodCRON)",
+        "'Src' has schedulingStrategy None, allowed: EVENT_DRIVEN, CRON_DRIVEN "
+        "(get_property cycle: Src.schedulingStrategy -> Src.schedulingStrategy)",
+    ]
+
+
 def test_standalone_task_needs_valid_cron():
     aws = b.node("AWS", cat.AWS_PLATFORM)
     task = b.node("Copy", b.STA + "AWSCopyS3ToS3",
