@@ -20,7 +20,6 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 
 from . import catalog as cat
 from .cron import CronExpr, parse_cron
@@ -244,13 +243,13 @@ class _Stage:
         self.flow.events_this_tick.append((self.name, "error", reason))
 
     def _take_new_objects(self, tick: int):
-        """Yield an item for each source event written by `tick` since the
-        last one taken, in write order, each born here.  Only the events
-        that existed when the stage fired are read, so a copy into its own
-        bucket copies each object once per firing."""
+        """An item for each source event written by `tick` since the last
+        one taken, in write order, each born here.  The scan ends before
+        the handlers run, so a copy into its own bucket copies each object
+        once per firing."""
         provider, bucket = self.source
-        events = self.flow.store_events
-        for event in islice(events, len(events)):
+        items = []
+        for event in self.flow.store_events:
             if event.seq <= self.cursor:
                 continue
             if event.provider != provider or event.bucket != bucket:
@@ -259,14 +258,15 @@ class _Stage:
                 continue
             self.cursor = event.seq
             self.flow.born += 1
-            yield FlowItem(
+            items.append(FlowItem(
                 payload=event.payload,
                 attributes={
                     "source_provider": provider,
                     "source_bucket": bucket,
                     "key": event.key,
                 },
-            )
+            ))
+        return items
 
 
 def _consume(stage, item, tick):
@@ -480,7 +480,7 @@ def _build_stage(topo, flow, name) -> _Stage:
         # looked up per item: functions may be registered after instantiate
         return stage(_transform, function_key=str(prop(key_prop) or ""))
     if _PRC + "RouteToRemote" in ancestry:
-        available = flow.out_edges.get(name, ())
+        available = flow.out_edges.get(name, ())  # wired before the stages
         return stage(_route, clauses=[
             clause for clause in _parse_predicate(prop("route_predicate"))
             if clause[0] in available])
