@@ -53,6 +53,17 @@ DECRYPT = "radon.nodes.datapipeline.process.Decrypt"
 SCHEDULING_STRATEGIES = ("EVENT_DRIVEN", "CRON_DRIVEN")
 DEFAULT_CRON = "* * * * * ?"
 
+# function-invoking types -> the property naming the function they call
+INVOKER_KEYS = {
+    "radon.nodes.datapipeline.process.InvokeLambda": "function_name",
+    "radon.nodes.datapipeline.process.InvokeOpenFaaS": "function_name",
+    "radon.nodes.datapipeline.process.InvokeFaaSFunction": "function_URL",
+    "radon.nodes.datapipeline.process.InvokeImageFaaSFunction": "function_URL",
+    "radon.nodes.datapipeline.process.ExecuteCommand": "script_path",
+    "radon.nodes.datapipeline.process.ExecutePython": "script_path",
+    "radon.nodes.datapipeline.process.ExecuteRuby": "script_path",
+}
+
 
 class TypeCatalog:
     """An immutable name -> TypeDefinition map with convenience lookup."""

@@ -12,6 +12,7 @@ import zipfile
 from dataclasses import dataclass, field
 
 from .errors import (
+    ArchiveTooLargeError,
     MissingEntryDefinitionsError,
     MissingMetadataError,
     UnsafeMemberNameError,
@@ -23,6 +24,10 @@ CSAR_VERSION = "1.1"
 
 # fixed timestamp so packing is deterministic
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+
+# the most bytes unpack_csar reads out of one archive; zipfile never reads
+# past a member's declared size, so the declared sizes bound the total
+MAX_UNPACKED_BYTES = 256 * 1024 * 1024
 
 
 @dataclass
@@ -96,8 +101,18 @@ def _check_member_clashes(names):
                 f"archive member {name!r} is also a directory of another member")
 
 
+def _check_unpacked_size(infos):
+    """Refuse an archive whose members declare more than MAX_UNPACKED_BYTES."""
+    total = sum(info.file_size for info in infos)
+    if total > MAX_UNPACKED_BYTES:
+        raise ArchiveTooLargeError(
+            f"archive members declare {total} bytes uncompressed, more than "
+            f"the {MAX_UNPACKED_BYTES} allowed")
+
+
 def unpack_csar(data: bytes) -> CsarArchive:
-    """Read a CSAR back into memory, validating its metadata and member names."""
+    """Read a CSAR back into memory, validating its metadata, member names
+    and total uncompressed size before any member is read."""
     try:
         archive = zipfile.ZipFile(io.BytesIO(data))
     except zipfile.BadZipFile as exc:
@@ -107,6 +122,7 @@ def unpack_csar(data: bytes) -> CsarArchive:
         for name in names:
             _check_member_name(name)
         _check_member_clashes(names)
+        _check_unpacked_size(archive.infolist())
         if META_PATH not in names:
             raise MissingMetadataError(f"archive lacks {META_PATH}")
         metadata = _parse_meta(archive.read(META_PATH))

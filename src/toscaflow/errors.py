@@ -68,6 +68,10 @@ class UnsafeMemberNameError(ToscaflowError):
     or names a file that another member's name uses as a directory."""
 
 
+class ArchiveTooLargeError(ToscaflowError):
+    """The sizes a CSAR declares for its members add up to more than the cap."""
+
+
 # --- verification -----------------------------------------------------------
 
 class HostCycleError(ToscaflowError):

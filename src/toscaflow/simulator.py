@@ -9,6 +9,14 @@ fire only on ticks matching their expression.  Within one tick stages fire
 in topological order of the connection graph, so an event-driven chain is
 traversed in a single tick.
 
+Every store write is appended to the flow's event log and to one event
+list per (provider, bucket); a stage reading a bucket keeps an offset into
+that bucket's list, so a firing looks only at the events it has not taken.
+`run_until` jumps the clock over ticks at which nothing can fire: after
+each processed tick it moves straight to the next injection, or to the
+first tick at which a stage with input waiting fires (the current tick for
+an event-driven stage, the next cron match for a CRON-driven one).
+
 Determinism is a hard contract: no wall clock, no OS entropy.  Identical
 template plus identical injection schedule yields identical metrics and
 store contents.
@@ -16,13 +24,14 @@ store contents.
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
 from . import catalog as cat
-from .cron import CronExpr, parse_cron
+from .cron import CronExpr, cron_next, parse_cron
 from .crypto import decrypt_bytes, encrypt_bytes
 from .errors import DuplicateFunctionError, UnsupportedTypeError
 from .model import ServiceTemplate
@@ -53,17 +62,6 @@ _PUBLISHER_BINDINGS = {
     _DST + "PubsMQTT": ("mqtt", "topic"),
     _DST + "PubsSFTP": ("sftp", "directory"),
     _DST + "PublishLocal": ("local", "directory_path"),
-}
-
-# transform-invoking types -> property holding the registry key
-_INVOKER_KEYS = {
-    _PRC + "InvokeLambda": "function_name",
-    _PRC + "InvokeOpenFaaS": "function_name",
-    _PRC + "InvokeFaaSFunction": "function_URL",
-    _PRC + "InvokeImageFaaSFunction": "function_URL",
-    _PRC + "ExecuteCommand": "script_path",
-    _PRC + "ExecutePython": "script_path",
-    _PRC + "ExecuteRuby": "script_path",
 }
 
 _STANDALONE_COPIES = {
@@ -181,7 +179,8 @@ class _Stage:
     """One block: on each firing it takes its items in and handles each one.
 
     A stage with a `source` (provider, bucket) takes the objects written
-    there since it last fired; any other stage drains its input queues.
+    there since it last fired; any other stage drains its input queues,
+    which are wired before the stage is built.
     `cron` None means event-driven: the stage fires every tick.  `handle`
     does what the block's kind does with one item.
     """
@@ -198,7 +197,10 @@ class _Stage:
         self.function = function
         self.function_key = function_key
         self.clauses = clauses
-        self.cursor = -1  # seq of the last store event taken
+        self.events = None if source is None else flow._events_in(*source)
+        self.cursor = 0  # offset of the first event in `events` not yet taken
+        self.inputs = [flow.queues[(upstream, name)]
+                       for upstream in flow.in_edges.get(name, ())]
         self.consumed = 0
         self.emitted = 0
         self.errors = 0
@@ -214,10 +216,15 @@ class _Stage:
             item.visit(self.name, tick)
             self.handle(self, item, tick)
 
+    def has_input(self) -> bool:
+        """Whether the stage would take an item if it fired now."""
+        if self.events is not None:
+            return self.cursor < len(self.events)
+        return any(self.inputs)
+
     def _drain_inputs(self):
         items = []
-        for source in self.flow.in_edges.get(self.name, ()):
-            queue = self.flow.queues[(source, self.name)]
+        for queue in self.inputs:
             while queue:
                 items.append(queue.popleft())
         return items
@@ -249,15 +256,9 @@ class _Stage:
         once per firing."""
         provider, bucket = self.source
         items = []
-        for event in self.flow.store_events:
-            if event.seq <= self.cursor:
-                continue
-            if event.provider != provider or event.bucket != bucket:
-                continue
+        for event in self.events[self.cursor:]:
             if event.tick > tick:
-                continue
-            self.cursor = event.seq
-            self.flow.born += 1
+                break  # ticks never decrease within a bucket
             items.append(FlowItem(
                 payload=event.payload,
                 attributes={
@@ -266,6 +267,8 @@ class _Stage:
                     "key": event.key,
                 },
             ))
+        self.cursor += len(items)
+        self.flow.born += len(items)
         return items
 
 
@@ -318,6 +321,7 @@ class Flow:
         self.out_edges: dict[str, list[str]] = {}
         self.stores: dict[tuple[str, str], dict[str, bytes]] = {}
         self.store_events: list[StoreEvent] = []
+        self._bucket_events: dict[tuple[str, str], list[StoreEvent]] = {}
         self.functions: dict = dict(BUILTIN_FUNCTIONS)
         self.delivered_items: list[FlowItem] = []
         self.error_items: list[FlowItem] = []
@@ -326,15 +330,20 @@ class Flow:
         self.dropped = 0
         self._firing_order: list[str] = []
         self._injections: dict[int, list] = {}
-        self._event_seq = 0
+        self._injection_ticks: list[int] = []  # heap of the keys of _injections
 
     # -- stores ------------------------------------------------------------
 
+    def _events_in(self, provider: str, bucket: str) -> list[StoreEvent]:
+        """The store events of one bucket, in write order."""
+        return self._bucket_events.setdefault((provider, bucket), [])
+
     def _store_write(self, provider, bucket, key, payload, tick):
         self.stores.setdefault((provider, bucket), {})[key] = payload
-        self.store_events.append(StoreEvent(self._event_seq, tick, provider,
-                                            bucket, key, payload))
-        self._event_seq += 1
+        event = StoreEvent(len(self.store_events), tick, provider, bucket,
+                           key, payload)
+        self.store_events.append(event)
+        self._events_in(provider, bucket).append(event)
 
     def put_object(self, provider: str, bucket: str, key: str, payload: bytes):
         """Store an object now; bound consumers see it as a new-object event."""
@@ -346,6 +355,8 @@ class Flow:
         if tick < self.clock:
             raise ValueError(f"tick {tick} is already in the past "
                              f"(clock is at {self.clock})")
+        if tick not in self._injections:
+            heapq.heappush(self._injection_ticks, tick)
         self._injections.setdefault(tick, []).append(
             (provider, bucket, key, bytes(payload)))
 
@@ -375,10 +386,35 @@ class Flow:
         return self.events_this_tick
 
     def run_until(self, t_end: int) -> dict:
-        """Tick through t_end inclusive and return the final metrics."""
+        """Run through t_end inclusive and return the final metrics.
+
+        Ticks at which nothing can happen are skipped, not processed: the
+        result is the same as calling `tick` until the clock passes t_end.
+        """
         while self.clock <= t_end:
-            self.tick()
+            ahead = self._next_event_tick(t_end + 1)
+            if ahead > self.clock:
+                self.clock = ahead
+                self.events_this_tick = []  # as after a tick without events
+            else:
+                self.tick()
         return self.metrics()
+
+    def _next_event_tick(self, limit: int) -> int:
+        """The first tick from the clock on at which an injection is due or
+        a stage with input waiting fires, or `limit` if that is sooner."""
+        now = self.clock
+        pending = self._injection_ticks
+        while pending and pending[0] < now:  # already processed
+            heapq.heappop(pending)
+        ahead = min(limit, pending[0]) if pending else limit
+        for stage in self.blocks.values():
+            if ahead <= now:
+                break
+            if stage.has_input():
+                ahead = min(ahead, now if stage.cron is None
+                            else cron_next(stage.cron, now))
+        return ahead
 
     def audit(self):
         """Conservation: born items are delivered, queued, errored, or dropped."""
@@ -410,16 +446,16 @@ def _topological_firing_order(names, out_edges):
     for source, targets in out_edges.items():
         for target in targets:
             indegree[target] += 1
-    ready = sorted(name for name in names if indegree[name] == 0)
+    ready = [name for name in names if indegree[name] == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        current = ready.pop(0)
+        current = heapq.heappop(ready)
         order.append(current)
         for target in out_edges.get(current, ()):
             indegree[target] -= 1
             if indegree[target] == 0:
-                ready.append(target)
-        ready.sort()
+                heapq.heappush(ready, target)
     # connection cycles fire after the acyclic part, in name order
     order.extend(sorted(set(names) - set(order)))
     return order
@@ -476,7 +512,7 @@ def _build_stage(topo, flow, name) -> _Stage:
         operation = decrypt_bytes if cat.DECRYPT in ancestry else encrypt_bytes
         return stage(_transform, function=partial(
             operation, passphrase=prop("passphrase") or ""))
-    if key_prop := _match(_INVOKER_KEYS, ancestry):
+    if key_prop := _match(cat.INVOKER_KEYS, ancestry):
         # looked up per item: functions may be registered after instantiate
         return stage(_transform, function_key=str(prop(key_prop) or ""))
     if _PRC + "RouteToRemote" in ancestry:

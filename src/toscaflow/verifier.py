@@ -13,7 +13,8 @@ Six rules, run in order:
                    host node type (NiFi pipelines off NiFi, AWS standalone
                    tasks off AWSPlatform, ...)
   R6-SCHEDULING    scheduling strategy in the allowed set, cron expressions
-                   parseable where CRON scheduling applies
+                   parseable where CRON scheduling applies, and the key of
+                   an invoked function evaluable
 
 R2, R3, and R4 passphrase mismatches are fixable; fixes never add or remove
 node templates, only rewrite connection kinds, drop duplicate edges, and
@@ -288,7 +289,8 @@ def _check_encryption(topo: Topology) -> list[Diagnostic]:
 
 
 def check_scheduling(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
-    """R6: allowed strategies and parseable cron expressions."""
+    """R6: allowed strategies, parseable cron expressions and evaluable
+    function keys."""
     return _check_scheduling(Topology(template, defs))
 
 
@@ -316,6 +318,12 @@ def _check_scheduling(topo: Topology) -> list[Diagnostic]:
             if not isinstance(expr, str) or not is_valid_cron(expr):
                 finding(name, f"{name!r} schedules only by cron but {expr!r} is "
                         f"not a valid cron expression", why)
+        key = next((key for type_name, key in cat.INVOKER_KEYS.items()
+                    if type_name in resolved.ancestry), None)
+        if key is not None:
+            _, why = topo.evaluate_property(name, key)
+            if why:
+                finding(name, f"{name!r} cannot evaluate its {key}", why)
     return out
 
 

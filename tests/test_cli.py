@@ -244,6 +244,19 @@ def test_verify_self_referencing_property_exits_1(tmp_path, capsys):
     assert "R6-SCHEDULING\terror\tPy" in capsys.readouterr().out
 
 
+def test_self_referencing_script_path_fails_verify_and_simulate(tmp_path, capsys):
+    path = tmp_path / "self.yaml"
+    path.write_text(SELF_REFERENCING_STRATEGY.replace(
+        "script_path: run.py",
+        "script_path: { get_property: [SELF, script_path] }").replace(
+        "{ get_property: [SELF, schedulingStrategy] }", "EVENT_DRIVEN"))
+    finding = ("R6-SCHEDULING\terror\tPy\t'Py' cannot evaluate its script_path "
+               "(get_property cycle: Py.script_path -> Py.script_path)\n")
+    for command in ("verify", "simulate"):
+        assert main([command, str(path)]) == 1, command
+        assert finding in capsys.readouterr().out, command
+
+
 def test_plan_and_simulate_show_the_error_location(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("tosca_definitions_version: tosca_simple_yaml_1_3\n"
@@ -289,4 +302,23 @@ def test_csar_unpack_refuses_member_clash(tmp_path, capsys):
 
     assert main(["csar", "unpack", str(archive), str(dest)]) == 2
     assert "'a'" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+def test_csar_unpack_refuses_an_archive_declaring_too_many_bytes(tmp_path, capsys):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as crafted:
+        crafted.writestr("TOSCA-Metadata/TOSCA.meta",
+                         "Entry-Definitions: service.yaml\n")
+        crafted.writestr("service.yaml", b"x")
+    data = bytearray(buffer.getvalue())
+    # the last central directory entry, service.yaml, now declares 2 GiB
+    entry = data.rindex(b"PK\x01\x02")
+    data[entry + 24:entry + 28] = (2**31).to_bytes(4, "little")
+    archive = tmp_path / "bomb.csar"
+    archive.write_bytes(bytes(data))
+    dest = tmp_path / "out"
+
+    assert main(["csar", "unpack", str(archive), str(dest)]) == 2
+    assert "uncompressed" in capsys.readouterr().err
     assert not dest.exists()

@@ -3,8 +3,10 @@ import zipfile
 
 import pytest
 
+from toscaflow import csar
 from toscaflow.csar import META_PATH, pack_csar, unpack_csar
 from toscaflow.errors import (
+    ArchiveTooLargeError,
     MissingEntryDefinitionsError,
     MissingMetadataError,
     UnsafeMemberNameError,
@@ -94,3 +96,40 @@ def test_unpack_rejects_unsafe_member_names(member):
 def test_unpack_accepts_dotted_but_safe_names():
     archive = unpack_csar(_archive_with("playbooks/..hidden/v1..2.yml"))
     assert archive.files["playbooks/..hidden/v1..2.yml"] == b"escaped"
+
+
+def _declaring(sizes):
+    """An archive whose members declare `sizes` uncompressed bytes in the
+    central directory, whatever they really hold."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr(META_PATH, "Entry-Definitions: service.yaml\n")
+        archive.writestr("service.yaml", b"x")
+        for index in range(len(sizes)):
+            archive.writestr(f"data/{index}.bin", b"small")
+    data = bytearray(buffer.getvalue())
+    entry = len(data)
+    for size in reversed(sizes):
+        entry = data.rindex(b"PK\x01\x02", 0, entry)
+        data[entry + 24:entry + 28] = size.to_bytes(4, "little")
+    return bytes(data)
+
+
+def test_unpack_refuses_members_declaring_more_than_the_cap():
+    with pytest.raises(ArchiveTooLargeError):
+        unpack_csar(_declaring([2**31]))
+    # no single member is over the cap, their sum is
+    with pytest.raises(ArchiveTooLargeError):
+        unpack_csar(_declaring([csar.MAX_UNPACKED_BYTES // 2 + 1] * 2))
+
+
+def test_unpack_cap_counts_every_member(monkeypatch):
+    files = {"service.yaml": b"x" * 10, "data/log.txt": b"y" * 20}
+    packed = pack_csar("service.yaml", files)
+    with zipfile.ZipFile(io.BytesIO(packed)) as archive:
+        total = sum(info.file_size for info in archive.infolist())
+    monkeypatch.setattr(csar, "MAX_UNPACKED_BYTES", total)
+    assert unpack_csar(packed).files == files
+    monkeypatch.setattr(csar, "MAX_UNPACKED_BYTES", total - 1)
+    with pytest.raises(ArchiveTooLargeError):
+        unpack_csar(packed)

@@ -10,7 +10,10 @@ from toscaflow import catalog as cat
 from toscaflow.errors import DuplicateFunctionError, UnsupportedTypeError
 from toscaflow.model import RequirementAssignment
 from toscaflow.planner import CONNECTS_TO, build_graph
+from toscaflow.topology import Topology
 from toscaflow.simulator import (
+    Flow,
+    _topological_firing_order,
     blur_transform,
     grayscale_transform,
     instantiate,
@@ -562,3 +565,169 @@ def test_copy_into_its_own_bucket_copies_once_per_firing():
     assert flow.stores[("s3", "same")] == {"k": b"\x01"}
     flow.run_until(120)
     assert flow.born == len(flow.delivered_items) == 2
+
+
+# -- skipping ticks at which nothing can happen -------------------------------------
+
+_CRONS = ["* * * * * ?", "*/7 * * * * ?", "0,30 * * * * ?", "15 * * * * ?",
+          "0 */2 * * * ?", "59 59 23 * * ?"]
+_EVENT_OR_CRON = st.one_of(st.none(), st.sampled_from(_CRONS))
+_BUCKETS = ["in", "mid", "side", "out"]
+
+
+def _scheduled(props, cron):
+    """`props` with an event-driven schedule for None, else the cron."""
+    return dict(props, schedulingStrategy="EVENT_DRIVEN") if cron is None else \
+        dict(props, schedulingStrategy="CRON_DRIVEN", schedulingPeriodCRON=cron)
+
+
+def _relay_mix(crons, copy_target, loop_bucket):
+    """in -(Lead -> Fn -> Tail)-> mid -(Cons -> Pub)-> out, a copy of `in`
+    into `copy_target` and a copy of `loop_bucket` into itself.
+
+    Fn is CRON-driven and fed by a queue, and Cons fires before Tail in
+    every tick although Tail writes the bucket Cons reads.
+    """
+    stack, nifi = b.nifi_stack()
+    aws = b.node("AWS", cat.AWS_PLATFORM)
+    s3 = {"cred_file_path": "c", "Region": "r"}
+
+    def block(name, kind, props, cron, downstream=None):
+        reqs = [("host", nifi)] + ([("connectToPipeline", downstream)]
+                                   if downstream else [])
+        return b.node(name, kind, props=_scheduled(dict(props, name=name), cron),
+                      reqs=reqs)
+
+    def copy(name, source, target, cron):
+        return b.node(name, b.STA + "AWSCopyS3ToS3",
+                      props={"name": name, "SourceBucketName": source,
+                             "DestinationBucketName": target,
+                             "cred_file_path": "c", "LogBucketName": "logs",
+                             "schedulingPeriodCRON": cron},
+                      reqs=[("host", "AWS")])
+
+    return b.template(
+        *stack, aws,
+        block("Cons", b.SRC + "ConsS3Bucket", dict(s3, BucketName="mid"),
+              crons["Cons"], "Pub"),
+        block("Pub", b.DST + "PubsS3Bucket", dict(s3, BucketName="out"),
+              crons["Pub"]),
+        block("Lead", b.SRC + "ConsS3Bucket", dict(s3, BucketName="in"),
+              crons["Lead"], "Fn"),
+        b.node("Fn", b.PRC + "InvokeLambda",
+               props=_scheduled({"name": "Fn", "cred_file_path": "c",
+                                 "function_name": "fn", "region": "r"},
+                                crons["Fn"]),
+               reqs=[("host", nifi), ("ConnectToPipeline", "Tail")]),
+        block("Tail", b.DST + "PubsS3Bucket", dict(s3, BucketName="mid"),
+              crons["Tail"]),
+        copy("Copy", "in", copy_target, crons["Copy"]),
+        copy("Loop", loop_bucket, loop_bucket, crons["Loop"]),
+    )
+
+
+def _observable(flow):
+    def items(kept):
+        return [(item.trail, item.attributes, item.payload) for item in kept]
+
+    return {"metrics": flow.metrics(), "stores": flow.stores,
+            "store_events": flow.store_events,
+            "delivered": items(flow.delivered_items),
+            "errored": items(flow.error_items), "clock": flow.clock,
+            "events": flow.events_this_tick, "born": flow.born,
+            "dropped": flow.dropped}
+
+
+_WRITES = st.lists(st.tuples(st.integers(0, 90), st.sampled_from(_BUCKETS),
+                             st.sampled_from(["k0", "k1", ""]),
+                             st.binary(min_size=1, max_size=3)), max_size=6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(crons=st.fixed_dictionaries({
+           "Cons": _EVENT_OR_CRON, "Pub": _EVENT_OR_CRON, "Lead": _EVENT_OR_CRON,
+           "Tail": _EVENT_OR_CRON, "Fn": st.sampled_from(_CRONS),
+           "Copy": st.sampled_from(_CRONS), "Loop": st.sampled_from(_CRONS)}),
+       copy_target=st.sampled_from(["mid", "side"]),
+       loop_bucket=st.sampled_from(["side", "out"]),
+       first=_WRITES, between=_WRITES, later=_WRITES,
+       register=st.booleans(), t_first=st.integers(0, 60),
+       t_last=st.integers(0, 130))
+def test_run_until_equals_ticking_one_tick_at_a_time(
+        crons, copy_target, loop_bucket, first, between, later, register,
+        t_first, t_last):
+    template = _relay_mix(crons, copy_target, loop_bucket)
+    assert not [d for d in verify(template)[1] if d.severity == ERROR]
+
+    def run(advance):
+        flow = instantiate(template)
+        for tick, bucket, key, payload in first:
+            flow.schedule_injection(tick, "s3", bucket, key, payload)
+        advance(flow, t_first)
+        for _, bucket, key, payload in between:
+            flow.put_object("s3", bucket, key, payload)
+        if register:
+            flow.register_function("fn", lambda payload: payload[::-1])
+        for tick, bucket, key, payload in later:
+            flow.schedule_injection(flow.clock + tick, "s3", bucket, key, payload)
+        advance(flow, t_first + t_last)
+        return _observable(flow)
+
+    def tick_by_tick(flow, t_end):
+        while flow.clock <= t_end:
+            flow.tick()
+
+    assert run(Flow.run_until) == run(tick_by_tick)
+
+
+def test_a_write_nothing_reads_does_not_stop_the_jump():
+    flow = instantiate(_two_stage())
+    processed = []
+    tick = flow.tick
+    flow.tick = lambda: processed.append(flow.clock) or tick()
+    flow.put_object("s3", "elsewhere", "k", b"\x01")
+    flow.schedule_injection(500, "s3", "elsewhere", "j", b"\x02")
+    flow.schedule_injection(700, "minio", "in", "k", b"\x03")
+    flow.run_until(10_000)
+    assert processed == [500, 700]
+    assert flow.clock == 10_001 and flow.events_this_tick == []
+    assert [item.trail for item in flow.delivered_items] == [[("Src", 700), ("Dst", 700)]]
+
+
+# -- firing order -------------------------------------------------------------------
+
+def _firing_order_by_resorting(names, out_edges):
+    """The firing order as computed before it used a heap: pop the first
+    ready name, re-sort after every step."""
+    indegree = {name: 0 for name in names}
+    for source, targets in out_edges.items():
+        for target in targets:
+            indegree[target] += 1
+    ready = sorted(name for name in names if indegree[name] == 0)
+    order = []
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        for target in out_edges.get(current, ()):
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                ready.append(target)
+        ready.sort()
+    order.extend(sorted(set(names) - set(order)))
+    return order
+
+
+def test_firing_order_is_the_resorting_order(load_fixture):
+    templates = [load_fixture(name) for name in (
+        "cyclic.yaml", "duplicate_connection.yaml", "encrypt_mismatch.yaml",
+        "image_pipeline.yaml", "s3_to_gcs.yaml")]
+    templates += [topology_gen.random_topology(seed) for seed in range(150)]
+    templates += [topology_gen.random_clean_dag(seed) for seed in range(150)]
+    for template in templates:
+        topo = Topology(template)
+        out_edges = {}
+        for source, target in topo.pairs:
+            out_edges.setdefault(source, []).append(target)
+        names = list(topo.pipelines)
+        assert _topological_firing_order(names, out_edges) \
+            == _firing_order_by_resorting(names, out_edges)

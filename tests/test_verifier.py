@@ -290,6 +290,19 @@ def test_r6_says_why_a_value_is_unknown():
     ]
 
 
+def test_unevaluable_function_key_is_an_r6_finding():
+    stack, nifi, source, dest = _stacked_pipeline_pair()
+    fn = b.node("Fn", b.PRC + "ExecutePython",
+                props={"name": "f",
+                       "script_path": {"get_property": ["SELF", "script_path"]}},
+                reqs=[("host", nifi), ("ConnectToPipeline", "Dst")])
+    source.requirement_assignments[1].target = "Fn"
+    _, diags = verify(b.template(*stack, source, fn, dest))
+    assert [(d.rule, d.severity, d.nodes, d.message) for d in diags] == [
+        (R6_SCHEDULING, ERROR, ["Fn"], "'Fn' cannot evaluate its script_path "
+         "(get_property cycle: Fn.script_path -> Fn.script_path)")]
+
+
 def test_standalone_task_needs_valid_cron():
     aws = b.node("AWS", cat.AWS_PLATFORM)
     task = b.node("Copy", b.STA + "AWSCopyS3ToS3",
