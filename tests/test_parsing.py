@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 import excerpts
@@ -192,3 +194,70 @@ topology_template:
     once = serialize_template(template)
     assert parse_service_template(once) == template
     assert serialize_template(parse_service_template(once)) == once
+
+
+INLINE_OVERLAY = """\
+tosca_definitions_version: tosca_simple_yaml_1_3
+node_types:
+  acme.nodes.TaggedS3Source:
+    derived_from: radon.nodes.datapipeline.source.ConsS3Bucket
+    properties:
+      tag:
+        type: string
+        required: false
+  radon.nodes.datapipeline.destination.PubGCS:
+    derived_from: radon.nodes.datapipeline.destination.PublishRemote
+    properties:
+      BucketName:
+        type: string
+      cred_file_path:
+        type: string
+      ProjectID:
+        type: string
+      StorageClass:
+        type: string
+        default: NEARLINE
+      Retention:
+        type: integer
+        required: false
+topology_template:
+  node_templates:
+""" + "\n".join(open(pathlib.Path(__file__).parent / "fixtures" / "s3_to_gcs.yaml",
+                     encoding="utf-8").read()
+                .replace("radon.nodes.datapipeline.source.ConsS3Bucket",
+                         "acme.nodes.TaggedS3Source")
+                .replace("        Region: eu-west-1\n",
+                         "        Region: eu-west-1\n"
+                         "        tag: { get_property: [PublishGoogleBucket, "
+                         "StorageClass] }\n")
+                .replace("        ProjectID: demo-project\n",
+                         "        ProjectID: demo-project\n"
+                         "        Retention: 30\n")
+                .split("\n")[4:])
+
+
+def test_inline_types_overlay_the_catalog_in_every_layer():
+    from toscaflow.planner import plan, validate_plan
+    from toscaflow.simulator import instantiate
+    from toscaflow.topology import Topology
+    from toscaflow.verifier import verify
+
+    template = parse_service_template(INLINE_OVERLAY)
+    with pytest.raises(SchemaError, match="Retention"):
+        parse_service_template(INLINE_OVERLAY.replace(
+            "radon.nodes.datapipeline.destination.PubGCS:\n",
+            "acme.nodes.Unused:\n"))
+
+    topo = Topology(template)
+    source = topo.resolved_node("ConsumeS3Bucket")
+    assert "tag" in source.properties
+    assert "radon.nodes.datapipeline.source.ConsS3Bucket" in source.ancestry
+    assert "StorageClass" in topo.resolved_node("PublishGoogleBucket").properties
+    assert topo.effective_property("ConsumeS3Bucket", "tag") == "NEARLINE"
+
+    assert verify(template) == (template, [])
+    assert validate_plan(plan(template), template)
+
+    flow = instantiate(template)
+    assert flow.blocks["ConsumeS3Bucket"].source == ("s3", "demo-source")
+    assert flow.blocks["PublishGoogleBucket"].destination == ("gcs", "demo-dest")
