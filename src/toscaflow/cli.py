@@ -14,7 +14,7 @@ import sys
 
 from .csar import pack_csar, unpack_csar
 from .errors import DependencyCycleError, ToscaflowError
-from .parsing import parse_service_template, serialize_template
+from .parsing import SourceLocation, parse_service_template, serialize_template
 from .planner import plan
 from .simulator import instantiate, parse_schedule
 from .verifier import ERROR, FIXABLE, report_to_dict, verify
@@ -32,13 +32,17 @@ def _fail(message: str) -> int:
 def _load_template(path: str):
     """The parsed template, or None after printing why it could not be read.
 
-    A ToscaflowError is printed with its source location when it has one.
+    A ToscaflowError, or bytes that are not UTF-8, is printed with its
+    source location when it has one.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_service_template(handle.read(), filename=path)
-    except OSError as exc:
-        _fail(str(exc))
+        return parse_service_template(data.decode("utf-8"), filename=path)
+    except UnicodeDecodeError as exc:
+        location = SourceLocation.after(path, data[:exc.start].decode("utf-8"))
+        _fail(f"cannot decode byte 0x{data[exc.start]:02x} as UTF-8 "
+              f"({exc.reason}) at {location}")
     except ToscaflowError as exc:
         location = getattr(exc, "location", None)
         _fail(f"{exc} at {location}" if location else str(exc))
@@ -81,7 +85,7 @@ def cmd_verify(args) -> int:
     fixed_template, diagnostics = verify(template, fix=args.fix, seed=args.seed)
     any_fix = any(d.fix for d in diagnostics)
     _print_report(diagnostics, args.report, fixed=any_fix)
-    if args.fix and args.out:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(serialize_template(fixed_template))
     return EXIT_FINDINGS if _unremedied(diagnostics) else EXIT_CLEAN
@@ -118,7 +122,7 @@ def cmd_simulate(args) -> int:
             with open(args.inject, "r", encoding="utf-8") as handle:
                 injections = parse_schedule(
                     handle.read(), base_dir=os.path.dirname(args.inject) or ".")
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             return _fail(str(exc))
 
     try:
@@ -165,8 +169,6 @@ def cmd_csar(args) -> int:
     try:
         with open(args.archive, "rb") as handle:
             archive = unpack_csar(handle.read())
-    except OSError as exc:
-        return _fail(str(exc))
     except ToscaflowError as exc:
         return _fail(str(exc))
     for rel, payload in sorted(archive.files.items()):
@@ -226,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a path given on the command line
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -157,16 +157,14 @@ class ServiceTemplate:
     user_types: list[TypeDefinition] = field(default_factory=list)
     node_templates: dict[str, NodeTemplate] = field(default_factory=dict)
 
-    def combined_definitions(self, base=None):
-        """Catalog definitions overlaid with this template's inline types.
+    def combined_definitions(self):
+        """The built-in catalog overlaid with this template's inline types.
 
-        `base` defaults to the built-in catalog.
+        This is the one map every layer resolves the template's types in.
         """
-        if base is None:
-            from .catalog import builtin_catalog
+        from .catalog import builtin_catalog
 
-            base = builtin_catalog().definitions
-        defs = dict(base)
+        defs = builtin_catalog().definitions  # a fresh copy
         defs.update({t.name: t for t in self.user_types})
         return defs
 
@@ -278,15 +276,15 @@ def _as_intrinsic(expr):
     return None
 
 
-def evaluate_intrinsic(expr, node: NodeTemplate, template: ServiceTemplate, defs=None):
+def evaluate_intrinsic(expr, node: NodeTemplate, template: ServiceTemplate):
     """Evaluate a property expression against a node in a template.
 
     Literals come back unchanged.  `get_artifact: [SELF, name]` yields the
     declared artifact path; `get_property: [SELF|<template>, name]` yields
-    the assigned value (itself evaluated) or the type default.  `defs`
-    defaults to the built-in catalog plus the template's inline types.
-    Raises CyclicPropertyError when a chain of get_property reads comes
-    back to a (template, property) pair it already read.
+    the assigned value (itself evaluated) or the type default, resolved
+    in the template's `combined_definitions`.  Raises CyclicPropertyError
+    when a chain of get_property reads comes back to a (template,
+    property) pair it already read.
     """
     reading = {}  # (template name, property) pairs read so far, in order
     while True:
@@ -316,9 +314,7 @@ def evaluate_intrinsic(expr, node: NodeTemplate, template: ServiceTemplate, defs
         reading[pair] = None
         expr, node = target.property_values[item], target
 
-    if defs is None:
-        defs = template.combined_definitions()
-    resolved = resolve_type(target.type, defs)
+    resolved = resolve_type(target.type, template.combined_definitions())
     if item in resolved.properties:
         return resolved.properties[item].default
     raise UnknownPropertyError(

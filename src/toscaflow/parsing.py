@@ -11,6 +11,7 @@ sorted, stable key order, so serialize(parse(serialize(t))) == serialize(t).
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ _SECTION_KINDS = {
 # top-level keys we understand but deliberately do not interpret
 _IGNORED_QUIETLY = {"description", "metadata"}
 
+_LINE_BREAK = re.compile("\r\n|[\n\r\x85\u2028\u2029]")  # YAML's line breaks
+
 
 @dataclass(frozen=True)
 class SourceLocation:
@@ -59,30 +62,49 @@ class SourceLocation:
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"
 
+    @classmethod
+    def after(cls, file: str, prefix: str) -> SourceLocation:
+        """The position just past `prefix`, the text `file` starts with."""
+        lines = _LINE_BREAK.split(prefix)
+        return cls(file, len(lines), len(lines[-1]) + 1)
+
 
 def _loc(node, filename) -> SourceLocation:
     mark = node.start_mark
     return SourceLocation(filename, mark.line + 1, mark.column + 1)
 
 
+def _marked_error(exc: yaml.MarkedYAMLError, filename) -> TemplateSyntaxError:
+    # the context mark is where the broken construct starts; the problem
+    # mark is where the parser gave up, often the end of the stream
+    message = ": ".join(filter(None, (exc.context, exc.problem))) or str(exc)
+    mark = exc.context_mark or exc.problem_mark
+    location = mark and SourceLocation(filename, mark.line + 1, mark.column + 1)
+    return TemplateSyntaxError(message, location)
+
+
 def _compose(text, filename):
     try:
         root = yaml.compose(text)
     except yaml.MarkedYAMLError as exc:
-        # the context mark is where the broken construct starts; the problem
-        # mark is where the parser gave up, often the end of the stream
-        message = ": ".join(filter(None, (exc.context, exc.problem))) or str(exc)
-        mark = exc.context_mark or exc.problem_mark
-        location = mark and SourceLocation(filename, mark.line + 1, mark.column + 1)
-        raise TemplateSyntaxError(message, location) from exc
+        raise _marked_error(exc, filename) from exc
+    except yaml.reader.ReaderError as exc:
+        raise TemplateSyntaxError(
+            f"unacceptable character #x{exc.character:04x}: {exc.reason}",
+            SourceLocation.after(filename, text[:exc.position])) from exc
     except yaml.YAMLError as exc:
         raise TemplateSyntaxError(str(exc), SourceLocation(filename, 1, 1)) from exc
     return root
 
 
-def _construct(node):
+def _construct(node, filename):
     constructor = yaml.constructor.SafeConstructor()
-    return constructor.construct_object(node, deep=True)
+    try:
+        return constructor.construct_object(node, deep=True)
+    except yaml.constructor.ConstructorError as exc:  # unknown tag, recursive alias
+        raise _marked_error(exc, filename) from exc
+    except ValueError as exc:  # a scalar its tag cannot convert, e.g. 2020-13-45
+        raise TemplateSyntaxError(str(exc), _loc(node, filename)) from exc
 
 
 def _require_mapping(node, what, filename):
@@ -98,7 +120,7 @@ def _items(mapping_node, filename, duplicate_error=SchemaError):
     seen = {}
     out = []
     for key_node, value_node in mapping_node.value:
-        key = _construct(key_node)
+        key = _construct(key_node, filename)
         if not isinstance(key, str):
             raise SchemaError(f"mapping key {key!r} is not a string",
                               _loc(key_node, filename))
@@ -135,7 +157,11 @@ def parse_definitions(text: str, filename: str = "<string>") -> list[TypeDefinit
     if not saw_version and not sections:
         raise SchemaError(f"missing {TOSCA_VERSION_KEY}",
                           SourceLocation(filename, 1, 1))
+    return _parse_type_sections(sections, filename)
 
+
+def _parse_type_sections(sections, filename) -> list[TypeDefinition]:
+    """The types of (section key, section node) pairs, in document order."""
     definitions = []
     for section_key, section_node in sections:
         if section_node is None or isinstance(section_node, yaml.ScalarNode):
@@ -158,7 +184,7 @@ def _parse_type(name, kind, body_node, location, filename) -> TypeDefinition:
         body = _require_mapping(body_node, f"type {name!r}", filename)
         for key, value_node, key_loc in _items(body, filename):
             if key == "derived_from":
-                derived_from = str(_construct(value_node))
+                derived_from = str(_construct(value_node, filename))
             elif key == "properties":
                 properties = _parse_property_defs(value_node, filename)
             elif key == "attributes":
@@ -168,7 +194,7 @@ def _parse_type(name, kind, body_node, location, filename) -> TypeDefinition:
             elif key == "capabilities":
                 capabilities = _parse_capability_defs(value_node, filename)
             elif key == "metadata":
-                raw = _construct(value_node)
+                raw = _construct(value_node, filename)
                 if isinstance(raw, dict):
                     metadata = {str(k): str(v) for k, v in raw.items()}
             elif key != "description":
@@ -223,7 +249,7 @@ def _parse_property_defs(node, filename):
             body = _require_mapping(body_node, f"property {name!r}", filename)
             raw = {}
             for key, value_node, _ in _items(body, filename):
-                raw[key] = _construct(value_node)
+                raw[key] = _construct(value_node, filename)
             value_type = str(raw.get("type", "string"))
             if value_type not in ("string", "integer", "boolean"):
                 raise SchemaError(f"unsupported property type {value_type!r} "
@@ -243,7 +269,7 @@ def _parse_attribute_defs(node, filename):
         default = None
         if body_node is not None and not isinstance(body_node, yaml.ScalarNode):
             body = _require_mapping(body_node, f"attribute {name!r}", filename)
-            raw = {key: _construct(value_node)
+            raw = {key: _construct(value_node, filename)
                    for key, value_node, _ in _items(body, filename)}
             value_type = str(raw.get("type", "string"))
             default = raw.get("default")
@@ -266,6 +292,14 @@ def _parse_occurrences(raw, where, location, default):
     return (lo, hi)
 
 
+def _checked(definition_class, location, **fields):
+    """`definition_class(**fields)`, its ValueError a SchemaError at `location`."""
+    try:
+        return definition_class(**fields)
+    except ValueError as exc:
+        raise SchemaError(str(exc), location) from exc
+
+
 def _parse_requirement_defs(node, filename):
     if not isinstance(node, yaml.SequenceNode):
         raise SchemaError("requirements must be a list", _loc(node, filename))
@@ -278,13 +312,14 @@ def _parse_requirement_defs(node, filename):
                               _loc(entry_node, filename))
         name, body_node, name_loc = entries[0]
         body = _require_mapping(body_node, f"requirement {name!r}", filename)
-        raw = {key: _construct(value_node)
+        raw = {key: _construct(value_node, filename)
                for key, value_node, _ in _items(body, filename)}
         for mandatory in ("capability", "node", "relationship"):
             if mandatory not in raw:
                 raise SchemaError(f"requirement {name!r} lacks {mandatory!r}",
                                   name_loc)
-        out.append(RequirementDefinition(
+        out.append(_checked(
+            RequirementDefinition, name_loc,
             name=name,
             capability_type=str(raw["capability"]),
             node_type=str(raw["node"]),
@@ -300,7 +335,7 @@ def _parse_capability_defs(node, filename):
     mapping = _require_mapping(node, "capabilities", filename)
     for name, body_node, name_loc in _items(mapping, filename):
         body = _require_mapping(body_node, f"capability {name!r}", filename)
-        raw = {key: _construct(value_node)
+        raw = {key: _construct(value_node, filename)
                for key, value_node, _ in _items(body, filename)}
         if "type" not in raw:
             raise SchemaError(f"capability {name!r} lacks 'type'", name_loc)
@@ -308,7 +343,8 @@ def _parse_capability_defs(node, filename):
         if not isinstance(sources, list):
             raise SchemaError(f"valid_source_types of {name!r} must be a list",
                               name_loc)
-        out[name] = CapabilityDefinition(
+        out[name] = _checked(
+            CapabilityDefinition, name_loc,
             name=name,
             capability_type=str(raw["type"]),
             valid_source_types=[str(s) for s in sources],
@@ -334,15 +370,14 @@ def parse_requirements_fragment(text: str,
 # service templates
 # --------------------------------------------------------------------------
 
-def parse_service_template(text: str, filename: str = "<string>",
-                           base_definitions=None) -> ServiceTemplate:
+def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemplate:
     """Parse a full blueprint document into a ServiceTemplate.
 
     Property expressions are kept symbolic (intrinsics are not evaluated).
     Assigned property names are validated against the resolved node type,
     required properties without defaults must be assigned, and requirement
-    targets must name existing templates.  Types resolve against
-    `base_definitions` (the built-in catalog by default) overlaid with the
+    targets must name existing templates.  Types resolve in the template's
+    `combined_definitions`: the built-in catalog overlaid with the
     document's inline type sections.
     """
     root = _require_mapping(_compose(text, filename), "service template", filename)
@@ -351,7 +386,7 @@ def parse_service_template(text: str, filename: str = "<string>",
     topology_node = None
     for key, value_node, key_loc in _items(root, filename):
         if key == TOSCA_VERSION_KEY:
-            version = str(_construct(value_node))
+            version = str(_construct(value_node, filename))
         elif key in _SECTION_KINDS:
             inline_sections.append((key, value_node))
         elif key == "topology_template":
@@ -366,14 +401,8 @@ def parse_service_template(text: str, filename: str = "<string>",
         raise SchemaError("missing topology_template",
                           SourceLocation(filename, 1, 1))
 
-    user_types = []
-    for section_key, section_node in inline_sections:
-        if section_node is None or isinstance(section_node, yaml.ScalarNode):
-            continue
-        section = _require_mapping(section_node, section_key, filename)
-        kind = _SECTION_KINDS[section_key]
-        for name, body_node, name_loc in _items(section, filename):
-            user_types.append(_parse_type(name, kind, body_node, name_loc, filename))
+    template = ServiceTemplate(tosca_version=version,
+                               user_types=_parse_type_sections(inline_sections, filename))
 
     topology = _require_mapping(topology_node, "topology_template", filename)
     templates_node = None
@@ -387,14 +416,9 @@ def parse_service_template(text: str, filename: str = "<string>",
         raise SchemaError("topology_template has no node_templates",
                           _loc(topology, filename))
 
-    defs = dict(base_definitions) if base_definitions else \
-        _catalog.builtin_catalog().definitions
-    defs.update({t.name: t for t in user_types})
-
-    node_templates = _parse_node_templates(templates_node, filename, defs,
-                                           partial=False)
-    template = ServiceTemplate(tosca_version=version, user_types=user_types,
-                               node_templates=node_templates)
+    node_templates = _parse_node_templates(
+        templates_node, filename, template.combined_definitions(), partial=False)
+    template.node_templates = node_templates
     for node in node_templates.values():
         for assignment in node.requirement_assignments:
             if assignment.target not in node_templates:
@@ -404,23 +428,23 @@ def parse_service_template(text: str, filename: str = "<string>",
     return template
 
 
-def parse_node_templates_fragment(text: str, filename: str = "<string>",
-                                  base_definitions=None) -> dict[str, NodeTemplate]:
+def parse_node_templates_fragment(text: str,
+                                  filename: str = "<string>") -> dict[str, NodeTemplate]:
     """Parse a bare node-template mapping (template excerpts, no topology).
 
     Fragments are partial by nature, so required-property coverage and
     requirement-target existence are not enforced; property names still are.
+    Types resolve in the built-in catalog.
     """
     root = _require_mapping(_compose(text, filename), "node templates fragment",
                             filename)
-    defs = dict(base_definitions) if base_definitions else \
-        _catalog.builtin_catalog().definitions
-    return _parse_node_templates(root, filename, defs, partial=True)
+    return _parse_node_templates(root, filename,
+                                 ServiceTemplate().combined_definitions(), partial=True)
 
 
 def _parse_node_templates(templates_node, filename, defs, partial):
     if isinstance(templates_node, yaml.ScalarNode):
-        raw = _construct(templates_node)
+        raw = _construct(templates_node, filename)
         if raw is None:
             return {}
         raise SchemaError("node_templates must be a mapping",
@@ -442,12 +466,12 @@ def _parse_node_template(name, body_node, location, filename, defs, partial):
     assignments = []
     for key, value_node, key_loc in _items(body, filename):
         if key == "type":
-            type_name = str(_construct(value_node))
+            type_name = str(_construct(value_node, filename))
         elif key == "properties":
             prop_map = _require_mapping(value_node, f"properties of {name!r}",
                                         filename)
             for prop_name, prop_node, _ in _items(prop_map, filename):
-                property_values[prop_name] = _construct(prop_node)
+                property_values[prop_name] = _construct(prop_node, filename)
         elif key == "artifacts":
             artifacts = _parse_artifacts(value_node, name, filename)
         elif key == "requirements":
@@ -488,7 +512,7 @@ def _parse_artifacts(node, template_name, filename):
     out = {}
     mapping = _require_mapping(node, f"artifacts of {template_name!r}", filename)
     for name, body_node, name_loc in _items(mapping, filename):
-        raw = _construct(body_node)
+        raw = _construct(body_node, filename)
         if isinstance(raw, str):
             out[name] = raw
         elif isinstance(raw, dict) and isinstance(raw.get("file"), str):
@@ -510,7 +534,7 @@ def _parse_requirement_assignments(node, template_name, filename):
             raise SchemaError("each requirement assignment holds exactly one name",
                               _loc(entry_node, filename))
         name, body_node, name_loc = entries[0]
-        raw = _construct(body_node)
+        raw = _construct(body_node, filename)
         if isinstance(raw, str):
             out.append(RequirementAssignment(name=name, target=raw))
         elif isinstance(raw, dict):

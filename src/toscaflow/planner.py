@@ -56,7 +56,7 @@ class DeploymentPlan:
         return [step.to_dict() for step in self.steps]
 
 
-def build_graph(template: ServiceTemplate, defs=None) -> DependencyGraph:
+def build_graph(template: ServiceTemplate) -> DependencyGraph:
     """One HostedOn edge per host assignment, one ConnectsTo edge per
     pipeline connection (source depends on target)."""
     vertices = sorted(template.node_templates)
@@ -68,7 +68,7 @@ def build_graph(template: ServiceTemplate, defs=None) -> DependencyGraph:
                     and assignment.target in template.node_templates:
                 edges.append(DependencyEdge(name, assignment.target, HOSTED_ON))
     edges += [DependencyEdge(a, b, CONNECTS_TO)
-              for a, b in Topology(template, defs).pairs]
+              for a, b in Topology(template).pairs]
     return DependencyGraph(vertices=vertices, edges=edges)
 
 
@@ -83,14 +83,14 @@ def _remote_targets(topo, graph):
     return {source: sorted(targets) for source, targets in out.items()}
 
 
-def plan(template: ServiceTemplate, defs=None) -> DeploymentPlan:
+def plan(template: ServiceTemplate) -> DeploymentPlan:
     """A deterministic total order over lifecycle steps.
 
     Ties are broken by template name, then by operation rank.  Raises
     DependencyCycleError naming one cycle when no order exists.
     """
-    topo = Topology(template, defs)
-    graph = build_graph(template, topo.defs)
+    topo = Topology(template)
+    graph = build_graph(template)
 
     steps = [(name, op) for name in graph.vertices for op in OPERATIONS]
     successors = {step: [] for step in steps}
@@ -168,9 +168,9 @@ def _find_cycle(graph: DependencyGraph) -> list[str]:
     return []
 
 
-def undeploy_plan(template: ServiceTemplate, defs=None) -> DeploymentPlan:
+def undeploy_plan(template: ServiceTemplate) -> DeploymentPlan:
     """Reverse of the deployment order: stop everything, then delete."""
-    forward = plan(template, defs)
+    forward = plan(template)
     reversed_ops = {"start": "stop", "create": "delete"}
     steps = []
     for step in reversed(forward.steps):
@@ -179,15 +179,14 @@ def undeploy_plan(template: ServiceTemplate, defs=None) -> DeploymentPlan:
     return DeploymentPlan(steps=steps)
 
 
-def validate_plan(deployment: DeploymentPlan, template: ServiceTemplate,
-                  defs=None) -> bool:
+def validate_plan(deployment: DeploymentPlan, template: ServiceTemplate) -> bool:
     """Direct-scan oracle for plan correctness.
 
     True iff every node contributes exactly create, configure, start in
     that order, every host's start precedes its dependent's create, and
     every data target's start precedes its source's configure.
     """
-    graph = build_graph(template, defs)
+    graph = build_graph(template)
     position = {}
     for index, step in enumerate(deployment.steps):
         key = (step.node, step.op)

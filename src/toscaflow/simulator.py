@@ -461,13 +461,13 @@ def _topological_firing_order(names, out_edges):
     return order
 
 
-def instantiate(template: ServiceTemplate, defs=None) -> Flow:
+def instantiate(template: ServiceTemplate) -> Flow:
     """Build a Flow from a template that verified with zero errors.
 
     Raises UnsupportedTypeError when a pipeline node's type has no
     simulation behaviour (abstract blocks, AWS shell/SQL tasks).
     """
-    topo = Topology(template, defs)
+    topo = Topology(template)
     flow = Flow(template)
     # the pairs are sorted, so every adjacency list comes out sorted
     for source, target in topo.pairs:

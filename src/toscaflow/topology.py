@@ -34,13 +34,13 @@ class Topology:
     """Resolved types, pipelines, connections and hosting of one template.
 
     Derived facts are cached, so a caller that changes the template's
-    connections or hosts builds a new view.  `defs` defaults to the
-    built-in catalog plus the template's inline types.
+    connections or hosts builds a new view.  Types resolve in the
+    template's `combined_definitions`.
     """
 
-    def __init__(self, template: ServiceTemplate, defs=None):
+    def __init__(self, template: ServiceTemplate):
         self.template = template
-        self.defs = template.combined_definitions() if defs is None else defs
+        self.defs = template.combined_definitions()
         self._resolved = {}
         self._nifi = {}
 
@@ -88,7 +88,7 @@ class Topology:
         if prop_name in node.property_values:
             try:
                 return evaluate_intrinsic(node.property_values[prop_name], node,
-                                          self.template, self.defs), None
+                                          self.template), None
             except (ToscaflowError, ValueError) as exc:
                 return None, str(exc)
         resolved = self.resolved_node(node_name)
@@ -192,16 +192,16 @@ class Topology:
             return None
 
 
-def host_chain(node_name: str, template: ServiceTemplate, defs=None) -> list[str]:
+def host_chain(node_name: str, template: ServiceTemplate) -> list[str]:
     """The node followed by its transitive hosts, up to an unhosted template.
 
     Follows the first ``host`` assignment of each template.  Raises
     HostCycleError on a loop and MissingHostError when a required host is
     unassigned or names a missing template.
     """
-    return Topology(template, defs).host_chain(node_name)
+    return Topology(template).host_chain(node_name)
 
 
-def colocated(a: str, b: str, template: ServiceTemplate, defs=None) -> Locality:
+def colocated(a: str, b: str, template: ServiceTemplate) -> Locality:
     """LOCAL when both pipelines sit on the same NiFi template, else REMOTE."""
-    return Topology(template, defs).colocated(a, b)
+    return Topology(template).colocated(a, b)

@@ -82,9 +82,9 @@ def report_to_dict(diagnostics, fixed: bool):
 # rule checks
 # --------------------------------------------------------------------------
 
-def check_requirements(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
+def check_requirements(template: ServiceTemplate) -> list[Diagnostic]:
     """R1 requirement/capability matching plus R5 hosting conformance."""
-    return _check_requirements(Topology(template, defs))
+    return _check_requirements(Topology(template))
 
 
 def _check_requirements(topo: Topology) -> list[Diagnostic]:
@@ -207,9 +207,9 @@ def _check_occurrences(topo: Topology, name, resolved, counts):
     return out
 
 
-def check_locality(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
+def check_locality(template: ServiceTemplate) -> list[Diagnostic]:
     """R2 wrong-kind connections and R3 duplicate connections."""
-    return _check_locality(Topology(template, defs))
+    return _check_locality(Topology(template))
 
 
 def _check_locality(topo: Topology) -> list[Diagnostic]:
@@ -247,9 +247,9 @@ def _reachable_from(adjacency, start):
     return seen
 
 
-def check_encryption(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
+def check_encryption(template: ServiceTemplate) -> list[Diagnostic]:
     """R4: Encrypt/Decrypt pairing and passphrase agreement."""
-    return _check_encryption(Topology(template, defs))
+    return _check_encryption(Topology(template))
 
 
 def _encrypt_decrypt_pairs(topo: Topology):
@@ -288,10 +288,10 @@ def _check_encryption(topo: Topology) -> list[Diagnostic]:
     return out
 
 
-def check_scheduling(template: ServiceTemplate, defs=None) -> list[Diagnostic]:
+def check_scheduling(template: ServiceTemplate) -> list[Diagnostic]:
     """R6: allowed strategies, parseable cron expressions and evaluable
     function keys."""
-    return _check_scheduling(Topology(template, defs))
+    return _check_scheduling(Topology(template))
 
 
 def _check_scheduling(topo: Topology) -> list[Diagnostic]:
@@ -417,8 +417,8 @@ def _run_checks(topo: Topology) -> list[Diagnostic]:
     return out
 
 
-def verify(template: ServiceTemplate, fix: bool = False, seed: int | None = None,
-           defs=None) -> tuple[ServiceTemplate, list[Diagnostic]]:
+def verify(template: ServiceTemplate, fix: bool = False,
+           seed: int | None = None) -> tuple[ServiceTemplate, list[Diagnostic]]:
     """Run all rules; with fix=True repair fixable findings to a fixpoint.
 
     Returns the (possibly repaired copy of the) template and the
@@ -426,11 +426,11 @@ def verify(template: ServiceTemplate, fix: bool = False, seed: int | None = None
     The input template is never mutated.
     """
     work = copy.deepcopy(template) if fix else template
-    topo = Topology(work, defs)
     rng = random.Random(seed)
     reported: dict = {}
     ordered: list[Diagnostic] = []
     for attempt in range(MAX_FIX_PASSES + 1):
+        topo = Topology(work)  # a fresh view: the fixes change the template
         diagnostics = _run_checks(topo)
         for diag in diagnostics:
             if diag.key() not in reported:
@@ -443,7 +443,6 @@ def verify(template: ServiceTemplate, fix: bool = False, seed: int | None = None
             raise VerifierNonConvergenceError(
                 f"fixable diagnostics remain after {MAX_FIX_PASSES} fix passes")
         _apply_fixes(topo, fixables, rng, reported)
-        topo = Topology(work, topo.defs)  # the fixes changed the template
     return work, ordered
 
 

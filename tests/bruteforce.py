@@ -50,7 +50,7 @@ def rule_violations(template):
         if prop in nt.property_values:
             try:
                 return evaluate_intrinsic(nt.property_values[prop], nt,
-                                          template, defs)
+                                          template)
             except (ToscaflowError, ValueError):
                 return None
         r = node_resolved(name)

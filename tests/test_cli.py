@@ -6,7 +6,7 @@ import pytest
 
 from toscaflow.cli import main
 from toscaflow.csar import unpack_csar
-from toscaflow.parsing import parse_service_template
+from toscaflow.parsing import parse_service_template, serialize_template
 from toscaflow.verifier import verify
 
 
@@ -322,3 +322,58 @@ def test_csar_unpack_refuses_an_archive_declaring_too_many_bytes(tmp_path, capsy
     assert main(["csar", "unpack", str(archive), str(dest)]) == 2
     assert "uncompressed" in capsys.readouterr().err
     assert not dest.exists()
+
+
+def test_unknown_tag_exits_2_with_its_location(tmp_path, capsys):
+    path = tmp_path / "tag.yaml"
+    path.write_text("tosca_definitions_version: tosca_simple_yaml_1_3\n"
+                    "topology_template:\n"
+                    "  node_templates:\n"
+                    "    A:\n"
+                    "      type: !foo tosca.nodes.Compute\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: could not determine a constructor for the tag '!foo' "
+        f"at {path}:5:13\n")
+
+
+def test_undecodable_template_exits_2_at_the_first_bad_byte(fixture_path, tmp_path,
+                                                            capsys):
+    with open(fixture_path("s3_to_gcs.yaml"), "rb") as handle:
+        source = handle.read()
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(source.replace(b"demo-dest", "d\u00e9mo-dest".encode("latin-1")))
+    for command in ("verify", "plan"):
+        assert main([command, str(path)]) == 2, command
+        assert capsys.readouterr().err == (
+            "error: cannot decode byte 0xe9 as UTF-8 (invalid continuation byte) "
+            f"at {path}:43:22\n"), command
+
+
+def test_nul_byte_is_one_line_at_its_position(tmp_path, capsys):
+    path = tmp_path / "nul.yaml"
+    path.write_bytes(b"tosca_definitions_version: tosca_simple_yaml_1_3\n"
+                     b"topology_template:\n  node\x00_templates: {}\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unacceptable character #x0000: special characters are not "
+        f"allowed at {path}:3:7\n")
+
+
+def test_verify_out_without_fix_writes_the_verified_template(fixture_path, tmp_path):
+    out_path = tmp_path / "same.yaml"
+    source = fixture_path("duplicate_connection.yaml")
+    assert main(["verify", source, "--out", str(out_path)]) == 1
+    with open(source, encoding="utf-8") as handle:
+        template = parse_service_template(handle.read())
+    assert out_path.read_text(encoding="utf-8") == serialize_template(template)
+
+
+@pytest.mark.parametrize("command, option", [("verify", "--out"),
+                                             ("simulate", "--metrics")])
+def test_unwritable_output_path_exits_2(command, option, fixture_path, tmp_path,
+                                        capsys):
+    assert main([command, fixture_path("s3_to_gcs.yaml"), option,
+                 str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -96,6 +96,83 @@ def test_syntax_error_carries_location():
     assert location.column >= 1
 
 
+NODE_A = """\
+tosca_definitions_version: tosca_simple_yaml_1_3
+topology_template:
+  node_templates:
+    A:
+"""
+
+
+@pytest.mark.parametrize("body, message, column", [
+    ("      type: !foo tosca.nodes.Compute\n",
+     "could not determine a constructor for the tag '!foo'", 13),
+    ("      type: 2020-13-45\n", "month must be in 1..12", 13),
+    ("      type: tosca.nodes.Com\0pute\n",
+     "unacceptable character #x0000: special characters are not allowed", 28),
+])
+def test_unreadable_scalars_are_located_syntax_errors(body, message, column):
+    with pytest.raises(TemplateSyntaxError) as excinfo:
+        parse_service_template(NODE_A + body, filename="a.yaml")
+    assert str(excinfo.value) == message
+    assert str(excinfo.value.location) == f"a.yaml:5:{column}"
+
+
+def test_recursive_alias_is_a_located_syntax_error():
+    text = NODE_A + "      type: tosca.nodes.Compute\n      properties: {a: &x [*x]}\n"
+    with pytest.raises(TemplateSyntaxError,
+                       match="unconstructable recursive node") as excinfo:
+        parse_service_template(text, filename="a.yaml")
+    assert str(excinfo.value.location) == "a.yaml:6:23"
+
+
+def test_nul_is_located_past_unicode_line_breaks():
+    with pytest.raises(TemplateSyntaxError) as excinfo:
+        parse_definitions("a: 1\r\nb: 2\u2028c\0", filename="d.yaml")
+    assert str(excinfo.value.location) == "d.yaml:3:2"
+
+
+REQUIREMENT_TYPE = """\
+tosca_definitions_version: tosca_simple_yaml_1_3
+node_types:
+  acme.nodes.Needy:
+    derived_from: tosca.nodes.Root
+    requirements:
+      - dependency:
+          capability: tosca.capabilities.Node
+          node: tosca.nodes.Root
+          relationship: tosca.relationships.DependsOn
+          occurrences: OCCURRENCES
+"""
+CAPABILITY_TYPE = """\
+tosca_definitions_version: tosca_simple_yaml_1_3
+node_types:
+  acme.nodes.Offering:
+    derived_from: tosca.nodes.Root
+    capabilities:
+      feature:
+        type: tosca.capabilities.Node
+        occurrences: OCCURRENCES
+"""
+
+
+@pytest.mark.parametrize("document, occurrences, name, location", [
+    (REQUIREMENT_TYPE, "[3, 1]", "dependency", "t.yaml:6:9"),
+    (REQUIREMENT_TYPE, "[0, 0]", "dependency", "t.yaml:6:9"),
+    (CAPABILITY_TYPE, "[2, 1]", "feature", "t.yaml:6:7"),
+])
+def test_occurrences_the_model_rejects_are_schema_errors(document, occurrences, name,
+                                                         location):
+    document = document.replace("OCCURRENCES", occurrences)
+    template = document + "topology_template:\n  node_templates: {}\n"
+    for parse, text in ((parse_definitions, document),
+                        (parse_service_template, template)):
+        with pytest.raises(SchemaError, match=f"bad occurrences .* on {name}") \
+                as excinfo:
+            parse(text, filename="t.yaml")
+        assert str(excinfo.value.location) == location
+
+
 def test_unknown_template_property_is_an_error():
     text = excerpts.CONS_MINIO_NODE.replace("BucketName", "BucketNome")
     with pytest.raises(SchemaError):
@@ -222,8 +299,8 @@ node_types:
         required: false
 topology_template:
   node_templates:
-""" + "\n".join(open(pathlib.Path(__file__).parent / "fixtures" / "s3_to_gcs.yaml",
-                     encoding="utf-8").read()
+""" + "\n".join((pathlib.Path(__file__).parent / "fixtures" / "s3_to_gcs.yaml")
+                .read_text(encoding="utf-8")
                 .replace("radon.nodes.datapipeline.source.ConsS3Bucket",
                          "acme.nodes.TaggedS3Source")
                 .replace("        Region: eu-west-1\n",
