@@ -11,6 +11,7 @@ mutates a model object once built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -267,13 +268,25 @@ def _as_intrinsic(expr):
     if isinstance(expr, str):
         stripped = expr.strip()
         if stripped.startswith("{") and stripped.endswith("}"):
-            try:
-                inner = yaml.safe_load(stripped)
-            except yaml.YAMLError:
-                return None
-            if isinstance(inner, dict):
-                return _as_intrinsic(inner)
+            call = _quoted_intrinsic(stripped)
+            if call is not None:
+                return call[0], list(call[1])
     return None
+
+
+@functools.lru_cache(maxsize=1024)
+def _quoted_intrinsic(text):
+    """(fn, args tuple) for the string form of an intrinsic call, else None.
+
+    The pure loader stays here: libyaml accepts some tabs that it rejects,
+    which would change which strings count as intrinsics.
+    """
+    try:
+        inner = yaml.safe_load(text)
+    except (yaml.YAMLError, RecursionError):  # not YAML, or nested too deep
+        return None
+    call = _as_intrinsic(inner) if isinstance(inner, dict) else None
+    return call and (call[0], tuple(call[1]))
 
 
 def evaluate_intrinsic(expr, node: NodeTemplate, template: ServiceTemplate):

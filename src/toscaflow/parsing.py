@@ -11,6 +11,7 @@ sorted, stable key order, so serialize(parse(serialize(t))) == serialize(t).
 
 from __future__ import annotations
 
+import inspect
 import re
 import warnings
 from dataclasses import dataclass
@@ -83,9 +84,50 @@ def _marked_error(exc: yaml.MarkedYAMLError, filename) -> TemplateSyntaxError:
     return TemplateSyntaxError(message, location)
 
 
+# libyaml composes on the C stack and kills the process past about
+# 20,000 nested levels; the pure composer stops at the recursion limit
+_LIBYAML_MAX_DEPTH = 2000
+
+_TAG_START = r"(?:^|[\s\[\]{},:\ufeff])!"  # compiled by `re` on first use
+
+
+def _suits_libyaml(text) -> bool:
+    """Whether libyaml composes `text` safely and as the pure loader does,
+    save that it accepts a tab in a plain scalar, which the pure one rejects.
+
+    It marks the end of text with no final line break on the line after,
+    counts a byte order mark past the start as a column, and resolves an
+    empty scalar tagged `!` to '' where the pure loader gives None, so
+    such text goes pure; most text has no '!', which is quicker to test.
+
+    Its nesting must stay well inside the C stack.  A block collection is
+    indented deeper than its parent, save a sequence inside a mapping, so
+    block depth is at most twice the line length; flow depth is at most
+    the number of brackets.  Lines split on '\\n' alone are no shorter
+    than YAML's, so the bound stays an upper one.
+    """
+    if (not text.endswith("\n") or text.find("\ufeff", 1) != -1
+            or ("!" in text and re.search(_TAG_START, text))):
+        return False
+    longest = max(map(len, text.split("\n")))
+    return 2 * (longest + 1) + text.count("[") + text.count("{") <= _LIBYAML_MAX_DEPTH
+
+
 def _compose(text, filename):
+    fast_loader = getattr(yaml, "CSafeLoader", None)
+    if fast_loader is not None and _suits_libyaml(text):
+        try:
+            return yaml.compose(text, Loader=fast_loader)
+        except (yaml.YAMLError, UnicodeEncodeError):  # a lone surrogate
+            pass  # composed again below, so the pure loader words the error
     try:
-        root = yaml.compose(text)
+        loader = yaml.SafeLoader(text)
+        try:
+            return loader.get_single_node()
+        except RecursionError as exc:
+            raise _too_deep(_outermost_open(loader.marks), filename) from exc
+        finally:
+            loader.dispose()
     except yaml.MarkedYAMLError as exc:
         raise _marked_error(exc, filename) from exc
     except yaml.reader.ReaderError as exc:
@@ -94,17 +136,42 @@ def _compose(text, filename):
             SourceLocation.after(filename, text[:exc.position])) from exc
     except yaml.YAMLError as exc:
         raise TemplateSyntaxError(str(exc), SourceLocation(filename, 1, 1)) from exc
-    return root
+
+
+def _outermost_open(marks):
+    """The start of the outermost flow collection among the parser's open
+    collection `marks`, else of the outermost one: nesting deep enough to
+    stop the composer is nearly always brackets."""
+    return next((mark for mark in marks if mark.buffer[mark.pointer] in "[{"),
+                marks[0])
+
+
+def _too_deep(mark, filename) -> TemplateSyntaxError:
+    return TemplateSyntaxError(
+        "nested too deep", SourceLocation(filename, mark.line + 1, mark.column + 1))
+
+
+# the scalar constructors are stateless, so one instance serves every call;
+# the generator constructors build collections and need a fresh one
+_SCALAR_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_SCALAR_CONSTRUCTORS = {
+    tag: construct
+    for tag, construct in yaml.constructor.SafeConstructor.yaml_constructors.items()
+    if tag is not None and not inspect.isgeneratorfunction(construct)
+}
 
 
 def _construct(node, filename):
-    constructor = yaml.constructor.SafeConstructor()
     try:
-        return constructor.construct_object(node, deep=True)
+        if isinstance(node, yaml.ScalarNode) and node.tag in _SCALAR_CONSTRUCTORS:
+            return _SCALAR_CONSTRUCTORS[node.tag](_SCALAR_CONSTRUCTOR, node)
+        return yaml.constructor.SafeConstructor().construct_object(node, deep=True)
     except yaml.constructor.ConstructorError as exc:  # unknown tag, recursive alias
         raise _marked_error(exc, filename) from exc
     except ValueError as exc:  # a scalar its tag cannot convert, e.g. 2020-13-45
         raise TemplateSyntaxError(str(exc), _loc(node, filename)) from exc
+    except RecursionError as exc:
+        raise _too_deep(node.start_mark, filename) from exc
 
 
 def _require_mapping(node, what, filename):
@@ -568,16 +635,50 @@ def serialize_template(template: ServiceTemplate) -> str:
     for name in sorted(template.node_templates):
         node_templates[name] = _dump_node_template(template.node_templates[name])
     doc["topology_template"] = {"node_templates": node_templates}
-    return yaml.safe_dump(doc, sort_keys=False, indent=2,
-                          default_flow_style=False, width=100)
+    return _dump(doc)
 
 
 def serialize_definitions(definitions, tosca_version="tosca_simple_yaml_1_3") -> str:
     """Normalized YAML for a set of TypeDefinitions (the catalog export shape)."""
     doc = {TOSCA_VERSION_KEY: tosca_version}
     doc.update(_definition_sections(definitions))
-    return yaml.safe_dump(doc, sort_keys=False, indent=2,
-                          default_flow_style=False, width=100)
+    return _dump(doc)
+
+
+def _dump(doc) -> str:
+    dumper = getattr(yaml, "CSafeDumper", None)
+    if dumper is None or not _libyaml_emits_alike(doc):
+        dumper = yaml.SafeDumper
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False, indent=2,
+                     default_flow_style=False, width=100)
+
+
+def _libyaml_emits_alike(doc) -> bool:
+    """True when libyaml writes `doc` byte for byte as the pure emitter does.
+
+    The two emitters differ in folding a long double-quoted scalar, which
+    a string of printable ASCII never is.  They also differ in which keys
+    they write in the explicit `? key` form: the pure emitter does so for
+    an empty key, and for one that comes to 128 characters or more with
+    its five-character tag `!!str`; libyaml only for a key past 128.
+    """
+    pending = [doc]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, str):
+            if not (value.isascii() and value.isprintable()):
+                return False
+        elif isinstance(value, dict):
+            for key in value:
+                if not (isinstance(key, str) and 0 < len(key) < 123
+                        and key.isascii() and key.isprintable()):
+                    return False
+            pending.extend(value.values())
+        elif isinstance(value, list):
+            pending.extend(value)
+        elif value is not None and not isinstance(value, (bool, int, float)):
+            return False
+    return True
 
 
 def _definition_sections(definitions):

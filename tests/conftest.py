@@ -1,10 +1,19 @@
+import os
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from toscaflow import builtin_catalog, parse_service_template
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# Property tests without an example count of their own take it from the
+# profile: "small" by default, "fuzz" for a long manual run, e.g.
+# HYPOTHESIS_PROFILE=fuzz python -m pytest tests/test_yaml_paths.py
+settings.register_profile("small", max_examples=30, deadline=None)
+settings.register_profile("fuzz", max_examples=3000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "small"))
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 import io
 import json
+import pathlib
+import subprocess
+import sys
 import zipfile
 
 import pytest
 
+import toscaflow
 from toscaflow.cli import main
 from toscaflow.csar import unpack_csar
 from toscaflow.parsing import parse_service_template, serialize_template
@@ -377,3 +381,23 @@ def test_unwritable_output_path_exits_2(command, option, fixture_path, tmp_path,
                  str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_of_a_100000_level_nesting_exits_2_with_its_location(tmp_path):
+    # in a child process, so that a crash in libyaml shows as a return code;
+    # a bracket a line, which the pure scanner reads faster than one line
+    path = tmp_path / "deep.yaml"
+    path.write_text("tosca_definitions_version: tosca_simple_yaml_1_3\n"
+                    "topology_template:\n"
+                    "  node_templates:\n"
+                    "    A:\n"
+                    "      type: tosca.nodes.Compute\n"
+                    "      properties: {a: " + "[\n" * 100_000 + "]\n" * 100_000 + "}\n")
+    source_root = str(pathlib.Path(toscaflow.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); from toscaflow.cli import main; "
+         "sys.exit(main(sys.argv[2:]))", source_root, "verify", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: nested too deep at {path}:6:19\n"

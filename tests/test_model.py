@@ -131,6 +131,19 @@ def test_evaluate_get_artifact_mapping_and_string_forms():
                               node, template) == "creds/minio.json"
 
 
+def test_string_form_reads_alike_every_time():
+    node, template = _minio_template()
+    for _ in range(2):  # the second read comes from the memo
+        with pytest.raises(ValueError) as error:
+            evaluate_intrinsic("{ get_artifact: [SELF] }", node, template)
+        assert str(error.value) == "get_artifact expects two arguments, got ['SELF']"
+        assert evaluate_intrinsic(" {get_artifact: [SELF, credentials]} ",
+                                  node, template) == "creds/minio.json"
+        for literal in ("{ not: yaml: here }",
+                        "{ get_property: [" + "[\n" * 1000 + "]\n" * 1000 + "] }"):
+            assert evaluate_intrinsic(literal, node, template) == literal
+
+
 def test_evaluate_get_property_falls_back_to_default():
     node, template = _minio_template()
     value = evaluate_intrinsic({"get_property": ["SELF", "schedulingStrategy"]},

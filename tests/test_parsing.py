@@ -338,3 +338,24 @@ def test_inline_types_overlay_the_catalog_in_every_layer():
     flow = instantiate(template)
     assert flow.blocks["ConsumeS3Bucket"].source == ("s3", "demo-source")
     assert flow.blocks["PublishGoogleBucket"].destination == ("gcs", "demo-dest")
+
+
+def _nested_property(levels, separator):
+    return ("tosca_definitions_version: tosca_simple_yaml_1_3\n"
+            "topology_template:\n"
+            "  node_templates:\n"
+            "    A:\n"
+            "      type: tosca.nodes.Compute\n"
+            "      properties:\n"
+            "        a: " + separator.join("[" * levels) + separator.join("]" * levels)
+            + "\n")
+
+
+@pytest.mark.parametrize("levels, separator", [(600, ""), (600, "\n"), (5000, "\n")],
+                         ids=["600 on one line", "600 a line each", "5000 a line each"])
+def test_deep_nesting_is_a_located_syntax_error(levels, separator):
+    # one line is too long for libyaml's nesting bound, so the pure
+    # composer stops; 600 levels a line each compose and fail to construct
+    with pytest.raises(TemplateSyntaxError, match="^nested too deep$") as error:
+        parse_service_template(_nested_property(levels, separator), "deep.yaml")
+    assert str(error.value.location) == "deep.yaml:7:12"

@@ -1,0 +1,214 @@
+"""libyaml against the pure-Python PyYAML classes.
+
+Parsing composes with libyaml and serializing emits with it when PyYAML
+has it, falling back to the pure classes.  These tests hold the two paths
+to the same trees, the same errors and the same bytes.
+"""
+
+import pathlib
+
+import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
+
+import topology_gen
+from toscaflow import parsing
+from toscaflow.errors import TemplateSyntaxError
+from toscaflow.parsing import (
+    _compose,
+    _construct,
+    _dump,
+    _libyaml_emits_alike,
+    _suits_libyaml,
+    export_catalog_yaml,
+    parse_service_template,
+    serialize_template,
+)
+
+FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.yaml"))
+
+CORPUS = {path.name: path.read_text(encoding="utf-8") for path in FIXTURES}
+CORPUS["catalog"] = export_catalog_yaml()
+CORPUS.update({f"topology_{seed}": serialize_template(topology_gen.random_topology(seed))
+               for seed in range(4)})
+
+DUMP_OPTIONS = dict(sort_keys=False, indent=2, default_flow_style=False, width=100)
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                                   reason="PyYAML built without libyaml")
+
+
+def _pure_only(monkeypatch):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+
+
+def _tree(node):
+    """What parsing reads of a node: class, tag, value and start.
+
+    The end mark is left out: libyaml counts a byte order mark inside a
+    scalar where the pure reader does not.
+    """
+    if node is None:
+        return None
+    if isinstance(node, yaml.ScalarNode):
+        value = node.value
+    elif isinstance(node, yaml.MappingNode):
+        value = [(_tree(key), _tree(item)) for key, item in node.value]
+    else:
+        value = [_tree(item) for item in node.value]
+    return (type(node).__name__, node.tag, node.start_mark.line,
+            node.start_mark.column, value)
+
+
+def _outcome(text):
+    try:
+        return _tree(_compose(text, "f.yaml"))
+    except TemplateSyntaxError as exc:
+        return str(exc), str(exc.location)
+
+
+def _pure_outcome(text):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _pure_only(monkeypatch)
+        return _outcome(text)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_libyaml_composes_the_corpus_as_the_pure_loader(name):
+    text = CORPUS[name]
+    assert _suits_libyaml(text)
+    assert _outcome(text) == _tree(yaml.compose(text, Loader=yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("text", [
+    "a: [\n",                         # libyaml: "did not find expected node content"
+    "a: b\n c: d\n",
+    "a: {b: 1\n",
+    "a: 'unclosed\n",
+    "- a\nb: c\n",
+    "a: b\x00c\n",
+    "a: \ud800\n",                    # libyaml cannot even encode it
+    "a: !\n",                         # '' in libyaml, None in the pure loader
+    "[!, 1]\n",
+    "k\ufeffey: value\n",             # libyaml counts the mark as a column
+    "a:\n\ufeff  - b: c\n",
+    "%YAML 1.1\n--- {a: 1}\n",
+    "a: 1\n? b",                       # libyaml ends the stream a line later
+    "---",
+    "a: &x 1\nb: *x\nc: *y\n",
+], ids=repr)
+def test_libyaml_and_pure_agree_on_hard_inputs(text):
+    assert _outcome(text) == _pure_outcome(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1", "1.5", "~", "yes", "2020-01-01", "plain", "'quoted'",
+    "!!str 1", "!!int 0x1f", "!!int x", "!!float x", "!!bool yes", "!!null ''",
+    "!!binary aGk=", "!!binary ====", "!!timestamp 2020-13-45",
+    "!!map b", "!!seq b", "!!set b", "!!omap b", "!!pairs b", "!foo b",
+], ids=repr)
+def test_one_shared_constructor_builds_scalars_as_a_fresh_one_does(text, monkeypatch):
+    node = _compose(text, "f.yaml")
+
+    def outcome():
+        try:
+            return _construct(node, "f.yaml")
+        except TemplateSyntaxError as exc:
+            return str(exc), str(exc.location)
+
+    shared = outcome()
+    monkeypatch.setattr(parsing, "_SCALAR_CONSTRUCTORS", {})
+    assert shared == outcome()
+
+
+@st.composite
+def _mutations(draw):
+    """A corpus document with a few bytes inserted, deleted or replaced."""
+    data = bytearray(CORPUS[draw(st.sampled_from(sorted(CORPUS)))].encode())
+    tokens = st.sampled_from([
+        b"[", b"]", b"{", b"}", b":", b",", b"-", b"?", b"#", b"&a ", b"*a", b"!",
+        b"|", b">", b"'", b'"', b"%", b"@", b"\t", b"\n", b"\r", b" ", b"\\", b"x",
+        b"0", b".", b"\x00", b"\xc3\xa9", b"\xff", b"\xef\xbb\xbf", b"\xc2\x85",
+        b"\xe2\x80\xa8", b"---", b"...", b"!!str ", b"! ",
+    ])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        token = b"" if op == "delete" else draw(tokens)
+        data[at:at + (op != "insert")] = token
+    return bytes(data).decode("utf-8", "surrogateescape")
+
+
+@needs_libyaml
+@given(_mutations())
+def test_libyaml_and_pure_agree_on_mutated_documents(text):
+    outcome, pure = _outcome(text), _pure_outcome(text)
+    if outcome != pure:
+        # the one known difference: libyaml takes a tab in a plain scalar
+        assert "\t" in text and isinstance(outcome, tuple) and len(outcome) == 5
+        assert "'\\t'" in pure[0]
+
+
+def test_nesting_bound_sends_deep_text_to_the_pure_loader():
+    assert _suits_libyaml("a: " + "[" * 300 + "]" * 300 + "\n")
+    assert not _suits_libyaml("a: " + "[" * 1000 + "]" * 1000 + "\n")
+    assert not _suits_libyaml("a:\n" + "[\n" * 2000 + "]\n" * 2000)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_libyaml_emits_the_corpus_as_the_pure_emitter(name):
+    doc = yaml.safe_load(CORPUS[name])
+    assert _libyaml_emits_alike(doc)
+    assert yaml.dump(doc, Dumper=yaml.CSafeDumper, **DUMP_OPTIONS) == \
+        yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
+
+
+_PRINTABLE_ASCII = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e),
+                           max_size=300)
+_SCALARS = st.one_of(_PRINTABLE_ASCII, st.none(), st.booleans(), st.integers(),
+                     st.floats())
+
+
+def _nested(depth):
+    if depth == 1:
+        return st.dictionaries(_PRINTABLE_ASCII, _SCALARS, min_size=1, max_size=4)
+    inner = st.one_of(_SCALARS, _nested(depth - 1),
+                      st.lists(_nested(depth - 1), max_size=3))
+    return st.dictionaries(_PRINTABLE_ASCII, inner, min_size=1, max_size=4)
+
+
+@needs_libyaml
+@given(st.one_of(_nested(1), _nested(2), _nested(3)))
+def test_printable_ascii_is_emitted_as_by_the_pure_emitter(doc):
+    assert _dump(doc) == yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("doc", [
+    {"a": "\u00e9 " * 80},             # a long double-quoted scalar
+    {"a": "x\ty " * 40},
+    {"": 1},                           # keys the pure emitter writes as `? key`
+    {"k" * 123: 1},
+    {"a": [{"b": {"k" * 128: None}}]},
+], ids=repr)
+def test_what_libyaml_emits_otherwise_goes_to_the_pure_emitter(doc):
+    pure = yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
+    assert yaml.dump(doc, Dumper=yaml.CSafeDumper, **DUMP_OPTIONS) != pure
+    assert not _libyaml_emits_alike(doc)
+    assert _dump(doc) == pure
+
+
+def test_without_libyaml_fixtures_parse_and_serialize_alike(monkeypatch):
+    texts = {path.name: path.read_text(encoding="utf-8") for path in FIXTURES}
+    templates = {name: parse_service_template(text, filename=name)
+                 for name, text in texts.items()}
+    serialized = {name: serialize_template(t) for name, t in templates.items()}
+    _pure_only(monkeypatch)
+    for name, text in texts.items():
+        assert parse_service_template(text, filename=name) == templates[name], name
+        assert serialize_template(templates[name]) == serialized[name], name
+    assert export_catalog_yaml() == CORPUS["catalog"]
