@@ -33,6 +33,10 @@ class CyclicPropertyError(ToscaflowError):
     """A chain of get_property reads returns to a property it already read."""
 
 
+class IntrinsicArityError(ToscaflowError, ValueError):
+    """An intrinsic function call does not have exactly two arguments."""
+
+
 # --- parsing / packaging ----------------------------------------------------
 
 class TemplateSyntaxError(ToscaflowError):

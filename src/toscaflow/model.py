@@ -5,8 +5,9 @@ service templates, and the three core operations on them: flattening a
 type's ancestry, subtype tests, and evaluation of the small intrinsic
 function subset (`get_artifact`, `get_property`).
 
-Values are treated as immutable after construction; nothing in this module
-mutates a model object once built.
+Values are immutable after construction: no toscaflow module mutates a model
+object once built, and `verify(fix=True)` returns a new template that shares
+with its input every node it did not repair.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import yaml
 from .errors import (
     CyclicDerivationError,
     CyclicPropertyError,
+    IntrinsicArityError,
     UnknownArtifactError,
     UnknownPropertyError,
     UnknownTemplateError,
@@ -306,7 +308,7 @@ def evaluate_intrinsic(expr, node: NodeTemplate, template: ServiceTemplate):
             return expr
         fn, args = call
         if len(args) != 2:
-            raise ValueError(f"{fn} expects two arguments, got {args!r}")
+            raise IntrinsicArityError(f"{fn} expects two arguments, got {args!r}")
         subject, item = str(args[0]), str(args[1])
         target = _resolve_subject(subject, node, template)
 

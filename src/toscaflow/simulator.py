@@ -497,11 +497,12 @@ def _build_stage(topo, flow, name) -> _Stage:
         provider, key = binding
         return provider, str(prop(key) or "")
 
-    # standalone tasks have no schedulingStrategy: they schedule by cron only
-    cron = None
-    if "schedulingStrategy" not in resolved.properties \
-            or prop("schedulingStrategy") == "CRON_DRIVEN":
-        cron = parse_cron(str(prop("schedulingPeriodCRON")))
+    # the cron applies where R6 checks it (standalone tasks: cron only)
+    if "schedulingStrategy" in resolved.properties:
+        cron_driven = prop("schedulingStrategy") == "CRON_DRIVEN"
+    else:
+        cron_driven = "schedulingPeriodCRON" in resolved.properties
+    cron = parse_cron(str(prop("schedulingPeriodCRON"))) if cron_driven else None
     stage = partial(_Stage, flow, name, cron)
 
     if binding := _match(_CONSUMER_BINDINGS, ancestry):
@@ -511,7 +512,7 @@ def _build_stage(topo, flow, name) -> _Stage:
     if cat.ENCRYPT in ancestry or cat.DECRYPT in ancestry:
         operation = decrypt_bytes if cat.DECRYPT in ancestry else encrypt_bytes
         return stage(_transform, function=partial(
-            operation, passphrase=prop("passphrase") or ""))
+            operation, passphrase=str(prop("passphrase") or "")))
     if key_prop := _match(cat.INVOKER_KEYS, ancestry):
         # looked up per item: functions may be registered after instantiate
         return stage(_transform, function_key=str(prop(key_prop) or ""))

@@ -33,8 +33,8 @@ class Locality(Enum):
 class Topology:
     """Resolved types, pipelines, connections and hosting of one template.
 
-    Derived facts are cached, so a caller that changes the template's
-    connections or hosts builds a new view.  Types resolve in the
+    Derived facts are cached; a repair builds a new template and a new
+    view of it, since templates are never changed.  Types resolve in the
     template's `combined_definitions`.
     """
 
@@ -89,7 +89,7 @@ class Topology:
             try:
                 return evaluate_intrinsic(node.property_values[prop_name], node,
                                           self.template), None
-            except (ToscaflowError, ValueError) as exc:
+            except ToscaflowError as exc:
                 return None, str(exc)
         resolved = self.resolved_node(node_name)
         if resolved is not None and prop_name in resolved.properties:

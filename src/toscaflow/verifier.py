@@ -26,9 +26,8 @@ not one of each kind.
 
 from __future__ import annotations
 
-import copy
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import catalog as cat
 from .cron import is_valid_cron
@@ -335,25 +334,24 @@ def _passphrase(rng: random.Random) -> str:
     return "".join(rng.choice("0123456789abcdef") for _ in range(32))
 
 
-def _fix_locality_pair(topo: Topology, a: str, b: str) -> str:
+def _fix_locality_pair(topo: Topology, nodes: dict, a: str, b: str) -> str:
     """Leave exactly one connection a -> b, of the locality-correct kind."""
     locality = topo.locality(a, b)
     desired = cat.CONNECT_NIFI_LOCAL if locality is Locality.LOCAL \
         else cat.CONNECT_NIFI_REMOTE
-    node = topo.template.node_templates[a]
     edges = topo.pairs[(a, b)]
     keeper = next((assignment for assignment, kind in edges
                    if topo.kind_locality(kind) is locality), None)
-    rewrote = False
-    if keeper is None:
+    rewrote = keeper is None
+    if rewrote:
         keeper = edges[0][0]
-        _rewrite_assignment_kind(topo, a, keeper, desired)
-        rewrote = True
     drop = {id(assignment) for assignment, _ in edges
             if assignment is not keeper}
-    node.requirement_assignments = [
-        assignment for assignment in node.requirement_assignments
-        if id(assignment) not in drop]
+    nodes[a] = replace(nodes[a], requirement_assignments=[
+        _rewrite_assignment_kind(topo, a, assignment, desired)
+        if rewrote and assignment is keeper else assignment
+        for assignment in nodes[a].requirement_assignments
+        if id(assignment) not in drop])
     action = f"rewrote the connection to {desired!r}" if rewrote \
         else f"kept the {desired!r} connection"
     if len(edges) > 1:
@@ -370,13 +368,11 @@ def _rewrite_assignment_kind(topo: Topology, node_name: str,
          and r.relationship_type == desired),
         None)
     if counterpart is not None:
-        assignment.name = counterpart.name
-        assignment.relationship = None
-    else:
-        assignment.relationship = desired
+        return replace(assignment, name=counterpart.name, relationship=None)
+    return replace(assignment, relationship=desired)
 
 
-def _fix_encryption(topo: Topology, pairs, rng: random.Random) -> dict:
+def _fix_encryption(nodes: dict, pairs, rng: random.Random) -> dict:
     """One fresh passphrase per connected mismatch component."""
     parent = {}
 
@@ -400,7 +396,8 @@ def _fix_encryption(topo: Topology, pairs, rng: random.Random) -> dict:
         members = sorted(components[root])
         fresh = _passphrase(rng)
         for member in members:
-            topo.template.node_templates[member].property_values["passphrase"] = fresh
+            values = {**nodes[member].property_values, "passphrase": fresh}
+            nodes[member] = replace(nodes[member], property_values=values)
         for e, d in pairs:
             if e in members:
                 descriptions[(e, d)] = (
@@ -409,54 +406,50 @@ def _fix_encryption(topo: Topology, pairs, rng: random.Random) -> dict:
 
 
 def _run_checks(topo: Topology) -> list[Diagnostic]:
-    out = []
-    out.extend(_check_requirements(topo))
-    out.extend(_check_locality(topo))
-    out.extend(_check_encryption(topo))
-    out.extend(_check_scheduling(topo))
-    return out
+    return [*_check_requirements(topo), *_check_locality(topo),
+            *_check_encryption(topo), *_check_scheduling(topo)]
 
 
 def verify(template: ServiceTemplate, fix: bool = False,
            seed: int | None = None) -> tuple[ServiceTemplate, list[Diagnostic]]:
     """Run all rules; with fix=True repair fixable findings to a fixpoint.
 
-    Returns the (possibly repaired copy of the) template and the
-    accumulated diagnostics; repaired findings carry a `fix` description.
-    The input template is never mutated.
+    Returns the template, repaired with new node templates where needed,
+    and the accumulated diagnostics; repaired findings carry a `fix`
+    description.  The input template is never mutated, and the result
+    shares with it every node that no repair changed.
     """
-    work = copy.deepcopy(template) if fix else template
+    work = template
     rng = random.Random(seed)
     reported: dict = {}
-    ordered: list[Diagnostic] = []
     for attempt in range(MAX_FIX_PASSES + 1):
-        topo = Topology(work)  # a fresh view: the fixes change the template
+        topo = Topology(work)  # a fresh view: each pass repairs the template
         diagnostics = _run_checks(topo)
         for diag in diagnostics:
-            if diag.key() not in reported:
-                reported[diag.key()] = diag
-                ordered.append(diag)
+            reported.setdefault(diag.key(), diag)
         fixables = [d for d in diagnostics if d.severity == FIXABLE]
         if not fix or not fixables:
             break
         if attempt == MAX_FIX_PASSES:
             raise VerifierNonConvergenceError(
                 f"fixable diagnostics remain after {MAX_FIX_PASSES} fix passes")
-        _apply_fixes(topo, fixables, rng, reported)
-    return work, ordered
+        nodes = dict(work.node_templates)
+        _apply_fixes(topo, nodes, fixables, rng, reported)
+        work = replace(work, node_templates=nodes)
+    return work, list(reported.values())
 
 
-def _apply_fixes(topo: Topology, fixables, rng, reported):
+def _apply_fixes(topo: Topology, nodes: dict, fixables, rng, reported):
     encryption_pairs = []
     for diag in fixables:
         if diag.rule in (R2_LOCALITY, R3_DUPLICATE_CONN):
             a, b = diag.nodes
-            description = _fix_locality_pair(topo, a, b)
+            description = _fix_locality_pair(topo, nodes, a, b)
             reported[diag.key()].fix = description
         elif diag.rule == R4_ENCRYPTION:
             encryption_pairs.append(tuple(diag.nodes))
     if encryption_pairs:
-        descriptions = _fix_encryption(topo, encryption_pairs, rng)
+        descriptions = _fix_encryption(nodes, encryption_pairs, rng)
         for diag in fixables:
             if diag.rule == R4_ENCRYPTION:
                 reported[diag.key()].fix = descriptions.get(tuple(diag.nodes))

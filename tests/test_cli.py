@@ -261,6 +261,24 @@ def test_self_referencing_script_path_fails_verify_and_simulate(tmp_path, capsys
         assert finding in capsys.readouterr().out, command
 
 
+def test_simulate_a_block_without_behaviour_exits_1(tmp_path, capsys):
+    path = tmp_path / "block.yaml"
+    path.write_text("tosca_definitions_version: tosca_simple_yaml_1_3\n"
+                    "node_types:\n"
+                    "  my.Block:\n"
+                    "    derived_from: radon.nodes.abstract.DataPipeline\n"
+                    "topology_template:\n"
+                    "  node_templates:\n"
+                    "    B:\n"
+                    "      type: my.Block\n")
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "cannot simulate: pipeline node 'B' of type 'my.Block' has no "
+        "simulation behaviour\n")
+
+
 def test_plan_and_simulate_show_the_error_location(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("tosca_definitions_version: tosca_simple_yaml_1_3\n"

@@ -4,6 +4,8 @@ from toscaflow import catalog as cat
 from toscaflow.errors import (
     CyclicDerivationError,
     CyclicPropertyError,
+    IntrinsicArityError,
+    ToscaflowError,
     UnknownArtifactError,
     UnknownPropertyError,
     UnknownTemplateError,
@@ -142,6 +144,17 @@ def test_string_form_reads_alike_every_time():
         for literal in ("{ not: yaml: here }",
                         "{ get_property: [" + "[\n" * 1000 + "]\n" * 1000 + "] }"):
             assert evaluate_intrinsic(literal, node, template) == literal
+
+
+def test_intrinsic_arity_error_is_a_toscaflow_error():
+    node, template = _minio_template()
+    for expr in ({"get_property": ["SELF"]}, "{ get_property: [SELF, a, b] }"):
+        with pytest.raises(IntrinsicArityError) as error:
+            evaluate_intrinsic(expr, node, template)
+        assert isinstance(error.value, ToscaflowError)
+        assert isinstance(error.value, ValueError)
+    assert str(error.value) == \
+        "get_property expects two arguments, got ['SELF', 'a', 'b']"
 
 
 def test_evaluate_get_property_falls_back_to_default():

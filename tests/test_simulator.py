@@ -119,6 +119,22 @@ def test_shell_command_is_unsupported():
         instantiate(b.template(*stack, aws, task))
 
 
+def test_pipeline_without_scheduling_properties_is_unsupported_not_a_cron_error():
+    # neither schedulingStrategy nor schedulingPeriodCRON: R6 reads no cron
+    # here, and neither may the simulator
+    from toscaflow.model import ServiceTemplate, TypeDefinition
+
+    block = TypeDefinition("my.Block", "node",
+                           derived_from="radon.nodes.abstract.DataPipeline")
+    template = ServiceTemplate(user_types=[block],
+                               node_templates={"B": b.node("B", "my.Block")})
+    assert verify(template) == (template, [])
+    with pytest.raises(UnsupportedTypeError) as error:
+        instantiate(template)
+    assert str(error.value) == \
+        "pipeline node 'B' of type 'my.Block' has no simulation behaviour"
+
+
 # -- end to end ---------------------------------------------------------------------
 
 def test_image_pipeline_end_to_end(load_fixture):
@@ -299,6 +315,17 @@ def test_mismatched_cipher_keys_garble_payload(load_fixture):
     flow.schedule_injection(1, "minio", "inbox", "k", payload)
     flow.run_until(3)
     assert flow.stores[("minio", "outbox")]["k"] != payload
+
+
+def test_a_non_string_passphrase_keys_the_cipher_as_its_text(load_fixture):
+    template = load_fixture("encrypt_mismatch.yaml")
+    template.node_templates["Encrypt_0"].property_values["passphrase"] = 7
+    template.node_templates["Decrypt_0"].property_values["passphrase"] = "7"
+    flow = instantiate(template)
+    payload = bytes(range(16))
+    flow.schedule_injection(1, "minio", "inbox", "k", payload)
+    flow.run_until(3)
+    assert flow.stores[("minio", "outbox")]["k"] == payload
 
 
 def test_router_forwards_by_attribute_match():

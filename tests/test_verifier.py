@@ -7,6 +7,7 @@ import topology_gen
 from bruteforce import diagnostics_as_set, rule_violations
 from toscaflow import catalog as cat
 from toscaflow.errors import HostCycleError, MissingHostError, NotAPipelineError
+from toscaflow.parsing import serialize_template
 from toscaflow.topology import Topology
 from toscaflow.verifier import (
     ERROR,
@@ -290,6 +291,15 @@ def test_r6_says_why_a_value_is_unknown():
     ]
 
 
+def test_intrinsic_with_one_argument_is_an_r6_finding():
+    stack, nifi, source, dest = _stacked_pipeline_pair()
+    source.property_values["schedulingStrategy"] = {"get_property": ["SELF"]}
+    diags = check_scheduling(b.template(*stack, source, dest))
+    assert [d.message for d in diags] == [
+        "'Src' has schedulingStrategy None, allowed: EVENT_DRIVEN, CRON_DRIVEN "
+        "(get_property expects two arguments, got ['SELF'])"]
+
+
 def test_unevaluable_function_key_is_an_r6_finding():
     stack, nifi, source, dest = _stacked_pipeline_pair()
     fn = b.node("Fn", b.PRC + "ExecutePython",
@@ -358,11 +368,42 @@ def test_verify_matches_bruteforce_on_small_sample():
             f"divergence at seed {seed}"
 
 
+FIXTURES = ("cyclic.yaml", "duplicate_connection.yaml", "encrypt_mismatch.yaml",
+            "image_pipeline.yaml", "s3_to_gcs.yaml")
+
+
 def test_fix_does_not_mutate_input(load_fixture):
-    template = load_fixture("duplicate_connection.yaml")
-    snapshot = copy.deepcopy(template)
-    verify(template, fix=True, seed=3)
-    assert template == snapshot
+    cases = [(name, load_fixture(name)) for name in FIXTURES]
+    cases += [(f"random_topology({seed})", topology_gen.random_topology(seed))
+              for seed in range(30)]
+    cases += [(f"random_clean_dag({seed})", topology_gen.random_clean_dag(seed))
+              for seed in range(5)]
+    for case, template in cases:
+        snapshot = copy.deepcopy(template)
+        text = serialize_template(template)
+        verify(template, fix=True, seed=3)
+        assert template == snapshot, case
+        assert serialize_template(template) == text, case
+
+
+def test_fix_shares_the_nodes_it_does_not_repair(load_fixture):
+    for name, repaired in (("duplicate_connection.yaml", {"ConsS3Bucket"}),
+                           ("encrypt_mismatch.yaml", {"Encrypt_0", "Decrypt_0"})):
+        template = load_fixture(name)
+        snapshot = copy.deepcopy(template)
+        first, first_report = verify(template, fix=True, seed=3)
+        second, second_report = verify(template, fix=True, seed=3)
+        assert serialize_template(second) == serialize_template(first)
+        assert [d.to_dict() for d in second_report] == \
+            [d.to_dict() for d in first_report]
+        assert first.user_types is template.user_types
+        for node_name, node in template.node_templates.items():
+            if node_name in repaired:
+                assert first.node_templates[node_name] is not node
+                assert first.node_templates[node_name] != node
+                assert node == snapshot.node_templates[node_name]
+            else:
+                assert first.node_templates[node_name] is node, node_name
 
 
 def test_fix_through_inline_user_type():
