@@ -12,11 +12,8 @@ import json
 import os
 import sys
 
-from .csar import pack_csar, unpack_csar
 from .errors import DependencyCycleError, ToscaflowError
 from .parsing import SourceLocation, parse_service_template, serialize_template
-from .planner import plan
-from .simulator import instantiate, parse_schedule
 from .verifier import ERROR, FIXABLE, report_to_dict, verify
 
 EXIT_CLEAN = 0
@@ -92,6 +89,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from .planner import plan
+
     template, code = _load_verified(args.template)
     if template is None:
         return code
@@ -112,6 +111,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import instantiate, parse_schedule
+
     template, code = _load_verified(args.template)
     if template is None:
         return code
@@ -143,6 +144,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_csar(args) -> int:
+    from .csar import pack_csar, unpack_csar
+
     if args.action == "pack":
         source = args.source
         if not os.path.isdir(source):

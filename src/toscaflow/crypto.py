@@ -26,6 +26,15 @@ def fnv1a_64(data: bytes) -> int:
     return value
 
 
+def cipher_key(passphrase) -> str:
+    """The text a passphrase property value keys the cipher with.
+
+    Values that key the same stream are the same passphrase: `7` and `"7"`
+    agree, and an unset passphrase is the empty one.
+    """
+    return str(passphrase or "")
+
+
 def _keystream(passphrase: str, length: int) -> bytes:
     # The low byte of x' depends only on the low byte of x, so the stream
     # repeats every 256 bytes: compute one period and tile it.

@@ -16,8 +16,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-import yaml
-
 from .errors import (
     CyclicDerivationError,
     CyclicPropertyError,
@@ -283,6 +281,8 @@ def _quoted_intrinsic(text):
     The pure loader stays here: libyaml accepts some tabs that it rejects,
     which would change which strings count as intrinsics.
     """
+    import yaml  # here alone, so building the catalog does not load PyYAML
+
     try:
         inner = yaml.safe_load(text)
     except (yaml.YAMLError, RecursionError):  # not YAML, or nested too deep

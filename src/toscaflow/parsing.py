@@ -170,6 +170,9 @@ def _construct(node, filename):
         raise _marked_error(exc, filename) from exc
     except ValueError as exc:  # a scalar its tag cannot convert, e.g. 2020-13-45
         raise TemplateSyntaxError(str(exc), _loc(node, filename)) from exc
+    except (LookupError, AttributeError) as exc:  # e.g. !!bool maybe, a bare !!int
+        raise TemplateSyntaxError("a value does not match its tag",
+                                  _loc(node, filename)) from exc
     except RecursionError as exc:
         raise _too_deep(node.start_mark, filename) from exc
 

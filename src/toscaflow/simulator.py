@@ -32,7 +32,7 @@ from functools import partial
 
 from . import catalog as cat
 from .cron import CronExpr, cron_next, parse_cron
-from .crypto import decrypt_bytes, encrypt_bytes
+from .crypto import cipher_key, decrypt_bytes, encrypt_bytes
 from .errors import DuplicateFunctionError, UnsupportedTypeError
 from .model import ServiceTemplate
 from .topology import Topology
@@ -512,7 +512,7 @@ def _build_stage(topo, flow, name) -> _Stage:
     if cat.ENCRYPT in ancestry or cat.DECRYPT in ancestry:
         operation = decrypt_bytes if cat.DECRYPT in ancestry else encrypt_bytes
         return stage(_transform, function=partial(
-            operation, passphrase=str(prop("passphrase") or "")))
+            operation, passphrase=cipher_key(prop("passphrase"))))
     if key_prop := _match(cat.INVOKER_KEYS, ancestry):
         # looked up per item: functions may be registered after instantiate
         return stage(_transform, function_key=str(prop(key_prop) or ""))

@@ -8,7 +8,8 @@ Six rules, run in order:
                    contradicts where the two blocks are actually hosted
   R3-DUPLICATE-CONN more than one connection between the same ordered pair
   R4-ENCRYPTION    every Encrypt reaches a Decrypt and vice versa;
-                   reachable pairs must share a passphrase
+                   reachable pairs must share a passphrase, compared as
+                   the text that keys the cipher (`7` and "7" agree)
   R5-HOSTING       host assignments whose target violates the declared
                    host node type (NiFi pipelines off NiFi, AWS standalone
                    tasks off AWSPlatform, ...)
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 
 from . import catalog as cat
 from .cron import is_valid_cron
+from .crypto import cipher_key
 from .errors import VerifierNonConvergenceError
 from .model import UNBOUNDED, RequirementAssignment, ServiceTemplate
 # colocated and host_chain are re-exported for callers of this module
@@ -279,8 +281,8 @@ def _check_encryption(topo: Topology) -> list[Diagnostic]:
                 R4_ENCRYPTION, ERROR, [d],
                 f"Decrypt node {d!r} is not reachable from any Encrypt node"))
     for e, d in pairs:
-        if topo.effective_property(e, "passphrase") != \
-                topo.effective_property(d, "passphrase"):
+        if cipher_key(topo.effective_property(e, "passphrase")) != \
+                cipher_key(topo.effective_property(d, "passphrase")):
             out.append(Diagnostic(
                 R4_ENCRYPTION, FIXABLE, [e, d],
                 f"passphrases of {e!r} and {d!r} differ"))

@@ -189,6 +189,9 @@ def rule_violations(template):
                 flag(R2, a, b)
 
     # ---- R4: encryption pairing ---------------------------------------------
+    def key(passphrase):  # the text the simulator keys the cipher with
+        return str(passphrase or "")
+
     encrypts = [n for n in templates if subtype(templates[n].type, cat.ENCRYPT)]
     decrypts = [n for n in templates if subtype(templates[n].type, cat.DECRYPT)]
     reachable = {}
@@ -213,7 +216,8 @@ def rule_violations(template):
     for e in encrypts:
         for d in decrypts:
             if d in reachable[e] \
-                    and effective(e, "passphrase") != effective(d, "passphrase"):
+                    and key(effective(e, "passphrase")) \
+                    != key(effective(d, "passphrase")):
                 flag(R4, e, d)
 
     # ---- R6: scheduling --------------------------------------------------------

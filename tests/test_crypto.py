@@ -4,6 +4,7 @@ import pytest
 
 from toscaflow.crypto import (
     FNV_OFFSET_BASIS,
+    cipher_key,
     decrypt_bytes,
     encrypt_bytes,
     fnv1a_64,
@@ -71,3 +72,9 @@ def test_mismatched_passphrase_garbles():
     payload = bytes(rng.randrange(256) for _ in range(16))
     garbled = decrypt_bytes(encrypt_bytes(payload, "right"), "wrong")
     assert garbled != payload
+
+
+def test_cipher_key_is_the_text_of_the_passphrase():
+    assert [cipher_key(v) for v in (7, "7", None, "", 0, "alpha")] == \
+        ["7", "7", "", "", "", "alpha"]
+    assert encrypt_bytes(b"abc", cipher_key(7)) == encrypt_bytes(b"abc", "7")

@@ -110,6 +110,9 @@ topology_template:
     ("      type: 2020-13-45\n", "month must be in 1..12", 13),
     ("      type: tosca.nodes.Com\0pute\n",
      "unacceptable character #x0000: special characters are not allowed", 28),
+    ("      type: !!int\n", "a value does not match its tag", 13),
+    ("      type: !!bool maybe\n", "a value does not match its tag", 13),
+    ("      type: !!timestamp noon\n", "a value does not match its tag", 13),
 ])
 def test_unreadable_scalars_are_located_syntax_errors(body, message, column):
     with pytest.raises(TemplateSyntaxError) as excinfo:

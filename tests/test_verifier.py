@@ -8,6 +8,7 @@ from bruteforce import diagnostics_as_set, rule_violations
 from toscaflow import catalog as cat
 from toscaflow.errors import HostCycleError, MissingHostError, NotAPipelineError
 from toscaflow.parsing import serialize_template
+from toscaflow.simulator import instantiate
 from toscaflow.topology import Topology
 from toscaflow.verifier import (
     ERROR,
@@ -217,6 +218,32 @@ def test_passphrase_mismatch_is_fixed_and_seeded(load_fixture):
     assert again.node_templates["Encrypt_0"].property_values["passphrase"] == p_enc
     other, _ = verify(template, fix=True, seed=100)
     assert other.node_templates["Encrypt_0"].property_values["passphrase"] != p_enc
+
+
+def _with_passphrases(load_fixture, encrypt, decrypt):
+    template = load_fixture("encrypt_mismatch.yaml")
+    template.node_templates["Encrypt_0"].property_values["passphrase"] = encrypt
+    template.node_templates["Decrypt_0"].property_values["passphrase"] = decrypt
+    return template
+
+
+def test_passphrases_that_key_the_same_cipher_agree(load_fixture):
+    template = _with_passphrases(load_fixture, 7, "7")
+    assert check_encryption(template) == []
+    assert verify(template)[1] == []
+    flow = instantiate(template)
+    flow.schedule_injection(1, "minio", "inbox", "k", b"payload")
+    flow.run_until(3)
+    assert flow.stores[("minio", "outbox")]["k"] == b"payload"
+
+
+def test_passphrases_with_different_text_still_differ(load_fixture):
+    template = _with_passphrases(load_fixture, 7, 8)
+    diags = check_encryption(template)
+    assert [(d.rule, d.severity) for d in diags] == [(R4_ENCRYPTION, FIXABLE)]
+    fixed, report = verify(template, fix=True, seed=3)
+    assert [d.fix is not None for d in report] == [True]
+    assert check_encryption(fixed) == []
 
 
 def test_encrypt_without_decrypt_is_an_error():
