@@ -1,3 +1,4 @@
+import inspect
 import pathlib
 
 import pytest
@@ -362,3 +363,211 @@ def test_deep_nesting_is_a_located_syntax_error(levels, separator):
     with pytest.raises(TemplateSyntaxError, match="^nested too deep$") as error:
         parse_service_template(_nested_property(levels, separator), "deep.yaml")
     assert str(error.value.location) == "deep.yaml:7:12"
+
+
+# --------------------------------------------------------------------------
+# every shape error of the parse half, pinned by class, message and location
+# --------------------------------------------------------------------------
+
+V = "tosca_definitions_version: tosca_simple_yaml_1_3\n"
+TOPOLOGY = "topology_template:\n  node_templates:\n"
+NODE_TYPE = V + "node_types:\n  T:\n"                  # a type body at column 5
+NODE = V + TOPOLOGY + "    X:\n      type: tosca.nodes.Compute\n"
+REQUIREMENT = "capability: C, node: N, relationship: R"
+
+D, T = parse_definitions, parse_service_template
+R, N = parse_requirements_fragment, parse_node_templates_fragment
+
+SHAPE_ERRORS = [
+    # documents that are empty or not a mapping
+    (D, "", SchemaError, "definitions document is empty", "1:1"),
+    (T, "# nothing\n", SchemaError, "service template is empty", "1:1"),
+    (R, "", SchemaError, "requirements fragment is empty", "1:1"),
+    (N, "", SchemaError, "node templates fragment is empty", "1:1"),
+    (D, "42\n", SchemaError, "definitions document must be a mapping", "1:1"),
+    (T, "- a\n", SchemaError, "service template must be a mapping", "1:1"),
+    (R, "[a]\n", SchemaError, "requirements fragment must be a mapping", "1:1"),
+    (N, "x\n", SchemaError, "node templates fragment must be a mapping", "1:1"),
+    # keys
+    (D, V + "1: x\n", SchemaError, "mapping key 1 is not a string", "2:1"),
+    (T, V + V, SchemaError, "duplicate key 'tosca_definitions_version'", "2:1"),
+    (D, NODE_TYPE + "    properties:\n      p: {type: string, type: integer}\n",
+     SchemaError, "duplicate key 'type'", "5:25"),
+    (T, NODE + "    X:\n      type: tosca.nodes.Compute\n",
+     DuplicateTemplateNameError, "duplicate key 'X'", "6:5"),
+    (N, "X: {type: tosca.nodes.Compute}\nX: {}\n",
+     DuplicateTemplateNameError, "duplicate key 'X'", "2:1"),
+    (T, NODE + "      properties: {null: 1}\n",
+     SchemaError, "mapping key None is not a string", "6:20"),
+    # definitions documents
+    (D, "description: d\n", SchemaError, "missing tosca_definitions_version", "1:1"),
+    (D, V + "node_types: [a]\n", SchemaError, "node_types must be a mapping", "2:13"),
+    (D, V + "capability_types: [a]\n", SchemaError,
+     "capability_types must be a mapping", "2:19"),
+    (T, V + "relationship_types: [a]\n" + TOPOLOGY, SchemaError,
+     "relationship_types must be a mapping", "2:21"),
+    (D, V + "node_types:\n  T: [a]\n", SchemaError, "type 'T' must be a mapping",
+     "3:6"),
+    (D, NODE_TYPE + "    properties: [a]\n", SchemaError,
+     "properties must be a mapping", "4:17"),
+    (D, NODE_TYPE + "    properties:\n", SchemaError,
+     "properties must be a mapping", "4:16"),
+    (D, NODE_TYPE + "    properties: {p: [a]}\n", SchemaError,
+     "property 'p' must be a mapping", "4:21"),
+    (D, NODE_TYPE + "    properties: {p: {type: float}}\n", SchemaError,
+     "unsupported property type 'float' on 'p'", "4:18"),
+    (D, NODE_TYPE + "    properties: {p: {type: integer, default: x}}\n",
+     SchemaError, "default 'x' of property 'p' does not fit type 'integer'", "4:18"),
+    (D, NODE_TYPE + "    attributes: 5\n", SchemaError,
+     "attributes must be a mapping", "4:17"),
+    (D, NODE_TYPE + "    attributes: {a: [b]}\n", SchemaError,
+     "attribute 'a' must be a mapping", "4:21"),
+    (D, NODE_TYPE + "    requirements: {}\n", SchemaError,
+     "requirements must be a list", "4:19"),
+    (D, NODE_TYPE + "    requirements: [a]\n", SchemaError,
+     "requirement entry must be a mapping", "4:20"),
+    (D, NODE_TYPE + "    requirements: [{}]\n", SchemaError,
+     "each requirement entry holds exactly one name", "4:20"),
+    (D, NODE_TYPE + "    requirements: [{a: {" + REQUIREMENT + "}, b: {}}]\n",
+     SchemaError, "each requirement entry holds exactly one name", "4:20"),
+    (D, NODE_TYPE + "    requirements:\n      - r:\n", SchemaError,
+     "requirement 'r' must be a mapping", "5:11"),
+    (D, NODE_TYPE + "    requirements: [{r: {capability: C, node: N}}]\n",
+     SchemaError, "requirement 'r' lacks 'relationship'", "4:21"),
+    (D, NODE_TYPE + "    requirements: [{r: {" + REQUIREMENT + ", occurrences: 1}}]\n",
+     SchemaError, "occurrences of r must be [min, max]", "4:21"),
+    (D, NODE_TYPE + "    requirements: [{r: {" + REQUIREMENT
+     + ", occurrences: [-1, 1]}}]\n",
+     SchemaError, "bad minimum occurrence -1 on r", "4:21"),
+    (D, NODE_TYPE + "    requirements: [{r: {" + REQUIREMENT
+     + ", occurrences: [1, many]}}]\n",
+     SchemaError, "bad maximum occurrence 'many' on r", "4:21"),
+    (R, "requirements:\n  - a: {" + REQUIREMENT + "}\n  - b\n", SchemaError,
+     "requirement entry must be a mapping", "3:5"),
+    (R, "other: 1\n", SchemaError, "fragment has no 'requirements' key", "1:1"),
+    (R, "requirements: a\n", SchemaError, "requirements must be a list", "1:15"),
+    (D, NODE_TYPE + "    capabilities: []\n", SchemaError,
+     "capabilities must be a mapping", "4:19"),
+    (D, NODE_TYPE + "    capabilities: {c: x}\n", SchemaError,
+     "capability 'c' must be a mapping", "4:23"),
+    (D, NODE_TYPE + "    capabilities: {c: {occurrences: [0, 1]}}\n", SchemaError,
+     "capability 'c' lacks 'type'", "4:20"),
+    (D, NODE_TYPE + "    capabilities: {c: {type: C, valid_source_types: S}}\n",
+     SchemaError, "valid_source_types of 'c' must be a list", "4:20"),
+    # service templates and node templates
+    (T, TOPOLOGY, SchemaError, "missing tosca_definitions_version", "1:1"),
+    (T, V, SchemaError, "missing topology_template", "1:1"),
+    (T, V + "topology_template: [a]\n", SchemaError,
+     "topology_template must be a mapping", "2:20"),
+    (T, V + "topology_template: {}\n", SchemaError,
+     "topology_template has no node_templates", "2:20"),
+    (T, V + "topology_template:\n  node_templates: 5\n", SchemaError,
+     "node_templates must be a mapping", "3:19"),
+    (T, V + "topology_template:\n  node_templates: [a]\n", SchemaError,
+     "node_templates must be a mapping", "3:19"),
+    (T, V + TOPOLOGY + "    X: tosca.nodes.Compute\n", SchemaError,
+     "node template 'X' must be a mapping", "4:8"),
+    (N, "X:\n", SchemaError, "node template 'X' must be a mapping", "1:3"),
+    (T, V + TOPOLOGY + "    X: {}\n", SchemaError,
+     "node template 'X' has no type", "4:5"),
+    (T, NODE + "      interfaces: {}\n", SchemaError,
+     "unknown key 'interfaces' on node template 'X'", "6:7"),
+    (T, V + TOPOLOGY + "    X: {type: acme.Missing}\n", SchemaError,
+     "node template 'X': unknown type 'acme.Missing'", "4:5"),
+    (T, NODE + "      properties: [a]\n", SchemaError,
+     "properties of 'X' must be a mapping", "6:19"),
+    (N, "X: {type: tosca.nodes.Compute, properties: {p: 1}}\n", SchemaError,
+     "node template 'X' assigns unknown property 'p'", "1:1"),
+    (T, V + TOPOLOGY + "    X: {type: radon.nodes.nifi.Nifi}\n", SchemaError,
+     "node template 'X' misses required property 'component_version'", "4:5"),
+    (T, NODE + "      artifacts: a\n", SchemaError,
+     "artifacts of 'X' must be a mapping", "6:18"),
+    (T, NODE + "      artifacts: {a: {type: t}}\n", SchemaError,
+     "artifact 'a' needs a file path", "6:19"),
+    (T, NODE + "      requirements: {host: X}\n", SchemaError,
+     "requirements of 'X' must be a list", "6:21"),
+    (T, NODE + "      requirements: [host]\n", SchemaError,
+     "requirement assignment must be a mapping", "6:22"),
+    (T, NODE + "      requirements: [{}]\n", SchemaError,
+     "each requirement assignment holds exactly one name", "6:22"),
+    (T, NODE + "      requirements: [{host: X, other: X}]\n", SchemaError,
+     "each requirement assignment holds exactly one name", "6:22"),
+    (N, "X:\n  type: tosca.nodes.Compute\n  requirements:\n    - host: Y\n"
+     "    - [b]\n", SchemaError, "requirement assignment must be a mapping", "5:7"),
+    (T, NODE + "      requirements: [{host: {node: X, capability: c}}]\n",
+     SchemaError, "requirement 'host' has unsupported keys ['capability']", "6:23"),
+    (T, NODE + "      requirements: [{host: {relationship: R}}]\n", SchemaError,
+     "requirement 'host' assignment lacks 'node'", "6:23"),
+    (T, NODE + "      requirements: [{host: [X]}]\n", SchemaError,
+     "requirement 'host' must name a target", "6:23"),
+    (T, NODE + "      requirements: [{host: Y}]\n", SchemaError,
+     "node 'X' requirement 'host' targets unknown template 'Y'", "4:5"),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message, location", SHAPE_ERRORS,
+                         ids=[f"{case[0].__name__}: {case[3]}" for case in SHAPE_ERRORS])
+def test_each_shape_error_keeps_its_class_message_and_location(parse, text, error,
+                                                               message, location):
+    with pytest.raises(SchemaError) as excinfo:
+        parse(text, filename="p.yaml")
+    assert type(excinfo.value) is error
+    assert excinfo.value.args[0] == message
+    assert str(excinfo.value.location) == f"p.yaml:{location}"
+
+
+def test_empty_and_scalar_bodies_read_as_empty():
+    from toscaflow.model import AttributeDefinition, PropertyDefinition
+
+    assert parse_definitions(V + "node_types: 5\ncapability_types:\n") == []
+    for body in ("", " 5", " ~", " text"):
+        (definition,) = parse_definitions(NODE_TYPE[:-1] + body + "\n")
+        assert (definition.name, definition.kind, definition.derived_from,
+                definition.properties, definition.attributes, definition.requirements,
+                definition.capabilities, definition.metadata) \
+            == ("T", "node", None, {}, {}, [], {}, {})
+        assert str(definition.location) == "<string>:3:3"
+    (definition,) = parse_definitions(
+        NODE_TYPE + "    metadata: [a]\n    properties: {p: , q: 1}\n"
+        "    attributes: {a: , b: x}\n")
+    assert definition.metadata == {}
+    assert definition.properties == {"p": PropertyDefinition("p", "string", None, True),
+                                     "q": PropertyDefinition("q", "string", None, True)}
+    assert definition.attributes == {"a": AttributeDefinition("a", "string", None),
+                                     "b": AttributeDefinition("b", "string", None)}
+    for nothing in ("", " ~", " null"):
+        template = parse_service_template(V + TOPOLOGY[:-1] + nothing + "\n")
+        assert template.node_templates == {}
+
+
+def _attributed_to(record):
+    """'test' for a warning pointing at this file, else the parsing
+    function whose source holds the line it points at."""
+    if record.filename == __file__:
+        return "test"
+    from toscaflow import parsing
+
+    for name, function in vars(parsing).items():
+        if inspect.isfunction(function) and function.__module__ == parsing.__name__:
+            lines, start = inspect.getsourcelines(function)
+            if start <= record.lineno < start + len(lines):
+                return name
+    return record.filename, record.lineno
+
+
+@pytest.mark.parametrize("parse, text, message, attributed_to", [
+    (D, NODE_TYPE + "x: 1\n", "p.yaml:4:1: ignoring unknown top-level key 'x'", "test"),
+    (T, V + "x: 1\n" + TOPOLOGY, "p.yaml:2:1: ignoring unknown top-level key 'x'",
+     "test"),
+    (D, NODE_TYPE + "    x: 1\n", "p.yaml:4:5: ignoring unknown key 'x' in type 'T'",
+     "parse_definitions"),
+    (T, NODE_TYPE + "    x: 1\n" + TOPOLOGY,
+     "p.yaml:4:5: ignoring unknown key 'x' in type 'T'", "parse_service_template"),
+    (T, V + "topology_template:\n  inputs: {}\n  node_templates:\n",
+     "p.yaml:3:3: ignoring topology_template key 'inputs'", "test"),
+])
+def test_unknown_keys_warn_with_their_location(parse, text, message, attributed_to):
+    with pytest.warns(UserWarning) as records:
+        parse(text, filename="p.yaml")
+    assert [str(record.message) for record in records] == [message]
+    assert _attributed_to(records[0]) == attributed_to
