@@ -13,8 +13,6 @@ import os
 import sys
 
 from .errors import DependencyCycleError, ToscaflowError
-from .parsing import SourceLocation, parse_service_template, serialize_template
-from .verifier import ERROR, FIXABLE, report_to_dict, verify
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -32,6 +30,8 @@ def _load_template(path: str):
     A ToscaflowError, or bytes that are not UTF-8, is printed with its
     source location when it has one.
     """
+    from .parsing import SourceLocation, parse_service_template
+
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -47,6 +47,8 @@ def _load_template(path: str):
 
 
 def _print_report(diagnostics, report_format: str, fixed: bool):
+    from .verifier import report_to_dict
+
     if report_format == "json":
         print(json.dumps(report_to_dict(diagnostics, fixed), indent=2))
         return
@@ -58,6 +60,8 @@ def _print_report(diagnostics, report_format: str, fixed: bool):
 
 
 def _unremedied(diagnostics) -> bool:
+    from .verifier import ERROR, FIXABLE
+
     return any(d.severity == ERROR or (d.severity == FIXABLE and d.fix is None)
                for d in diagnostics)
 
@@ -65,6 +69,8 @@ def _unremedied(diagnostics) -> bool:
 def _load_verified(path: str):
     """(template, None) for a template with no unremedied finding, else
     (None, exit code) after printing the parse error or the findings."""
+    from .verifier import verify
+
     template = _load_template(path)
     if template is None:
         return None, EXIT_USAGE
@@ -76,6 +82,9 @@ def _load_verified(path: str):
 
 
 def cmd_verify(args) -> int:
+    from .parsing import serialize_template
+    from .verifier import verify
+
     template = _load_template(args.template)
     if template is None:
         return EXIT_USAGE

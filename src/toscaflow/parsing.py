@@ -92,13 +92,13 @@ _TAG_START = r"(?:^|[\s\[\]{},:\ufeff])!"  # compiled by `re` on first use
 
 
 def _suits_libyaml(text) -> bool:
-    """Whether libyaml composes `text` safely and as the pure loader does,
-    save that it accepts a tab in a plain scalar, which the pure one rejects.
+    """Whether libyaml composes `text` safely and as the pure loader does.
 
     It marks the end of text with no final line break on the line after,
-    counts a byte order mark past the start as a column, and resolves an
-    empty scalar tagged `!` to '' where the pure loader gives None, so
-    such text goes pure; most text has no '!', which is quicker to test.
+    counts a byte order mark past the start as a column, resolves an
+    empty scalar tagged `!` to '' where the pure loader gives None, and
+    accepts tabs the pure loader rejects (`a: b\\tc`), so such text goes
+    pure; most text has no '!', which is quicker to test.
 
     Its nesting must stay well inside the C stack.  A block collection is
     indented deeper than its parent, save a sequence inside a mapping, so
@@ -106,7 +106,7 @@ def _suits_libyaml(text) -> bool:
     the number of brackets.  Lines split on '\\n' alone are no shorter
     than YAML's, so the bound stays an upper one.
     """
-    if (not text.endswith("\n") or text.find("\ufeff", 1) != -1
+    if (not text.endswith("\n") or text.find("\ufeff", 1) != -1 or "\t" in text
             or ("!" in text and re.search(_TAG_START, text))):
         return False
     longest = max(map(len, text.split("\n")))
@@ -185,11 +185,12 @@ def _require_mapping(node, what, filename):
     return node
 
 
-def _items(mapping_node, filename, duplicate_error=SchemaError):
-    """(key, value_node, key_location) triples, rejecting duplicate keys."""
+def _items(node, what, filename, duplicate_error=SchemaError):
+    """(key, value_node, key_location) triples of the mapping `node`,
+    rejecting duplicate keys."""
     seen = {}
     out = []
-    for key_node, value_node in mapping_node.value:
+    for key_node, value_node in _require_mapping(node, what, filename).value:
         key = _construct(key_node, filename)
         if not isinstance(key, str):
             raise SchemaError(f"mapping key {key!r} is not a string",
@@ -199,6 +200,30 @@ def _items(mapping_node, filename, duplicate_error=SchemaError):
         seen[key] = True
         out.append((key, value_node, _loc(key_node, filename)))
     return out
+
+
+def _fields(node, what, filename):
+    """The mapping `node` with its values constructed."""
+    return {key: _construct(value_node, filename)
+            for key, value_node, _ in _items(node, what, filename)}
+
+
+def _named_entries(node, what, entry, filename):
+    """(name, body_node, name_location) of each one-name mapping in the list
+    `node`, each checked only when it is reached."""
+    if not isinstance(node, yaml.SequenceNode):
+        raise SchemaError(f"{what} must be a list", _loc(node, filename))
+    for entry_node in node.value:
+        entries = _items(entry_node, entry, filename)
+        if len(entries) != 1:
+            raise SchemaError(f"each {entry} holds exactly one name",
+                              _loc(entry_node, filename))
+        yield entries[0]
+
+
+def _present(node) -> bool:
+    """Whether a body has content: an empty or scalar body reads as empty."""
+    return node is not None and not isinstance(node, yaml.ScalarNode)
 
 
 # --------------------------------------------------------------------------
@@ -213,10 +238,10 @@ def parse_definitions(text: str, filename: str = "<string>") -> list[TypeDefinit
     version header is tolerated when a type section is present.  Unknown
     top-level keys are ignored with a warning.
     """
-    root = _require_mapping(_compose(text, filename), "definitions document", filename)
+    root = _compose(text, filename)
     sections = []
     saw_version = False
-    for key, value_node, key_loc in _items(root, filename):
+    for key, value_node, key_loc in _items(root, "definitions document", filename):
         if key == TOSCA_VERSION_KEY:
             saw_version = True
         elif key in _SECTION_KINDS:
@@ -234,53 +259,30 @@ def _parse_type_sections(sections, filename) -> list[TypeDefinition]:
     """The types of (section key, section node) pairs, in document order."""
     definitions = []
     for section_key, section_node in sections:
-        if section_node is None or isinstance(section_node, yaml.ScalarNode):
-            continue  # empty section
-        section = _require_mapping(section_node, section_key, filename)
+        if not _present(section_node):
+            continue
         kind = _SECTION_KINDS[section_key]
-        for name, body_node, name_loc in _items(section, filename):
+        for name, body_node, name_loc in _items(section_node, section_key, filename):
             definitions.append(_parse_type(name, kind, body_node, name_loc, filename))
     return definitions
 
 
 def _parse_type(name, kind, body_node, location, filename) -> TypeDefinition:
-    derived_from = None
-    properties = {}
-    attributes = {}
-    requirements = []
-    capabilities = {}
-    metadata = {}
-    if body_node is not None and not isinstance(body_node, yaml.ScalarNode):
-        body = _require_mapping(body_node, f"type {name!r}", filename)
-        for key, value_node, key_loc in _items(body, filename):
-            if key == "derived_from":
-                derived_from = str(_construct(value_node, filename))
-            elif key == "properties":
-                properties = _parse_property_defs(value_node, filename)
-            elif key == "attributes":
-                attributes = _parse_attribute_defs(value_node, filename)
-            elif key == "requirements":
-                requirements = _parse_requirement_defs(value_node, filename)
-            elif key == "capabilities":
-                capabilities = _parse_capability_defs(value_node, filename)
+    fields = {}
+    if _present(body_node):
+        for key, value_node, key_loc in _items(body_node, f"type {name!r}", filename):
+            if key in _TYPE_SECTIONS:
+                fields[key] = _TYPE_SECTIONS[key](value_node, filename)
+            elif key == "derived_from":
+                fields[key] = str(_construct(value_node, filename))
             elif key == "metadata":
                 raw = _construct(value_node, filename)
                 if isinstance(raw, dict):
-                    metadata = {str(k): str(v) for k, v in raw.items()}
+                    fields[key] = {str(k): str(v) for k, v in raw.items()}
             elif key != "description":
                 warnings.warn(f"{key_loc}: ignoring unknown key {key!r} "
                               f"in type {name!r}", stacklevel=3)
-    return TypeDefinition(
-        name=name,
-        kind=kind,
-        derived_from=derived_from,
-        properties=properties,
-        attributes=attributes,
-        requirements=requirements,
-        capabilities=capabilities,
-        metadata=metadata,
-        location=location,
-    )
+    return TypeDefinition(name=name, kind=kind, location=location, **fields)
 
 
 def _coerce_default(value, value_type, where, location):
@@ -310,40 +312,27 @@ def _coerce_default(value, value_type, where, location):
 
 def _parse_property_defs(node, filename):
     out = {}
-    mapping = _require_mapping(node, "properties", filename)
-    for name, body_node, name_loc in _items(mapping, filename):
-        value_type = "string"
-        default = None
-        required = True
-        if body_node is not None and not isinstance(body_node, yaml.ScalarNode):
-            body = _require_mapping(body_node, f"property {name!r}", filename)
-            raw = {}
-            for key, value_node, _ in _items(body, filename):
-                raw[key] = _construct(value_node, filename)
-            value_type = str(raw.get("type", "string"))
-            if value_type not in ("string", "integer", "boolean"):
-                raise SchemaError(f"unsupported property type {value_type!r} "
-                                  f"on {name!r}", name_loc)
-            required = bool(raw.get("required", True))
-            default = _coerce_default(raw.get("default"), value_type,
-                                      f"property {name!r}", name_loc)
-        out[name] = PropertyDefinition(name, value_type, default, required)
+    for name, body_node, name_loc in _items(node, "properties", filename):
+        raw = _fields(body_node, f"property {name!r}", filename) \
+            if _present(body_node) else {}
+        value_type = str(raw.get("type", "string"))
+        if value_type not in ("string", "integer", "boolean"):
+            raise SchemaError(f"unsupported property type {value_type!r} "
+                              f"on {name!r}", name_loc)
+        default = _coerce_default(raw.get("default"), value_type,
+                                  f"property {name!r}", name_loc)
+        out[name] = PropertyDefinition(name, value_type, default,
+                                       bool(raw.get("required", True)))
     return out
 
 
 def _parse_attribute_defs(node, filename):
     out = {}
-    mapping = _require_mapping(node, "attributes", filename)
-    for name, body_node, name_loc in _items(mapping, filename):
-        value_type = "string"
-        default = None
-        if body_node is not None and not isinstance(body_node, yaml.ScalarNode):
-            body = _require_mapping(body_node, f"attribute {name!r}", filename)
-            raw = {key: _construct(value_node, filename)
-                   for key, value_node, _ in _items(body, filename)}
-            value_type = str(raw.get("type", "string"))
-            default = raw.get("default")
-        out[name] = AttributeDefinition(name, value_type, default)
+    for name, body_node, _ in _items(node, "attributes", filename):
+        raw = _fields(body_node, f"attribute {name!r}", filename) \
+            if _present(body_node) else {}
+        out[name] = AttributeDefinition(name, str(raw.get("type", "string")),
+                                        raw.get("default"))
     return out
 
 
@@ -371,19 +360,10 @@ def _checked(definition_class, location, **fields):
 
 
 def _parse_requirement_defs(node, filename):
-    if not isinstance(node, yaml.SequenceNode):
-        raise SchemaError("requirements must be a list", _loc(node, filename))
     out = []
-    for entry_node in node.value:
-        entry = _require_mapping(entry_node, "requirement entry", filename)
-        entries = _items(entry, filename)
-        if len(entries) != 1:
-            raise SchemaError("each requirement entry holds exactly one name",
-                              _loc(entry_node, filename))
-        name, body_node, name_loc = entries[0]
-        body = _require_mapping(body_node, f"requirement {name!r}", filename)
-        raw = {key: _construct(value_node, filename)
-               for key, value_node, _ in _items(body, filename)}
+    for name, body_node, name_loc in _named_entries(node, "requirements",
+                                                    "requirement entry", filename):
+        raw = _fields(body_node, f"requirement {name!r}", filename)
         for mandatory in ("capability", "node", "relationship"):
             if mandatory not in raw:
                 raise SchemaError(f"requirement {name!r} lacks {mandatory!r}",
@@ -402,11 +382,8 @@ def _parse_requirement_defs(node, filename):
 
 def _parse_capability_defs(node, filename):
     out = {}
-    mapping = _require_mapping(node, "capabilities", filename)
-    for name, body_node, name_loc in _items(mapping, filename):
-        body = _require_mapping(body_node, f"capability {name!r}", filename)
-        raw = {key: _construct(value_node, filename)
-               for key, value_node, _ in _items(body, filename)}
+    for name, body_node, name_loc in _items(node, "capabilities", filename):
+        raw = _fields(body_node, f"capability {name!r}", filename)
         if "type" not in raw:
             raise SchemaError(f"capability {name!r} lacks 'type'", name_loc)
         sources = raw.get("valid_source_types", [])
@@ -424,12 +401,20 @@ def _parse_capability_defs(node, filename):
     return out
 
 
+# the sections of a type body, each keyed by its TypeDefinition field
+_TYPE_SECTIONS = {
+    "properties": _parse_property_defs,
+    "attributes": _parse_attribute_defs,
+    "requirements": _parse_requirement_defs,
+    "capabilities": _parse_capability_defs,
+}
+
+
 def parse_requirements_fragment(text: str,
                                 filename: str = "<string>") -> list[RequirementDefinition]:
     """Parse a bare ``requirements:`` block (as printed in catalog excerpts)."""
-    root = _require_mapping(_compose(text, filename), "requirements fragment",
-                            filename)
-    for key, value_node, key_loc in _items(root, filename):
+    root = _compose(text, filename)
+    for key, value_node, _ in _items(root, "requirements fragment", filename):
         if key == "requirements":
             return _parse_requirement_defs(value_node, filename)
     raise SchemaError("fragment has no 'requirements' key",
@@ -450,11 +435,11 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
     `combined_definitions`: the built-in catalog overlaid with the
     document's inline type sections.
     """
-    root = _require_mapping(_compose(text, filename), "service template", filename)
+    root = _compose(text, filename)
     version = None
     inline_sections = []
     topology_node = None
-    for key, value_node, key_loc in _items(root, filename):
+    for key, value_node, key_loc in _items(root, "service template", filename):
         if key == TOSCA_VERSION_KEY:
             version = str(_construct(value_node, filename))
         elif key in _SECTION_KINDS:
@@ -474,9 +459,8 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
     template = ServiceTemplate(tosca_version=version,
                                user_types=_parse_type_sections(inline_sections, filename))
 
-    topology = _require_mapping(topology_node, "topology_template", filename)
     templates_node = None
-    for key, value_node, key_loc in _items(topology, filename):
+    for key, value_node, key_loc in _items(topology_node, "topology_template", filename):
         if key == "node_templates":
             templates_node = value_node
         else:
@@ -484,7 +468,7 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
                           stacklevel=2)
     if templates_node is None:
         raise SchemaError("topology_template has no node_templates",
-                          _loc(topology, filename))
+                          _loc(topology_node, filename))
 
     node_templates = _parse_node_templates(
         templates_node, filename, template.combined_definitions(), partial=False)
@@ -513,15 +497,11 @@ def parse_node_templates_fragment(text: str,
 
 
 def _parse_node_templates(templates_node, filename, defs, partial):
-    if isinstance(templates_node, yaml.ScalarNode):
-        raw = _construct(templates_node, filename)
-        if raw is None:
-            return {}
-        raise SchemaError("node_templates must be a mapping",
-                          _loc(templates_node, filename))
-    mapping = _require_mapping(templates_node, "node_templates", filename)
+    if isinstance(templates_node, yaml.ScalarNode) \
+            and _construct(templates_node, filename) is None:
+        return {}
     out = {}
-    for name, body_node, name_loc in _items(mapping, filename,
+    for name, body_node, name_loc in _items(templates_node, "node_templates", filename,
                                             duplicate_error=DuplicateTemplateNameError):
         out[name] = _parse_node_template(name, body_node, name_loc, filename,
                                          defs, partial)
@@ -529,19 +509,16 @@ def _parse_node_templates(templates_node, filename, defs, partial):
 
 
 def _parse_node_template(name, body_node, location, filename, defs, partial):
-    body = _require_mapping(body_node, f"node template {name!r}", filename)
     type_name = None
     property_values = {}
     artifacts = {}
     assignments = []
-    for key, value_node, key_loc in _items(body, filename):
+    for key, value_node, key_loc in _items(body_node, f"node template {name!r}",
+                                           filename):
         if key == "type":
             type_name = str(_construct(value_node, filename))
         elif key == "properties":
-            prop_map = _require_mapping(value_node, f"properties of {name!r}",
-                                        filename)
-            for prop_name, prop_node, _ in _items(prop_map, filename):
-                property_values[prop_name] = _construct(prop_node, filename)
+            property_values = _fields(value_node, f"properties of {name!r}", filename)
         elif key == "artifacts":
             artifacts = _parse_artifacts(value_node, name, filename)
         elif key == "requirements":
@@ -580,8 +557,8 @@ def _parse_node_template(name, body_node, location, filename, defs, partial):
 
 def _parse_artifacts(node, template_name, filename):
     out = {}
-    mapping = _require_mapping(node, f"artifacts of {template_name!r}", filename)
-    for name, body_node, name_loc in _items(mapping, filename):
+    for name, body_node, name_loc in _items(node, f"artifacts of {template_name!r}",
+                                            filename):
         raw = _construct(body_node, filename)
         if isinstance(raw, str):
             out[name] = raw
@@ -593,17 +570,10 @@ def _parse_artifacts(node, template_name, filename):
 
 
 def _parse_requirement_assignments(node, template_name, filename):
-    if not isinstance(node, yaml.SequenceNode):
-        raise SchemaError(f"requirements of {template_name!r} must be a list",
-                          _loc(node, filename))
     out = []
-    for entry_node in node.value:
-        entry = _require_mapping(entry_node, "requirement assignment", filename)
-        entries = _items(entry, filename)
-        if len(entries) != 1:
-            raise SchemaError("each requirement assignment holds exactly one name",
-                              _loc(entry_node, filename))
-        name, body_node, name_loc = entries[0]
+    for name, body_node, name_loc in _named_entries(
+            node, f"requirements of {template_name!r}", "requirement assignment",
+            filename):
         raw = _construct(body_node, filename)
         if isinstance(raw, str):
             out.append(RequirementAssignment(name=name, target=raw))
@@ -641,9 +611,9 @@ def serialize_template(template: ServiceTemplate) -> str:
     return _dump(doc)
 
 
-def serialize_definitions(definitions, tosca_version="tosca_simple_yaml_1_3") -> str:
+def serialize_definitions(definitions) -> str:
     """Normalized YAML for a set of TypeDefinitions (the catalog export shape)."""
-    doc = {TOSCA_VERSION_KEY: tosca_version}
+    doc = {TOSCA_VERSION_KEY: ServiceTemplate.tosca_version}
     doc.update(_definition_sections(definitions))
     return _dump(doc)
 
@@ -686,11 +656,9 @@ def _libyaml_emits_alike(doc) -> bool:
 
 def _definition_sections(definitions):
     sections = {}
-    by_kind = {"node": {}, "capability": {}, "relationship": {}}
-    for definition in definitions:
-        by_kind[definition.kind][definition.name] = definition
     for section_key, kind in _SECTION_KINDS.items():
-        group = by_kind[kind]
+        group = {definition.name: definition
+                 for definition in definitions if definition.kind == kind}
         if group:
             sections[section_key] = {name: _dump_type(group[name])
                                      for name in sorted(group)}
@@ -709,10 +677,14 @@ def _dump_type(definition: TypeDefinition):
     if definition.metadata:
         out["metadata"] = dict(definition.metadata)
     if definition.attributes:
-        out["attributes"] = {
-            name: {"type": attr.value_type}
-            for name, attr in sorted(definition.attributes.items())
-        }
+        attrs = {}
+        for name in sorted(definition.attributes):
+            attr = definition.attributes[name]
+            body = {"type": attr.value_type}
+            if attr.default is not None:
+                body["default"] = attr.default
+            attrs[name] = body
+        out["attributes"] = attrs
     if definition.properties:
         props = {}
         for name in sorted(definition.properties):

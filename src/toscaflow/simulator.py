@@ -329,8 +329,7 @@ class Flow:
         self.born = 0
         self.dropped = 0
         self._firing_order: list[str] = []
-        self._injections: dict[int, list] = {}
-        self._injection_ticks: list[int] = []  # heap of the keys of _injections
+        self._injections: dict[int, list] = {}  # tick -> puts, every tick >= clock
 
     # -- stores ------------------------------------------------------------
 
@@ -355,8 +354,6 @@ class Flow:
         if tick < self.clock:
             raise ValueError(f"tick {tick} is already in the past "
                              f"(clock is at {self.clock})")
-        if tick not in self._injections:
-            heapq.heappush(self._injection_ticks, tick)
         self._injections.setdefault(tick, []).append(
             (provider, bucket, key, bytes(payload)))
 
@@ -404,10 +401,7 @@ class Flow:
         """The first tick from the clock on at which an injection is due or
         a stage with input waiting fires, or `limit` if that is sooner."""
         now = self.clock
-        pending = self._injection_ticks
-        while pending and pending[0] < now:  # already processed
-            heapq.heappop(pending)
-        ahead = min(limit, pending[0]) if pending else limit
+        ahead = min(limit, min(self._injections, default=limit))
         for stage in self.blocks.values():
             if ahead <= now:
                 break

@@ -67,6 +67,19 @@ def test_each_command_loads_only_the_layers_it_runs(command, unused):
     assert unused.isdisjoint(loaded)
 
 
+def test_csar_pack_and_unpack_load_neither_the_parser_nor_the_verifier(tmp_path):
+    source = tmp_path / "bundle"
+    source.mkdir()
+    (source / "service.yaml").write_bytes(FIXTURE.read_bytes())
+    pack = ["csar", "pack", str(source), str(tmp_path / "b.csar")]
+    unpack = ["csar", "unpack", str(tmp_path / "b.csar"), str(tmp_path / "out")]
+    codes, loaded = _in_child("from toscaflow.cli import main\n"
+                              f"result = [[main({pack!r}), main({unpack!r})], {LOADED}]")
+    assert codes == [0, 0]
+    assert {"yaml", "parsing", "verifier"}.isdisjoint(loaded)
+    assert (tmp_path / "out" / "service.yaml").read_bytes() == FIXTURE.read_bytes()
+
+
 def test_all_is_unchanged_and_each_name_is_its_modules_object():
     assert toscaflow.__all__ == EXPECTED_ALL
     for name in EXPECTED_ALL:

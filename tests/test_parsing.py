@@ -250,6 +250,10 @@ node_types:
       knob:
         type: integer
         default: 3
+    attributes:
+      block_id:
+        type: string
+        default: block-7
 topology_template:
   node_templates:
     VM:
@@ -272,6 +276,7 @@ topology_template:
     template = parse_service_template(text)
     assert len(template.user_types) == 1
     assert template.user_types[0].properties["knob"].default == 3
+    assert template.user_types[0].attributes["block_id"].default == "block-7"
     once = serialize_template(template)
     assert parse_service_template(once) == template
     assert serialize_template(parse_service_template(once)) == once
