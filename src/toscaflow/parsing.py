@@ -614,7 +614,7 @@ def serialize_template(template: ServiceTemplate) -> str:
 def serialize_definitions(definitions) -> str:
     """Normalized YAML for a set of TypeDefinitions (the catalog export shape)."""
     doc = {TOSCA_VERSION_KEY: ServiceTemplate.tosca_version}
-    doc.update(_definition_sections(definitions))
+    doc.update(_definition_sections(list(definitions)))  # any iterable, read once
     return _dump(doc)
 
 
