@@ -5,6 +5,7 @@ import pytest
 
 import excerpts
 from toscaflow import catalog as cat
+from toscaflow import parsing
 from toscaflow.errors import (
     DuplicateTemplateNameError,
     SchemaError,
@@ -550,8 +551,6 @@ def _attributed_to(record):
     function whose source holds the line it points at."""
     if record.filename == __file__:
         return "test"
-    from toscaflow import parsing
-
     for name, function in vars(parsing).items():
         if inspect.isfunction(function) and function.__module__ == parsing.__name__:
             lines, start = inspect.getsourcelines(function)
