@@ -5,7 +5,9 @@ mutations (a retargeted assignment, an odd property value, an assignment
 under a random requirement name) and runs it through verify with repair,
 serialize and re-parse, plan, instantiate and `run_until`.  Every entry
 point must return or raise a `ToscaflowError`; anything else escaping is a
-bug.  The repair must also leave its input as it was.
+bug.  The repair must also leave its input as it was, every plan that
+returns must pass `validate_plan`, and a dependency cycle the planner
+reports must be one.
 
 The default profile runs a few dozen examples;
 HYPOTHESIS_PROFILE=fuzz python -m pytest tests/test_library_fuzz.py
@@ -16,10 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import topology_gen
-from toscaflow.errors import ToscaflowError
+from toscaflow.errors import DependencyCycleError, ToscaflowError
 from toscaflow.model import RequirementAssignment
 from toscaflow.parsing import parse_service_template, serialize_template
-from toscaflow.planner import plan
+from toscaflow.planner import build_graph, plan, validate_plan
 from toscaflow.simulator import instantiate
 from toscaflow.topology import Topology
 from toscaflow.verifier import verify
@@ -67,6 +69,20 @@ def _or_toscaflow_error(call):
         return None
 
 
+def _plan(template):
+    """Plan `template` and check the plan, or the cycle it reports."""
+    try:
+        deployment = plan(template)
+    except DependencyCycleError as exc:
+        edges = {(e.source, e.target) for e in build_graph(template).edges}
+        members = exc.members
+        assert members and len(set(members)) == len(members)
+        assert all(pair in edges
+                   for pair in zip(members, members[1:] + members[:1]))
+        return
+    assert validate_plan(deployment, template)
+
+
 def _simulate(template):
     flow = instantiate(template)
     for stage in flow.blocks.values():
@@ -92,5 +108,5 @@ def test_only_toscaflow_errors_escape_the_library(seed, clean, mutations, data):
         lambda: parse_service_template(serialize_template(fixed)))
     for candidate in (fixed, reparsed):
         if candidate is not None:
-            _or_toscaflow_error(lambda: plan(candidate))
+            _or_toscaflow_error(lambda: _plan(candidate))
             _or_toscaflow_error(lambda: _simulate(candidate))

@@ -206,3 +206,71 @@ def test_undeploy_is_reverse_of_deploy(load_fixture):
 def test_plan_steps_serialize():
     step = PlanStep("X", "create")
     assert step.to_dict() == {"node": "X", "op": "create", "annotation": None}
+
+
+def _plan_by_inline_heap(template):
+    """The plan as `plan` computed it with its own min-heap loop, and the
+    cycle the recursive search names when no order exists, as a reference."""
+    import heapq
+
+    from toscaflow.topology import Locality, Topology
+
+    graph = build_graph(template)
+    ranks = {"create": 0, "configure": 1, "start": 2}
+    steps = [(name, op) for name in graph.vertices for op in ranks]
+    successors = {step: [] for step in steps}
+    indegree = {step: 0 for step in steps}
+
+    def add_constraint(before, after):
+        successors[before].append(after)
+        indegree[after] += 1
+
+    for name in graph.vertices:
+        add_constraint((name, "create"), (name, "configure"))
+        add_constraint((name, "configure"), (name, "start"))
+    for edge in graph.edges:
+        dependent_op = "create" if edge.kind == HOSTED_ON else "configure"
+        add_constraint((edge.target, "start"), (edge.source, dependent_op))
+    ready = [(name, ranks[op], op) for (name, op), deg in indegree.items()
+             if deg == 0]
+    heapq.heapify(ready)
+    ordered = []
+    while ready:
+        name, _, op = heapq.heappop(ready)
+        ordered.append((name, op))
+        for successor in successors[(name, op)]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, (successor[0], ranks[successor[1]],
+                                       successor[1]))
+    if len(ordered) != len(steps):
+        return None, _recursive_find_cycle(graph)
+
+    topo = Topology(template)
+    remote = {}
+    for edge in graph.edges:
+        if edge.kind == CONNECTS_TO \
+                and topo.locality(edge.source, edge.target) is Locality.REMOTE:
+            remote.setdefault(edge.source, []).append(edge.target)
+    return [PlanStep(name, op, "remote:" + ",".join(sorted(remote[name]))
+                     if op == "configure" and name in remote else None)
+            for name, op in ordered], None
+
+
+def test_plan_is_the_inline_heap_order(load_fixture):
+    templates = [load_fixture(name) for name in (
+        "cyclic.yaml", "duplicate_connection.yaml", "encrypt_mismatch.yaml",
+        "image_pipeline.yaml", "s3_to_gcs.yaml")]
+    templates += [topology_gen.random_topology(seed) for seed in range(150)]
+    templates += [topology_gen.random_clean_dag(seed) for seed in range(150)]
+    outcomes = set()
+    for template in templates:
+        steps, cycle = _plan_by_inline_heap(template)
+        if steps is None:
+            with pytest.raises(DependencyCycleError) as excinfo:
+                plan(template)
+            assert excinfo.value.members == cycle
+        else:
+            assert plan(template).steps == steps
+        outcomes.add(steps is None)
+    assert outcomes == {True, False}

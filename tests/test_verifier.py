@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -477,3 +478,76 @@ topology_template:
     assert edge.name == "ConnectToPipeline"
     _, rediags = verify(fixed)
     assert rediags == []
+
+
+def _fix_encryption_by_union_find(nodes, pairs, rng):
+    """The R4 repair as it was computed with a union-find, as a reference:
+    one fresh passphrase per connected mismatch component, drawn in order
+    of the components' smallest members."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e, d in pairs:
+        parent[find(e)] = find(d)
+    components = {}
+    for node in sorted({n for pair in pairs for n in pair}):
+        components.setdefault(find(node), []).append(node)
+    descriptions = {}
+    for root in sorted(components, key=lambda r: min(components[r])):
+        members = sorted(components[root])
+        fresh = "".join(rng.choice("0123456789abcdef") for _ in range(32))
+        for member in members:
+            nodes[member] = {**nodes[member], "passphrase": fresh}
+        for e, d in pairs:
+            if e in members:
+                descriptions[(e, d)] = (
+                    f"assigned a shared passphrase to {', '.join(members)}")
+    return descriptions
+
+
+def _three_mismatch_components():
+    """Every cipher node keys its own passphrase.  The components, by their
+    smallest members, are {A_enc, D_dec, E_dec}, one Encrypt reaching two
+    Decrypts in a row; {B_dec, F_enc}, whose smallest member is a Decrypt;
+    and {C_enc, G_enc, H_dec}, two Encrypts reaching one Decrypt."""
+    stack, nifi = b.nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+    source = b.node("Src", b.SRC + "ConsMinIO",
+                    props={"name": "s", "BucketName": "in", **minio},
+                    reqs=[("host", nifi)] + [("connectToPipeline", e) for e in
+                                             ("A_enc", "C_enc", "F_enc", "G_enc")])
+    dest = b.node("Dst", b.DST + "PubsMinIO",
+                  props={"name": "d", "BucketName": "out", **minio},
+                  reqs=[("host", nifi)])
+    downstream = {"A_enc": "D_dec", "D_dec": "E_dec", "E_dec": "Dst",
+                  "F_enc": "B_dec", "B_dec": "Dst", "C_enc": "H_dec",
+                  "G_enc": "H_dec", "H_dec": "Dst"}
+    ciphers = [b.node(name, cat.ENCRYPT if name.endswith("enc") else cat.DECRYPT,
+                      props={"name": name, "passphrase": f"p-{name}"},
+                      reqs=[("host", nifi), ("ConnectToPipeline", target)])
+               for name, target in downstream.items()]
+    return b.template(*stack, source, dest, *ciphers)
+
+
+def test_passphrase_repair_is_the_union_find_repair():
+    template = _three_mismatch_components()
+    assert {d.rule for d in verify(template)[1]} == {R4_ENCRYPTION}
+    pairs = [tuple(d.nodes) for d in check_encryption(template)]
+    assert pairs == [("A_enc", "D_dec"), ("A_enc", "E_dec"), ("C_enc", "H_dec"),
+                     ("F_enc", "B_dec"), ("G_enc", "H_dec")]
+    for seed in range(10):
+        values = {name: node.property_values
+                  for name, node in template.node_templates.items()}
+        descriptions = _fix_encryption_by_union_find(
+            values, pairs, random.Random(seed))
+        fixed, report = verify(template, fix=True, seed=seed)
+        assert {name: node.property_values
+                for name, node in fixed.node_templates.items()} == values
+        assert {tuple(d.nodes): d.fix for d in report} == descriptions
+        assert check_encryption(fixed) == []
