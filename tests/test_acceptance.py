@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every criterion pins its stated tolerance and time budget.
 """
 
+import pathlib
 import random
 import time
 
@@ -297,7 +298,7 @@ def test_criterion_8_round_trip_stability(load_fixture, fixture_path):
         assert serialize_template(parse_service_template(once)) == once
 
     tree = {
-        "service.yaml": open(fixture_path("image_pipeline.yaml"), "rb").read(),
+        "service.yaml": pathlib.Path(fixture_path("image_pipeline.yaml")).read_bytes(),
         "playbooks/create.yml": b"- hosts: all\n  tasks: []\n",
         "creds/minio.json": b'{"user": "x"}\n',
         "binary.dat": bytes(range(256)),

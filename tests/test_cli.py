@@ -165,7 +165,7 @@ topology_template:
 def test_csar_pack_unpack_round_trip(fixture_path, tmp_path, capsys):
     source = tmp_path / "bundle"
     (source / "playbooks").mkdir(parents=True)
-    service = (open(fixture_path("s3_to_gcs.yaml"), "rb").read())
+    service = pathlib.Path(fixture_path("s3_to_gcs.yaml")).read_bytes()
     (source / "service.yaml").write_bytes(service)
     (source / "playbooks" / "create.yml").write_bytes(b"- hosts: all\n")
 
@@ -205,7 +205,7 @@ def test_csar_unpack_refuses_member_outside_dest(tmp_path, capsys):
 def test_verify_entry_inside_archive_matches_direct(fixture_path, tmp_path):
     source = tmp_path / "bundle"
     source.mkdir()
-    raw = open(fixture_path("duplicate_connection.yaml"), "rb").read()
+    raw = pathlib.Path(fixture_path("duplicate_connection.yaml")).read_bytes()
     (source / "service.yaml").write_bytes(raw)
     archive_path = tmp_path / "bundle.csar"
     assert main(["csar", "pack", str(source), str(archive_path)]) == 0

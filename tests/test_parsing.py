@@ -185,7 +185,7 @@ def test_unknown_template_property_is_an_error():
 
 
 def test_missing_required_property_is_an_error(fixture_path):
-    text = (open(fixture_path("s3_to_gcs.yaml"), encoding="utf-8").read()
+    text = (pathlib.Path(fixture_path("s3_to_gcs.yaml")).read_text(encoding="utf-8")
             .replace("        Region: eu-west-1\n", ""))
     with pytest.raises(SchemaError):
         parse_service_template(text)
