@@ -9,18 +9,17 @@ direct scan and serves as the independent oracle for `plan`.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .errors import DependencyCycleError
 from .model import ServiceTemplate
-from .topology import Locality, Topology
+from .topology import Locality, Topology, lexicographic_order
 
 HOSTED_ON = "HostedOn"
 CONNECTS_TO = "ConnectsTo"
 
 OPERATIONS = ("create", "configure", "start")
-_OP_RANK = {op: i for i, op in enumerate(OPERATIONS)}
+_CREATE, _CONFIGURE, _START = range(len(OPERATIONS))  # ranks in OPERATIONS
 
 
 @dataclass(frozen=True)
@@ -72,15 +71,10 @@ def build_graph(template: ServiceTemplate) -> DependencyGraph:
     return DependencyGraph(vertices=vertices, edges=edges)
 
 
-def _remote_targets(topo, graph):
-    """source -> sorted remote connection targets, for plan annotations."""
-    out = {}
-    for edge in graph.edges:
-        if edge.kind != CONNECTS_TO:
-            continue
-        if topo.locality(edge.source, edge.target) is Locality.REMOTE:
-            out.setdefault(edge.source, []).append(edge.target)
-    return {source: sorted(targets) for source, targets in out.items()}
+def _remote_targets(topo, name):
+    """The sorted remote connection targets of `name`, for its annotation."""
+    return [target for target in topo.successors.get(name, ())
+            if topo.locality(name, target) is Locality.REMOTE]
 
 
 def plan(template: ServiceTemplate) -> DeploymentPlan:
@@ -92,45 +86,25 @@ def plan(template: ServiceTemplate) -> DeploymentPlan:
     topo = Topology(template)
     graph = build_graph(template)
 
-    steps = [(name, op) for name in graph.vertices for op in OPERATIONS]
+    # a step is (name, operation rank), so ties go by name, then by rank
+    steps = [(name, rank) for name in graph.vertices
+             for rank in range(len(OPERATIONS))]
     successors = {step: [] for step in steps}
-    indegree = {step: 0 for step in steps}
-
-    def add_constraint(before, after):
-        successors[before].append(after)
-        indegree[after] += 1
-
     for name in graph.vertices:
-        add_constraint((name, "create"), (name, "configure"))
-        add_constraint((name, "configure"), (name, "start"))
+        successors[(name, _CREATE)].append((name, _CONFIGURE))
+        successors[(name, _CONFIGURE)].append((name, _START))
     for edge in graph.edges:
-        if edge.kind == HOSTED_ON:
-            add_constraint((edge.target, "start"), (edge.source, "create"))
-        else:
-            add_constraint((edge.target, "start"), (edge.source, "configure"))
-
-    ready = [(name, _OP_RANK[op], op) for (name, op), deg in indegree.items()
-             if deg == 0]
-    heapq.heapify(ready)
-    ordered = []
-    while ready:
-        name, _, op = heapq.heappop(ready)
-        ordered.append((name, op))
-        for successor in successors[(name, op)]:
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                heapq.heappush(ready, (successor[0], _OP_RANK[successor[1]],
-                                       successor[1]))
+        dependent = _CREATE if edge.kind == HOSTED_ON else _CONFIGURE
+        successors[(edge.target, _START)].append((edge.source, dependent))
+    ordered = lexicographic_order(steps, successors)
     if len(ordered) != len(steps):
         raise DependencyCycleError(_find_cycle(graph))
 
-    annotations = _remote_targets(topo, graph)
     plan_steps = []
-    for name, op in ordered:
-        annotation = None
-        if op == "configure" and name in annotations:
-            annotation = "remote:" + ",".join(annotations[name])
-        plan_steps.append(PlanStep(name, op, annotation))
+    for name, rank in ordered:
+        remote = _remote_targets(topo, name) if rank == _CONFIGURE else []
+        plan_steps.append(PlanStep(name, OPERATIONS[rank],
+                                   "remote:" + ",".join(remote) if remote else None))
     return DeploymentPlan(steps=plan_steps)
 
 

@@ -24,7 +24,6 @@ store contents.
 
 from __future__ import annotations
 
-import heapq
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from .cron import CronExpr, cron_next, parse_cron
 from .crypto import cipher_key, decrypt_bytes, encrypt_bytes
 from .errors import DuplicateFunctionError, UnsupportedTypeError
 from .model import ServiceTemplate
-from .topology import Topology
+from .topology import Topology, lexicographic_order
 
 _SRC = "radon.nodes.datapipeline.source."
 _PRC = "radon.nodes.datapipeline.process."
@@ -435,26 +434,6 @@ class Flow:
         return sum(stage.errors for stage in self.blocks.values())
 
 
-def _topological_firing_order(names, out_edges):
-    indegree = {name: 0 for name in names}
-    for source, targets in out_edges.items():
-        for target in targets:
-            indegree[target] += 1
-    ready = [name for name in names if indegree[name] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        current = heapq.heappop(ready)
-        order.append(current)
-        for target in out_edges.get(current, ()):
-            indegree[target] -= 1
-            if indegree[target] == 0:
-                heapq.heappush(ready, target)
-    # connection cycles fire after the acyclic part, in name order
-    order.extend(sorted(set(names) - set(order)))
-    return order
-
-
 def instantiate(template: ServiceTemplate) -> Flow:
     """Build a Flow from a template that verified with zero errors.
 
@@ -463,14 +442,16 @@ def instantiate(template: ServiceTemplate) -> Flow:
     """
     topo = Topology(template)
     flow = Flow(template)
-    # the pairs are sorted, so every adjacency list comes out sorted
+    flow.out_edges = topo.successors
+    # the pairs are sorted, so every list of sources comes out sorted
     for source, target in topo.pairs:
         flow.queues[(source, target)] = deque()
-        flow.out_edges.setdefault(source, []).append(target)
         flow.in_edges.setdefault(target, []).append(source)
     for name in topo.pipelines:
         flow.blocks[name] = _build_stage(topo, flow, name)
-    flow._firing_order = _topological_firing_order(topo.pipelines, flow.out_edges)
+    order = lexicographic_order(topo.pipelines, topo.successors)
+    # connection cycles fire after the acyclic part, in name order
+    flow._firing_order = order + sorted(set(topo.pipelines) - set(order))
     return flow
 
 

@@ -4,6 +4,8 @@ The verifier, the planner and the simulator all need the same facts about
 a topology: which templates are pipelines, which pipeline connections
 exist and of what relationship kind, where each block is hosted, and
 whether two connected blocks share a NiFi.  `Topology` derives them once.
+`lexicographic_order` is the one topological order they share: the
+planner's deployment order and the simulator's firing order.
 A type that does not resolve reads as None and an edge to a missing or
 non-pipeline template is left out, so broken input stays the verifier's
 to report; only the hosting queries raise, and `locality` turns their
@@ -12,6 +14,7 @@ errors into None.
 
 from __future__ import annotations
 
+import heapq
 from enum import Enum
 from functools import cached_property
 
@@ -122,6 +125,14 @@ class Topology:
                         (assignment, kind))
         return {pair: pairs[pair] for pair in sorted(pairs)}
 
+    @cached_property
+    def successors(self) -> dict[str, list[str]]:
+        """Pipeline -> the sorted targets of its connections."""
+        successors = {name: [] for name in self.pipelines}
+        for source, target in self.pairs:  # sorted, so every list is too
+            successors[source].append(target)
+        return successors
+
     def kind_locality(self, kind):
         """The locality a relationship kind asserts, or None for neither."""
         if self.subtype(kind, cat.CONNECT_NIFI_LOCAL):
@@ -190,6 +201,30 @@ class Topology:
             return self.colocated(a, b)
         except (MissingHostError, HostCycleError, NotAPipelineError):
             return None
+
+
+def lexicographic_order(nodes, successors) -> list:
+    """The topological order that always takes the smallest ready node.
+
+    Kahn's algorithm over a min-heap.  `successors` maps a node to the
+    nodes that must come after it, once per constraint; nodes on or behind
+    a cycle are left out.
+    """
+    indegree = dict.fromkeys(nodes, 0)
+    for node in nodes:
+        for after in successors.get(node, ()):
+            indegree[after] += 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for after in successors.get(node, ()):
+            indegree[after] -= 1
+            if indegree[after] == 0:
+                heapq.heappush(ready, after)
+    return order
 
 
 def host_chain(node_name: str, template: ServiceTemplate) -> list[str]:

@@ -254,13 +254,10 @@ def check_encryption(template: ServiceTemplate) -> list[Diagnostic]:
 
 
 def _encrypt_decrypt_pairs(topo: Topology):
-    adjacency = {}
-    for (a, b) in topo.pairs:
-        adjacency.setdefault(a, []).append(b)
     names = sorted(topo.template.node_templates)
     encrypts = [n for n in names if topo.is_a(n, cat.ENCRYPT)]
     decrypts = [n for n in names if topo.is_a(n, cat.DECRYPT)]
-    reach = {e: _reachable_from(adjacency, e) for e in encrypts}
+    reach = {e: _reachable_from(topo.successors, e) for e in encrypts}
     pairs = [(e, d) for e in encrypts for d in decrypts if d in reach[e]]
     return encrypts, decrypts, pairs
 
@@ -375,36 +372,24 @@ def _rewrite_assignment_kind(topo: Topology, node_name: str,
 
 
 def _fix_encryption(nodes: dict, pairs, rng: random.Random) -> dict:
-    """One fresh passphrase per connected mismatch component."""
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
+    """One fresh passphrase per connected mismatch component, drawn in
+    order of the components' smallest members."""
+    links = {}
     for e, d in pairs:
-        union(e, d)
-    components = {}
-    for node in sorted({n for pair in pairs for n in pair}):
-        components.setdefault(find(node), []).append(node)
-    descriptions = {}
-    for root in sorted(components, key=lambda r: min(components[r])):
-        members = sorted(components[root])
+        links.setdefault(e, []).append(d)
+        links.setdefault(d, []).append(e)
+    fixes = {}  # member -> the fix of its component
+    for node in sorted(links):
+        if node in fixes:
+            continue
+        # the node has a neighbour, so the walk from it comes back to it
+        members = sorted(_reachable_from(links, node))
         fresh = _passphrase(rng)
         for member in members:
             values = {**nodes[member].property_values, "passphrase": fresh}
             nodes[member] = replace(nodes[member], property_values=values)
-        for e, d in pairs:
-            if e in members:
-                descriptions[(e, d)] = (
-                    f"assigned a shared passphrase to {', '.join(members)}")
-    return descriptions
+            fixes[member] = f"assigned a shared passphrase to {', '.join(members)}"
+    return {(e, d): fixes[e] for e, d in pairs}
 
 
 def _run_checks(topo: Topology) -> list[Diagnostic]:

@@ -10,10 +10,9 @@ from toscaflow import catalog as cat
 from toscaflow.errors import DuplicateFunctionError, UnsupportedTypeError
 from toscaflow.model import RequirementAssignment
 from toscaflow.planner import CONNECTS_TO, build_graph
-from toscaflow.topology import Topology
+from toscaflow.topology import Topology, lexicographic_order
 from toscaflow.simulator import (
     Flow,
-    _topological_firing_order,
     blur_transform,
     grayscale_transform,
     instantiate,
@@ -756,5 +755,22 @@ def test_firing_order_is_the_resorting_order(load_fixture):
         for source, target in topo.pairs:
             out_edges.setdefault(source, []).append(target)
         names = list(topo.pipelines)
-        assert _topological_firing_order(names, out_edges) \
+        order = lexicographic_order(names, out_edges)
+        assert order + sorted(set(names) - set(order)) \
             == _firing_order_by_resorting(names, out_edges)
+
+
+def test_instantiate_fires_in_the_resorting_order(load_fixture):
+    templates = [load_fixture(name) for name in (
+        "cyclic.yaml", "encrypt_mismatch.yaml", "image_pipeline.yaml",
+        "s3_to_gcs.yaml")]
+    templates += [topology_gen.random_clean_dag(seed) for seed in range(60)]
+    for template in templates:
+        topo = Topology(template)
+        out_edges = {name: [] for name in topo.pipelines}
+        for source, target in topo.pairs:
+            out_edges[source].append(target)
+        assert topo.successors == out_edges
+        flow = instantiate(template)
+        assert flow._firing_order \
+            == _firing_order_by_resorting(topo.pipelines, out_edges)
