@@ -47,21 +47,27 @@ HOSTED_ON = "tosca.relationships.HostedOn"
 CONNECTS_TO = "tosca.relationships.ConnectsTo"
 RELATIONSHIP_ROOT = "tosca.relationships.Root"
 
-ENCRYPT = "radon.nodes.datapipeline.process.Encrypt"
-DECRYPT = "radon.nodes.datapipeline.process.Decrypt"
+# the block families: a concrete block type is one of these plus its name
+SOURCE_PREFIX = "radon.nodes.datapipeline.source."
+PROCESS_PREFIX = "radon.nodes.datapipeline.process."
+DESTINATION_PREFIX = "radon.nodes.datapipeline.destination."
+STANDALONE_PREFIX = "radon.nodes.datapipeline.standalone."
+
+ENCRYPT = PROCESS_PREFIX + "Encrypt"
+DECRYPT = PROCESS_PREFIX + "Decrypt"
 
 SCHEDULING_STRATEGIES = ("EVENT_DRIVEN", "CRON_DRIVEN")
 DEFAULT_CRON = "* * * * * ?"
 
 # function-invoking types -> the property naming the function they call
 INVOKER_KEYS = {
-    "radon.nodes.datapipeline.process.InvokeLambda": "function_name",
-    "radon.nodes.datapipeline.process.InvokeOpenFaaS": "function_name",
-    "radon.nodes.datapipeline.process.InvokeFaaSFunction": "function_URL",
-    "radon.nodes.datapipeline.process.InvokeImageFaaSFunction": "function_URL",
-    "radon.nodes.datapipeline.process.ExecuteCommand": "script_path",
-    "radon.nodes.datapipeline.process.ExecutePython": "script_path",
-    "radon.nodes.datapipeline.process.ExecuteRuby": "script_path",
+    PROCESS_PREFIX + "InvokeLambda": "function_name",
+    PROCESS_PREFIX + "InvokeOpenFaaS": "function_name",
+    PROCESS_PREFIX + "InvokeFaaSFunction": "function_URL",
+    PROCESS_PREFIX + "InvokeImageFaaSFunction": "function_URL",
+    PROCESS_PREFIX + "ExecuteCommand": "script_path",
+    PROCESS_PREFIX + "ExecutePython": "script_path",
+    PROCESS_PREFIX + "ExecuteRuby": "script_path",
 }
 
 
@@ -155,10 +161,8 @@ def _accept_caps(remote_sources, local_sources):
 
 
 def _build_definitions():
-    src = "radon.nodes.datapipeline.source."
-    prc = "radon.nodes.datapipeline.process."
-    dst = "radon.nodes.datapipeline.destination."
-    sta = "radon.nodes.datapipeline.standalone."
+    src, prc, dst, sta = (SOURCE_PREFIX, PROCESS_PREFIX, DESTINATION_PREFIX,
+                          STANDALONE_PREFIX)
 
     types = [
         # --- normative scaffolding -----------------------------------------

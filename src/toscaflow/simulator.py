@@ -36,38 +36,35 @@ from .errors import DuplicateFunctionError, UnsupportedTypeError
 from .model import ServiceTemplate
 from .topology import Topology, lexicographic_order
 
-_SRC = "radon.nodes.datapipeline.source."
-_PRC = "radon.nodes.datapipeline.process."
-_DST = "radon.nodes.datapipeline.destination."
-_STA = "radon.nodes.datapipeline.standalone."
-
 # consumer / publisher types -> (store provider label, bucket property)
 _CONSUMER_BINDINGS = {
-    _SRC + "ConsS3Bucket": ("s3", "BucketName"),
-    _SRC + "ConsGCSBucket": ("gcs", "bucket"),
-    _SRC + "ConsMinIO": ("minio", "BucketName"),
-    _SRC + "ConsAzureBlob": ("azure", "ContainerName"),
-    _SRC + "ConsFTP": ("ftp", "directory"),
-    _SRC + "ConsSFTP": ("sftp", "directory"),
-    _SRC + "ConsMqTT": ("mqtt", "topic"),
-    _SRC + "ConsumeLocal": ("local", "directory_path"),
+    cat.SOURCE_PREFIX + "ConsS3Bucket": ("s3", "BucketName"),
+    cat.SOURCE_PREFIX + "ConsGCSBucket": ("gcs", "bucket"),
+    cat.SOURCE_PREFIX + "ConsMinIO": ("minio", "BucketName"),
+    cat.SOURCE_PREFIX + "ConsAzureBlob": ("azure", "ContainerName"),
+    cat.SOURCE_PREFIX + "ConsFTP": ("ftp", "directory"),
+    cat.SOURCE_PREFIX + "ConsSFTP": ("sftp", "directory"),
+    cat.SOURCE_PREFIX + "ConsMqTT": ("mqtt", "topic"),
+    cat.SOURCE_PREFIX + "ConsumeLocal": ("local", "directory_path"),
 }
 
 _PUBLISHER_BINDINGS = {
-    _DST + "PubsS3Bucket": ("s3", "BucketName"),
-    _DST + "PubGCS": ("gcs", "BucketName"),
-    _DST + "PubsAzureBlob": ("azure", "ContainerName"),
-    _DST + "PubsMinIO": ("minio", "BucketName"),
-    _DST + "PubsMQTT": ("mqtt", "topic"),
-    _DST + "PubsSFTP": ("sftp", "directory"),
-    _DST + "PublishLocal": ("local", "directory_path"),
+    cat.DESTINATION_PREFIX + "PubsS3Bucket": ("s3", "BucketName"),
+    cat.DESTINATION_PREFIX + "PubGCS": ("gcs", "BucketName"),
+    cat.DESTINATION_PREFIX + "PubsAzureBlob": ("azure", "ContainerName"),
+    cat.DESTINATION_PREFIX + "PubsMinIO": ("minio", "BucketName"),
+    cat.DESTINATION_PREFIX + "PubsMQTT": ("mqtt", "topic"),
+    cat.DESTINATION_PREFIX + "PubsSFTP": ("sftp", "directory"),
+    cat.DESTINATION_PREFIX + "PublishLocal": ("local", "directory_path"),
 }
 
 _STANDALONE_COPIES = {
-    _STA + "AWSCopyS3ToS3": (("s3", "SourceBucketName"),
-                             ("s3", "DestinationBucketName")),
-    _STA + "AWSCopyDynamodbToS3": (("dynamodb", "TableName"), ("s3", "BucketName")),
-    _STA + "AWSCopyS3ToDynamodb": (("s3", "BucketName"), ("dynamodb", "TableName")),
+    cat.STANDALONE_PREFIX + "AWSCopyS3ToS3": (("s3", "SourceBucketName"),
+                                              ("s3", "DestinationBucketName")),
+    cat.STANDALONE_PREFIX + "AWSCopyDynamodbToS3": (("dynamodb", "TableName"),
+                                                    ("s3", "BucketName")),
+    cat.STANDALONE_PREFIX + "AWSCopyS3ToDynamodb": (("s3", "BucketName"),
+                                                    ("dynamodb", "TableName")),
 }
 
 
@@ -491,7 +488,7 @@ def _build_stage(topo, flow, name) -> _Stage:
     if key_prop := _match(cat.INVOKER_KEYS, ancestry):
         # looked up per item: functions may be registered after instantiate
         return stage(_transform, function_key=str(prop(key_prop) or ""))
-    if _PRC + "RouteToRemote" in ancestry:
+    if cat.PROCESS_PREFIX + "RouteToRemote" in ancestry:
         available = flow.out_edges.get(name, ())  # wired before the stages
         return stage(_route, clauses=[
             clause for clause in _parse_predicate(prop("route_predicate"))
