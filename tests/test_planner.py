@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from toscaflow.planner import (
     undeploy_plan,
     validate_plan,
 )
+from toscaflow.topology import Locality, Topology
 from toscaflow.verifier import verify
 
 
@@ -211,10 +213,6 @@ def test_plan_steps_serialize():
 def _plan_by_inline_heap(template):
     """The plan as `plan` computed it with its own min-heap loop, and the
     cycle the recursive search names when no order exists, as a reference."""
-    import heapq
-
-    from toscaflow.topology import Locality, Topology
-
     graph = build_graph(template)
     ranks = {"create": 0, "configure": 1, "start": 2}
     steps = [(name, op) for name in graph.vertices for op in ranks]
