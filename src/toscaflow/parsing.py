@@ -11,6 +11,7 @@ sorted, stable key order, so serialize(parse(serialize(t))) == serialize(t).
 
 from __future__ import annotations
 
+import copy
 import inspect
 import re
 import warnings
@@ -151,6 +152,8 @@ def _too_deep(mark, filename) -> TemplateSyntaxError:
         "nested too deep", SourceLocation(filename, mark.line + 1, mark.column + 1))
 
 
+_STR_TAG = "tag:yaml.org,2002:str"
+
 # the scalar constructors are stateless, so one instance serves every call;
 # the generator constructors build collections and need a fresh one
 _SCALAR_CONSTRUCTOR = yaml.constructor.SafeConstructor()
@@ -162,6 +165,8 @@ _SCALAR_CONSTRUCTORS = {
 
 
 def _construct(node, filename):
+    if isinstance(node, yaml.ScalarNode) and node.tag == _STR_TAG:
+        return node.value  # what construct_yaml_str returns
     try:
         if isinstance(node, yaml.ScalarNode) and node.tag in _SCALAR_CONSTRUCTORS:
             return _SCALAR_CONSTRUCTORS[node.tag](_SCALAR_CONSTRUCTOR, node)
@@ -186,8 +191,8 @@ def _require_mapping(node, what, filename):
 
 
 def _items(node, what, filename, duplicate_error=SchemaError):
-    """(key, value_node, key_location) triples of the mapping `node`,
-    rejecting duplicate keys."""
+    """(key, value_node, key_node) triples of the mapping `node`, rejecting
+    duplicate keys."""
     seen = {}
     out = []
     for key_node, value_node in _require_mapping(node, what, filename).value:
@@ -198,7 +203,7 @@ def _items(node, what, filename, duplicate_error=SchemaError):
         if key in seen:
             raise duplicate_error(f"duplicate key {key!r}", _loc(key_node, filename))
         seen[key] = True
-        out.append((key, value_node, _loc(key_node, filename)))
+        out.append((key, value_node, key_node))
     return out
 
 
@@ -209,7 +214,7 @@ def _fields(node, what, filename):
 
 
 def _named_entries(node, what, entry, filename):
-    """(name, body_node, name_location) of each one-name mapping in the list
+    """(name, body_node, name_node) of each one-name mapping in the list
     `node`, each checked only when it is reached."""
     if not isinstance(node, yaml.SequenceNode):
         raise SchemaError(f"{what} must be a list", _loc(node, filename))
@@ -241,14 +246,14 @@ def parse_definitions(text: str, filename: str = "<string>") -> list[TypeDefinit
     root = _compose(text, filename)
     sections = []
     saw_version = False
-    for key, value_node, key_loc in _items(root, "definitions document", filename):
+    for key, value_node, key_node in _items(root, "definitions document", filename):
         if key == TOSCA_VERSION_KEY:
             saw_version = True
         elif key in _SECTION_KINDS:
             sections.append((key, value_node))
         elif key not in _IGNORED_QUIETLY:
-            warnings.warn(f"{key_loc}: ignoring unknown top-level key {key!r}",
-                          stacklevel=2)
+            warnings.warn(f"{_loc(key_node, filename)}: ignoring unknown "
+                          f"top-level key {key!r}", stacklevel=2)
     if not saw_version and not sections:
         raise SchemaError(f"missing {TOSCA_VERSION_KEY}",
                           SourceLocation(filename, 1, 1))
@@ -262,15 +267,16 @@ def _parse_type_sections(sections, filename) -> list[TypeDefinition]:
         if not _present(section_node):
             continue
         kind = _SECTION_KINDS[section_key]
-        for name, body_node, name_loc in _items(section_node, section_key, filename):
-            definitions.append(_parse_type(name, kind, body_node, name_loc, filename))
+        for name, body_node, name_node in _items(section_node, section_key, filename):
+            definitions.append(_parse_type(name, kind, body_node,
+                                           _loc(name_node, filename), filename))
     return definitions
 
 
 def _parse_type(name, kind, body_node, location, filename) -> TypeDefinition:
     fields = {}
     if _present(body_node):
-        for key, value_node, key_loc in _items(body_node, f"type {name!r}", filename):
+        for key, value_node, key_node in _items(body_node, f"type {name!r}", filename):
             if key in _TYPE_SECTIONS:
                 fields[key] = _TYPE_SECTIONS[key](value_node, filename)
             elif key == "derived_from":
@@ -280,12 +286,12 @@ def _parse_type(name, kind, body_node, location, filename) -> TypeDefinition:
                 if isinstance(raw, dict):
                     fields[key] = {str(k): str(v) for k, v in raw.items()}
             elif key != "description":
-                warnings.warn(f"{key_loc}: ignoring unknown key {key!r} "
-                              f"in type {name!r}", stacklevel=3)
+                warnings.warn(f"{_loc(key_node, filename)}: ignoring unknown key "
+                              f"{key!r} in type {name!r}", stacklevel=3)
     return TypeDefinition(name=name, kind=kind, location=location, **fields)
 
 
-def _coerce_default(value, value_type, where, location):
+def _coerce_default(value, value_type, where, name_node, filename):
     if value is None:
         return None
     if value_type == "string":
@@ -307,20 +313,20 @@ def _coerce_default(value, value_type, where, location):
         if isinstance(value, bool):
             return value
     raise SchemaError(f"default {value!r} of {where} does not fit type "
-                      f"{value_type!r}", location)
+                      f"{value_type!r}", _loc(name_node, filename))
 
 
 def _parse_property_defs(node, filename):
     out = {}
-    for name, body_node, name_loc in _items(node, "properties", filename):
+    for name, body_node, name_node in _items(node, "properties", filename):
         raw = _fields(body_node, f"property {name!r}", filename) \
             if _present(body_node) else {}
         value_type = str(raw.get("type", "string"))
         if value_type not in ("string", "integer", "boolean"):
             raise SchemaError(f"unsupported property type {value_type!r} "
-                              f"on {name!r}", name_loc)
+                              f"on {name!r}", _loc(name_node, filename))
         default = _coerce_default(raw.get("default"), value_type,
-                                  f"property {name!r}", name_loc)
+                                  f"property {name!r}", name_node, filename)
         out[name] = PropertyDefinition(name, value_type, default,
                                        bool(raw.get("required", True)))
     return out
@@ -336,67 +342,71 @@ def _parse_attribute_defs(node, filename):
     return out
 
 
-def _parse_occurrences(raw, where, location, default):
+def _parse_occurrences(raw, where, name_node, filename, default):
     if raw is None:
         return default
     if not isinstance(raw, list) or len(raw) != 2:
-        raise SchemaError(f"occurrences of {where} must be [min, max]", location)
+        raise SchemaError(f"occurrences of {where} must be [min, max]",
+                          _loc(name_node, filename))
     lo, hi = raw
     if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
-        raise SchemaError(f"bad minimum occurrence {lo!r} on {where}", location)
+        raise SchemaError(f"bad minimum occurrence {lo!r} on {where}",
+                          _loc(name_node, filename))
     if isinstance(hi, str) and hi == "UNBOUNDED":
         return (lo, UNBOUNDED)
     if not isinstance(hi, int) or isinstance(hi, bool):
-        raise SchemaError(f"bad maximum occurrence {hi!r} on {where}", location)
+        raise SchemaError(f"bad maximum occurrence {hi!r} on {where}",
+                          _loc(name_node, filename))
     return (lo, hi)
 
 
-def _checked(definition_class, location, **fields):
-    """`definition_class(**fields)`, its ValueError a SchemaError at `location`."""
+def _checked(definition_class, name_node, filename, **fields):
+    """`definition_class(**fields)`, its ValueError a SchemaError at `name_node`."""
     try:
         return definition_class(**fields)
     except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
+        raise SchemaError(str(exc), _loc(name_node, filename)) from exc
 
 
 def _parse_requirement_defs(node, filename):
     out = []
-    for name, body_node, name_loc in _named_entries(node, "requirements",
-                                                    "requirement entry", filename):
+    for name, body_node, name_node in _named_entries(node, "requirements",
+                                                     "requirement entry", filename):
         raw = _fields(body_node, f"requirement {name!r}", filename)
         for mandatory in ("capability", "node", "relationship"):
             if mandatory not in raw:
                 raise SchemaError(f"requirement {name!r} lacks {mandatory!r}",
-                                  name_loc)
+                                  _loc(name_node, filename))
         out.append(_checked(
-            RequirementDefinition, name_loc,
+            RequirementDefinition, name_node, filename,
             name=name,
             capability_type=str(raw["capability"]),
             node_type=str(raw["node"]),
             relationship_type=str(raw["relationship"]),
             occurrences=_parse_occurrences(raw.get("occurrences"), name,
-                                           name_loc, (1, 1)),
+                                           name_node, filename, (1, 1)),
         ))
     return out
 
 
 def _parse_capability_defs(node, filename):
     out = {}
-    for name, body_node, name_loc in _items(node, "capabilities", filename):
+    for name, body_node, name_node in _items(node, "capabilities", filename):
         raw = _fields(body_node, f"capability {name!r}", filename)
         if "type" not in raw:
-            raise SchemaError(f"capability {name!r} lacks 'type'", name_loc)
+            raise SchemaError(f"capability {name!r} lacks 'type'",
+                              _loc(name_node, filename))
         sources = raw.get("valid_source_types", [])
         if not isinstance(sources, list):
             raise SchemaError(f"valid_source_types of {name!r} must be a list",
-                              name_loc)
+                              _loc(name_node, filename))
         out[name] = _checked(
-            CapabilityDefinition, name_loc,
+            CapabilityDefinition, name_node, filename,
             name=name,
             capability_type=str(raw["type"]),
             valid_source_types=[str(s) for s in sources],
             occurrences=_parse_occurrences(raw.get("occurrences"), name,
-                                           name_loc, (1, UNBOUNDED)),
+                                           name_node, filename, (1, UNBOUNDED)),
         )
     return out
 
@@ -439,7 +449,7 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
     version = None
     inline_sections = []
     topology_node = None
-    for key, value_node, key_loc in _items(root, "service template", filename):
+    for key, value_node, key_node in _items(root, "service template", filename):
         if key == TOSCA_VERSION_KEY:
             version = str(_construct(value_node, filename))
         elif key in _SECTION_KINDS:
@@ -447,8 +457,8 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
         elif key == "topology_template":
             topology_node = value_node
         elif key not in _IGNORED_QUIETLY:
-            warnings.warn(f"{key_loc}: ignoring unknown top-level key {key!r}",
-                          stacklevel=2)
+            warnings.warn(f"{_loc(key_node, filename)}: ignoring unknown "
+                          f"top-level key {key!r}", stacklevel=2)
     if version is None:
         raise SchemaError(f"missing {TOSCA_VERSION_KEY}",
                           SourceLocation(filename, 1, 1))
@@ -460,12 +470,12 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
                                user_types=_parse_type_sections(inline_sections, filename))
 
     templates_node = None
-    for key, value_node, key_loc in _items(topology_node, "topology_template", filename):
+    for key, value_node, key_node in _items(topology_node, "topology_template", filename):
         if key == "node_templates":
             templates_node = value_node
         else:
-            warnings.warn(f"{key_loc}: ignoring topology_template key {key!r}",
-                          stacklevel=2)
+            warnings.warn(f"{_loc(key_node, filename)}: ignoring topology_template "
+                          f"key {key!r}", stacklevel=2)
     if templates_node is None:
         raise SchemaError("topology_template has no node_templates",
                           _loc(topology_node, filename))
@@ -501,10 +511,10 @@ def _parse_node_templates(templates_node, filename, defs, partial):
             and _construct(templates_node, filename) is None:
         return {}
     out = {}
-    for name, body_node, name_loc in _items(templates_node, "node_templates", filename,
-                                            duplicate_error=DuplicateTemplateNameError):
-        out[name] = _parse_node_template(name, body_node, name_loc, filename,
-                                         defs, partial)
+    for name, body_node, name_node in _items(templates_node, "node_templates", filename,
+                                             duplicate_error=DuplicateTemplateNameError):
+        out[name] = _parse_node_template(name, body_node, _loc(name_node, filename),
+                                         filename, defs, partial)
     return out
 
 
@@ -513,8 +523,8 @@ def _parse_node_template(name, body_node, location, filename, defs, partial):
     property_values = {}
     artifacts = {}
     assignments = []
-    for key, value_node, key_loc in _items(body_node, f"node template {name!r}",
-                                           filename):
+    for key, value_node, key_node in _items(body_node, f"node template {name!r}",
+                                            filename):
         if key == "type":
             type_name = str(_construct(value_node, filename))
         elif key == "properties":
@@ -525,7 +535,7 @@ def _parse_node_template(name, body_node, location, filename, defs, partial):
             assignments = _parse_requirement_assignments(value_node, name, filename)
         elif key not in ("description", "metadata"):
             raise SchemaError(f"unknown key {key!r} on node template {name!r}",
-                              key_loc)
+                              _loc(key_node, filename))
     if type_name is None:
         raise SchemaError(f"node template {name!r} has no type", location)
 
@@ -557,21 +567,22 @@ def _parse_node_template(name, body_node, location, filename, defs, partial):
 
 def _parse_artifacts(node, template_name, filename):
     out = {}
-    for name, body_node, name_loc in _items(node, f"artifacts of {template_name!r}",
-                                            filename):
+    for name, body_node, name_node in _items(node, f"artifacts of {template_name!r}",
+                                             filename):
         raw = _construct(body_node, filename)
         if isinstance(raw, str):
             out[name] = raw
         elif isinstance(raw, dict) and isinstance(raw.get("file"), str):
             out[name] = raw["file"]
         else:
-            raise SchemaError(f"artifact {name!r} needs a file path", name_loc)
+            raise SchemaError(f"artifact {name!r} needs a file path",
+                              _loc(name_node, filename))
     return out
 
 
 def _parse_requirement_assignments(node, template_name, filename):
     out = []
-    for name, body_node, name_loc in _named_entries(
+    for name, body_node, name_node in _named_entries(
             node, f"requirements of {template_name!r}", "requirement assignment",
             filename):
         raw = _construct(body_node, filename)
@@ -581,10 +592,10 @@ def _parse_requirement_assignments(node, template_name, filename):
             unknown = set(raw) - {"node", "relationship"}
             if unknown:
                 raise SchemaError(f"requirement {name!r} has unsupported keys "
-                                  f"{sorted(unknown)}", name_loc)
+                                  f"{sorted(unknown)}", _loc(name_node, filename))
             if "node" not in raw:
                 raise SchemaError(f"requirement {name!r} assignment lacks 'node'",
-                                  name_loc)
+                                  _loc(name_node, filename))
             relationship = raw.get("relationship")
             out.append(RequirementAssignment(
                 name=name,
@@ -592,7 +603,8 @@ def _parse_requirement_assignments(node, template_name, filename):
                 relationship=None if relationship is None else str(relationship),
             ))
         else:
-            raise SchemaError(f"requirement {name!r} must name a target", name_loc)
+            raise SchemaError(f"requirement {name!r} must name a target",
+                              _loc(name_node, filename))
     return out
 
 
@@ -619,39 +631,127 @@ def serialize_definitions(definitions) -> str:
 
 
 def _dump(doc) -> str:
-    dumper = getattr(yaml, "CSafeDumper", None)
-    if dumper is None or not _libyaml_emits_alike(doc):
-        dumper = yaml.SafeDumper
-    return yaml.dump(doc, Dumper=dumper, sort_keys=False, indent=2,
-                     default_flow_style=False, width=100)
+    """`yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False, indent=2,
+    default_flow_style=False, width=100)`, byte for byte, emitted by
+    libyaml where it writes the events as the pure emitter does."""
+    events, libyaml_alike = _events(doc)
+    dumper = getattr(yaml, "CSafeDumper", None) if libyaml_alike else None
+    return yaml.emit(events, Dumper=dumper or yaml.SafeDumper, indent=2, width=100)
 
 
-def _libyaml_emits_alike(doc) -> bool:
-    """True when libyaml writes `doc` byte for byte as the pure emitter does.
+_RESOLVER = yaml.resolver.Resolver()
+# only its scalar representers run, never `represent_data`, so it records
+# no objects and one instance serves every call
+_REPRESENTER = yaml.representer.SafeRepresenter()
+_REPRESENTERS = _REPRESENTER.yaml_representers
+_LIBYAML_KINDS = {str, dict, list, type(None), bool, int, float}
+# unanchored collections share their start and end events
+_MAP_START = yaml.MappingStartEvent(None, "tag:yaml.org,2002:map", True,
+                                    flow_style=False)
+_SET_START = yaml.MappingStartEvent(None, "tag:yaml.org,2002:set", False,
+                                    flow_style=False)
+_SEQ_START = yaml.SequenceStartEvent(None, "tag:yaml.org,2002:seq", True,
+                                     flow_style=False)
+_MAP_END = yaml.MappingEndEvent()
+_SEQ_END = yaml.SequenceEndEvent()
+
+
+def _events(doc):
+    """The events SafeDumper emits for `doc`, in one walk, and whether
+    libyaml writes them byte for byte as the pure emitter does.
+
+    A string is one event, built once per distinct string in the call; any
+    other scalar is the event of SafeRepresenter's node for it.  A value
+    SafeRepresenter may alias (a collection, a date) is anchored when it
+    recurs by identity, and the anchors are numbered in order of the
+    first recurrences, as the serializer numbers them.
 
     The two emitters differ in folding a long double-quoted scalar, which
     a string of printable ASCII never is.  They also differ in which keys
     they write in the explicit `? key` form: the pure emitter does so for
     an empty key, and for one that comes to 128 characters or more with
-    its five-character tag `!!str`; libyaml only for a key past 128.
+    its five-character tag `!!str`; libyaml only for a key past 128.  And
+    libyaml ends a plain root scalar without the pure emitter's `...`.
+    Any value but a str, dict, list, int, bool, None or float goes to the
+    pure emitter.
     """
-    pending = [doc]
-    while pending:
-        value = pending.pop()
-        if isinstance(value, str):
-            if not (value.isascii() and value.isprintable()):
-                return False
-        elif isinstance(value, dict):
-            for key in value:
-                if not (isinstance(key, str) and 0 < len(key) < 123
-                        and key.isascii() and key.isprintable()):
-                    return False
-            pending.extend(value.values())
-        elif isinstance(value, list):
-            pending.extend(value)
-        elif value is not None and not isinstance(value, (bool, int, float)):
+    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
+    strings = {}
+    seen = {}  # id of an aliasable value -> [index of its first event, anchor]
+    anchors = 0
+    alike = type(doc) in (dict, list)
+
+    def string(text):
+        nonlocal alike
+        if not (text.isascii() and text.isprintable()):
+            alike = False
+        plain = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) == _STR_TAG
+        strings[text] = event = yaml.ScalarEvent(None, _STR_TAG, (plain, True), text)
+        return event
+
+    def recurs(value):
+        """Whether `value` was walked before; if so its alias is emitted."""
+        nonlocal anchors
+        entry = seen.get(id(value))
+        if entry is None:
+            seen[id(value)] = [len(events), None]
             return False
-    return True
+        first, anchor = entry
+        if anchor is None:
+            anchors += 1
+            anchor = entry[1] = f"id{anchors:03d}"
+            events[first] = copy.copy(events[first])
+            events[first].anchor = anchor
+        events.append(yaml.AliasEvent(anchor))
+        return True
+
+    def walk(value):
+        nonlocal alike
+        kind = type(value)
+        if kind is str:
+            events.append(strings.get(value) or string(value))
+            return
+        if kind not in _LIBYAML_KINDS:
+            alike = False
+        if (kind is dict or kind is list or not _REPRESENTER.ignore_aliases(value)) \
+                and recurs(value):
+            return
+        if kind is dict:
+            events.append(_MAP_START)
+            for key, item in value.items():
+                if type(key) is str:
+                    events.append(strings.get(key) or string(key))
+                    if not 0 < len(key) < 123:
+                        alike = False
+                else:
+                    alike = False
+                    walk(key)
+                if type(item) is str:
+                    events.append(strings.get(item) or string(item))
+                else:
+                    walk(item)
+            events.append(_MAP_END)
+        elif kind is list or kind is tuple:
+            events.append(_SEQ_START)
+            for item in value:
+                walk(item)
+            events.append(_SEQ_END)
+        elif kind is set:
+            events.append(_SET_START)
+            for key in value:
+                walk(key)
+                walk(None)
+            events.append(_MAP_END)
+        else:
+            node = _REPRESENTERS.get(kind, _REPRESENTERS[None])(_REPRESENTER, value)
+            plain = _RESOLVER.resolve(yaml.ScalarNode, node.value, (True, False))
+            events.append(yaml.ScalarEvent(
+                None, node.tag, (node.tag == plain, node.tag == _STR_TAG), node.value,
+                style=node.style))
+
+    walk(doc)
+    events += [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
+    return events, alike
 
 
 def _definition_sections(definitions):

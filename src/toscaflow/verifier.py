@@ -371,25 +371,31 @@ def _rewrite_assignment_kind(topo: Topology, node_name: str,
     return replace(assignment, relationship=desired)
 
 
-def _fix_encryption(nodes: dict, pairs, rng: random.Random) -> dict:
-    """One fresh passphrase per connected mismatch component, drawn in
-    order of the components' smallest members."""
+def _fix_encryption(nodes: dict, pairs, mismatches, rng: random.Random) -> dict:
+    """One fresh passphrase per connected component of the Encrypt->Decrypt
+    `pairs` that holds one of the `mismatches`, drawn in order of the
+    components' smallest members.  The whole component is re-keyed, so no
+    pair in it that agreed is left disagreeing."""
     links = {}
     for e, d in pairs:
         links.setdefault(e, []).append(d)
         links.setdefault(d, []).append(e)
-    fixes = {}  # member -> the fix of its component
+    mismatched = {node for pair in mismatches for node in pair}
+    fixes = {}  # member -> the fix of its component, None where all agree
     for node in sorted(links):
         if node in fixes:
             continue
         # the node has a neighbour, so the walk from it comes back to it
         members = sorted(_reachable_from(links, node))
+        fixes.update(dict.fromkeys(members))
+        if mismatched.isdisjoint(members):
+            continue
         fresh = _passphrase(rng)
         for member in members:
             values = {**nodes[member].property_values, "passphrase": fresh}
             nodes[member] = replace(nodes[member], property_values=values)
             fixes[member] = f"assigned a shared passphrase to {', '.join(members)}"
-    return {(e, d): fixes[e] for e, d in pairs}
+    return {(e, d): fixes[e] for e, d in mismatches}
 
 
 def _run_checks(topo: Topology) -> list[Diagnostic]:
@@ -436,7 +442,8 @@ def _apply_fixes(topo: Topology, nodes: dict, fixables, rng, reported):
         elif diag.rule == R4_ENCRYPTION:
             encryption_pairs.append(tuple(diag.nodes))
     if encryption_pairs:
-        descriptions = _fix_encryption(nodes, encryption_pairs, rng)
+        descriptions = _fix_encryption(nodes, _encrypt_decrypt_pairs(topo)[2],
+                                       encryption_pairs, rng)
         for diag in fixables:
             if diag.rule == R4_ENCRYPTION:
                 reported[diag.key()].fix = descriptions.get(tuple(diag.nodes))

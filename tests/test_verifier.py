@@ -7,6 +7,7 @@ import builders as b
 import topology_gen
 from bruteforce import diagnostics_as_set, rule_violations
 from toscaflow import catalog as cat
+from toscaflow import verifier
 from toscaflow.errors import HostCycleError, MissingHostError, NotAPipelineError
 from toscaflow.parsing import serialize_template
 from toscaflow.simulator import instantiate
@@ -551,3 +552,32 @@ def test_passphrase_repair_is_the_union_find_repair():
                 for name, node in fixed.node_templates.items()} == values
         assert {tuple(d.nodes): d.fix for d in report} == descriptions
         assert check_encryption(fixed) == []
+
+
+def test_passphrase_repair_rekeys_the_pairs_that_already_agreed(monkeypatch):
+    """`E1 -> D1 -> D2` with passphrases a, a, b: the one mismatch is
+    (E1, D2), and re-keying only those two would break (E1, D1)."""
+    stack, nifi = b.nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+    source = b.node("Src", b.SRC + "ConsMinIO",
+                    props={"name": "s", "BucketName": "in", **minio},
+                    reqs=[("host", nifi), ("connectToPipeline", "E1")])
+    dest = b.node("Dst", b.DST + "PubsMinIO",
+                  props={"name": "d", "BucketName": "out", **minio},
+                  reqs=[("host", nifi)])
+    ciphers = [b.node(name, kind, props={"name": name, "passphrase": passphrase},
+                      reqs=[("host", nifi), ("ConnectToPipeline", target)])
+               for name, kind, passphrase, target in [
+                   ("E1", cat.ENCRYPT, "a", "D1"), ("D1", cat.DECRYPT, "a", "D2"),
+                   ("D2", cat.DECRYPT, "b", "Dst")]]
+    template = b.template(*stack, source, dest, *ciphers)
+    assert [d.nodes for d in check_encryption(template)] == [["E1", "D2"]]
+
+    monkeypatch.setattr(verifier, "MAX_FIX_PASSES", 1)  # one pass must do
+    fixed, report = verify(template, fix=True, seed=5)
+    assert [(d.nodes, d.fix) for d in report] == [
+        (["E1", "D2"], "assigned a shared passphrase to D1, D2, E1")]
+    assert check_encryption(fixed) == []
+    passphrases = {fixed.node_templates[name].property_values["passphrase"]
+                   for name in ("E1", "D1", "D2")}
+    assert len(passphrases) == 1 and passphrases != {"a"}

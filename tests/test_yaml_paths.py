@@ -5,6 +5,7 @@ has it, falling back to the pure classes.  These tests hold the two paths
 to the same trees, the same errors and the same bytes.
 """
 
+import datetime
 import pathlib
 
 import pytest
@@ -19,12 +20,13 @@ from toscaflow.parsing import (
     _compose,
     _construct,
     _dump,
-    _libyaml_emits_alike,
+    _events,
     _suits_libyaml,
     export_catalog_yaml,
     parse_service_template,
     serialize_template,
 )
+from toscaflow.verifier import verify
 
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.yaml"))
 
@@ -42,6 +44,16 @@ needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
 def _pure_only(monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+
+
+def _assert_dumps_as_yaml_dump(doc):
+    """`_dump(doc)` is what `yaml.dump` writes with SafeDumper, byte for
+    byte, both where libyaml emits and where only the pure classes exist."""
+    expected = yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
+    assert _dump(doc) == expected
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _pure_only(monkeypatch)
+        assert _dump(doc) == expected
 
 
 def _tree(node):
@@ -161,7 +173,7 @@ def test_nesting_bound_sends_deep_text_to_the_pure_loader():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_libyaml_emits_the_corpus_as_the_pure_emitter(name):
     doc = yaml.safe_load(CORPUS[name])
-    assert _libyaml_emits_alike(doc)
+    assert _events(doc)[1]
     assert yaml.dump(doc, Dumper=yaml.CSafeDumper, **DUMP_OPTIONS) == \
         yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
 
@@ -193,12 +205,13 @@ def test_printable_ascii_is_emitted_as_by_the_pure_emitter(doc):
     {"": 1},                           # keys the pure emitter writes as `? key`
     {"k" * 123: 1},
     {"a": [{"b": {"k" * 128: None}}]},
+    "plain", 5, None,                  # libyaml ends a plain root scalar without `...`
 ], ids=repr)
 def test_what_libyaml_emits_otherwise_goes_to_the_pure_emitter(doc):
     pure = yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
     assert yaml.dump(doc, Dumper=yaml.CSafeDumper, **DUMP_OPTIONS) != pure
-    assert not _libyaml_emits_alike(doc)
-    assert _dump(doc) == pure
+    assert not _events(doc)[1]
+    _assert_dumps_as_yaml_dump(doc)
 
 
 def test_without_libyaml_fixtures_parse_and_serialize_alike(monkeypatch):
@@ -211,3 +224,98 @@ def test_without_libyaml_fixtures_parse_and_serialize_alike(monkeypatch):
         assert parse_service_template(text, filename=name) == templates[name], name
         assert serialize_template(templates[name]) == serialized[name], name
     assert export_catalog_yaml() == CORPUS["catalog"]
+
+
+# -- `_dump` against `yaml.dump` ----------------------------------------------
+
+def _document(serialize, *args):
+    """The document `serialize(*args)` hands to `_dump`."""
+    documents = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(parsing, "_dump", documents.append)
+        serialize(*args)
+    [document] = documents
+    return document
+
+
+@pytest.mark.parametrize("name", [path.name for path in FIXTURES])
+def test_dump_writes_the_fixtures_as_yaml_dump(name):
+    _assert_dumps_as_yaml_dump(yaml.safe_load(CORPUS[name]))
+    template = parse_service_template(CORPUS[name], filename=name)
+    _assert_dumps_as_yaml_dump(_document(serialize_template, template))
+
+
+def test_dump_writes_the_catalog_export_as_yaml_dump():
+    _assert_dumps_as_yaml_dump(_document(export_catalog_yaml))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dump_writes_repaired_generated_topologies_as_yaml_dump(seed):
+    fixed, _ = verify(topology_gen.random_topology(seed), fix=True, seed=seed)
+    _assert_dumps_as_yaml_dump(_document(serialize_template, fixed))
+
+
+_HASHABLE = st.one_of(
+    st.text(max_size=20), st.none(), st.booleans(), st.integers(), st.floats(),
+    st.dates(), st.datetimes(timezones=st.none() | st.just(datetime.timezone.utc)),
+    st.binary(max_size=20))
+_ANY_SCALAR = st.one_of(_HASHABLE, st.text(max_size=150), st.sampled_from(
+    ["yes", "No", "1.0", "1_000", "0x1f", "~", "null", "", "2020-01-01", ".inf",
+     "a: b", "- a", "#", "line\nbreak", "ends\n", " lead", "trail ", "'q", '"q']))
+
+
+def _collections(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=20), _HASHABLE), children,
+                        max_size=4),
+        st.sets(_HASHABLE, max_size=3),
+        children.map(lambda child: [child, child]),  # one object twice
+    )
+
+
+@given(st.dictionaries(st.text(max_size=20),
+                       st.recursive(_ANY_SCALAR, _collections, max_leaves=12),
+                       max_size=5))
+def test_dump_writes_every_scalar_type_as_yaml_dump(doc):
+    _assert_dumps_as_yaml_dump(doc)
+
+
+@pytest.mark.parametrize("text", [
+    "yes", "no", "on", "true", "1", "1.0", "-1", "0o17", "1e3", ".nan", "~", "null",
+    "", " ", "2020-01-01", "a\nb", "a\n", "\n", "a\n\nb\n", "x " * 80, "a:b", "{a}",
+], ids=repr)
+def test_dump_writes_strings_another_type_would_read_as_yaml_dump(text):
+    _assert_dumps_as_yaml_dump({"key": text, text or "k": [text]})
+
+
+def test_dump_anchors_a_list_shared_under_two_keys():
+    shared = ["a", 1]
+    doc = {"x": shared, "y": {"z": shared}}
+    _assert_dumps_as_yaml_dump(doc)
+    assert _dump(doc) == "x: &id001\n- a\n- 1\ny:\n  z: *id001\n"
+
+
+def test_dump_anchors_a_date_used_twice():
+    day = datetime.date(2020, 1, 2)
+    doc = {"x": day, "y": [day, datetime.date(2020, 1, 2)]}
+    _assert_dumps_as_yaml_dump(doc)
+    assert _dump(doc) == "x: &id001 2020-01-02\ny:\n- *id001\n- 2020-01-02\n"
+
+
+def test_dump_emits_str_int_bool_and_none_without_the_representer(monkeypatch):
+    """The fixtures and the catalog hold only those scalars, so writing them
+    runs neither PyYAML's representer nor `yaml.dump`."""
+    templates = [parse_service_template(CORPUS[path.name], filename=path.name)
+                 for path in FIXTURES]
+    expected = [serialize_template(template) for template in templates]
+    catalog = export_catalog_yaml()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the representer ran")
+
+    monkeypatch.setattr(yaml.representer.SafeRepresenter, "represent_data", refuse)
+    monkeypatch.setattr(yaml, "dump", refuse)
+    assert [serialize_template(template) for template in templates] == expected
+    assert export_catalog_yaml() == catalog
