@@ -119,24 +119,47 @@ def test_libyaml_and_pure_agree_on_hard_inputs(text):
     assert _outcome(text) == _pure_outcome(text)
 
 
-@pytest.mark.parametrize("text", [
-    "1", "1.5", "~", "yes", "2020-01-01", "plain", "'quoted'",
-    "!!str 1", "!!int 0x1f", "!!int x", "!!float x", "!!bool yes", "!!null ''",
-    "!!binary aGk=", "!!binary ====", "!!timestamp 2020-13-45",
-    "!!map b", "!!seq b", "!!set b", "!!omap b", "!!pairs b", "!foo b",
-], ids=repr)
-def test_one_shared_constructor_builds_scalars_as_a_fresh_one_does(text, monkeypatch):
+_SCALAR_OUTCOMES = [
+    ("1", ("int", 1)),
+    ("1.5", ("float", 1.5)),
+    ("~", ("NoneType", None)),
+    ("yes", ("bool", True)),
+    ("2020-01-01", ("date", datetime.date(2020, 1, 1))),
+    ("plain", ("str", "plain")),
+    ("'quoted'", ("str", "quoted")),
+    ("!!str 1", ("str", "1")),
+    ("!!int 0x1f", ("int", 31)),
+    ("!!int x", ("invalid literal for int() with base 10: 'x'", "f.yaml:1:1")),
+    ("!!float x", ("could not convert string to float: 'x'", "f.yaml:1:1")),
+    ("!!bool yes", ("bool", True)),
+    ("!!null ''", ("NoneType", None)),
+    ("!!binary aGk=", ("bytes", b"hi")),
+    ("!!binary ====", ("bytes", b"")),
+    ("!!timestamp 2020-13-45", ("month must be in 1..12", "f.yaml:1:1")),
+    ("!!map b", ("expected a mapping node, but found scalar", "f.yaml:1:1")),
+    ("!!seq b", ("expected a sequence node, but found scalar", "f.yaml:1:1")),
+    ("!!set b", ("expected a mapping node, but found scalar", "f.yaml:1:1")),
+    ("!!omap b", ("while constructing an ordered map: expected a sequence, "
+                  "but found scalar", "f.yaml:1:1")),
+    ("!!pairs b", ("while constructing pairs: expected a sequence, but found "
+                   "scalar", "f.yaml:1:1")),
+    ("!foo b", ("could not determine a constructor for the tag '!foo'",
+                "f.yaml:1:1")),
+]
+
+
+@pytest.mark.parametrize("text, expected", _SCALAR_OUTCOMES,
+                         ids=[repr(text) for text, _ in _SCALAR_OUTCOMES])
+def test_one_shared_constructor_builds_scalars_as_a_fresh_one_does(text, expected):
+    """Each tagged or plain root scalar constructs to its value, of its
+    type, or fails with its message at its location."""
     node = _compose(text, "f.yaml")
-
-    def outcome():
-        try:
-            return _construct(node, "f.yaml")
-        except TemplateSyntaxError as exc:
-            return str(exc), str(exc.location)
-
-    shared = outcome()
-    monkeypatch.setattr(parsing, "_SCALAR_CONSTRUCTORS", {})
-    assert shared == outcome()
+    try:
+        value = _construct(node, "f.yaml")
+        outcome = (type(value).__name__, value)
+    except TemplateSyntaxError as exc:
+        outcome = (str(exc), str(exc.location))
+    assert outcome == expected
 
 
 @st.composite
