@@ -12,7 +12,6 @@ sorted, stable key order, so serialize(parse(serialize(t))) == serialize(t).
 from __future__ import annotations
 
 import copy
-import inspect
 import re
 import warnings
 from dataclasses import dataclass
@@ -154,22 +153,11 @@ def _too_deep(mark, filename) -> TemplateSyntaxError:
 
 _STR_TAG = "tag:yaml.org,2002:str"
 
-# the scalar constructors are stateless, so one instance serves every call;
-# the generator constructors build collections and need a fresh one
-_SCALAR_CONSTRUCTOR = yaml.constructor.SafeConstructor()
-_SCALAR_CONSTRUCTORS = {
-    tag: construct
-    for tag, construct in yaml.constructor.SafeConstructor.yaml_constructors.items()
-    if tag is not None and not inspect.isgeneratorfunction(construct)
-}
-
 
 def _construct(node, filename):
     if isinstance(node, yaml.ScalarNode) and node.tag == _STR_TAG:
         return node.value  # what construct_yaml_str returns
     try:
-        if isinstance(node, yaml.ScalarNode) and node.tag in _SCALAR_CONSTRUCTORS:
-            return _SCALAR_CONSTRUCTORS[node.tag](_SCALAR_CONSTRUCTOR, node)
         return yaml.constructor.SafeConstructor().construct_object(node, deep=True)
     except yaml.constructor.ConstructorError as exc:  # unknown tag, recursive alias
         raise _marked_error(exc, filename) from exc
