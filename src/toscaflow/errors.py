@@ -116,3 +116,8 @@ class DuplicateFunctionError(ToscaflowError):
 
 class CronSyntaxError(ToscaflowError):
     """A scheduling expression does not match the supported cron grammar."""
+
+
+class ScheduleError(ToscaflowError, ValueError):
+    """An injection schedule line is malformed or names an unreadable
+    payload, or an injection is due at a tick already past."""

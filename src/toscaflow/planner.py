@@ -58,6 +58,11 @@ class DeploymentPlan:
 def build_graph(template: ServiceTemplate) -> DependencyGraph:
     """One HostedOn edge per host assignment, one ConnectsTo edge per
     pipeline connection (source depends on target)."""
+    return _graph(Topology(template))
+
+
+def _graph(topo: Topology) -> DependencyGraph:
+    template = topo.template
     vertices = sorted(template.node_templates)
     edges = []
     for name in vertices:
@@ -66,8 +71,7 @@ def build_graph(template: ServiceTemplate) -> DependencyGraph:
             if assignment.name == "host" \
                     and assignment.target in template.node_templates:
                 edges.append(DependencyEdge(name, assignment.target, HOSTED_ON))
-    edges += [DependencyEdge(a, b, CONNECTS_TO)
-              for a, b in Topology(template).pairs]
+    edges += [DependencyEdge(a, b, CONNECTS_TO) for a, b in topo.pairs]
     return DependencyGraph(vertices=vertices, edges=edges)
 
 
@@ -84,7 +88,7 @@ def plan(template: ServiceTemplate) -> DeploymentPlan:
     DependencyCycleError naming one cycle when no order exists.
     """
     topo = Topology(template)
-    graph = build_graph(template)
+    graph = _graph(topo)
 
     # a step is (name, operation rank), so ties go by name, then by rank
     steps = [(name, rank) for name in graph.vertices

@@ -32,9 +32,9 @@ from functools import partial
 from . import catalog as cat
 from .cron import CronExpr, cron_next, parse_cron
 from .crypto import cipher_key, decrypt_bytes, encrypt_bytes
-from .errors import DuplicateFunctionError, UnsupportedTypeError
+from .errors import DuplicateFunctionError, ScheduleError, UnsupportedTypeError
 from .model import ServiceTemplate
-from .topology import Topology, lexicographic_order
+from .topology import Topology, first_of, lexicographic_order
 
 # consumer / publisher types -> (store provider label, bucket property)
 _CONSUMER_BINDINGS = {
@@ -348,7 +348,7 @@ class Flow:
                            key: str, payload: bytes):
         """Queue a put_object to happen at the start of `tick`."""
         if tick < self.clock:
-            raise ValueError(f"tick {tick} is already in the past "
+            raise ScheduleError(f"tick {tick} is already in the past "
                              f"(clock is at {self.clock})")
         self._injections.setdefault(tick, []).append(
             (provider, bucket, key, bytes(payload)))
@@ -452,15 +452,8 @@ def instantiate(template: ServiceTemplate) -> Flow:
     return flow
 
 
-def _match(table, ancestry):
-    """The value of the first `table` type in `ancestry`, else None."""
-    return next((value for type_name, value in table.items()
-                 if type_name in ancestry), None)
-
-
 def _build_stage(topo, flow, name) -> _Stage:
-    resolved = topo.resolved_node(name)  # pipelines always resolve
-    ancestry = resolved.ancestry
+    ancestry = topo.resolved_node(name).ancestry  # pipelines always resolve
 
     def prop(key):
         return topo.effective_property(name, key)
@@ -469,23 +462,19 @@ def _build_stage(topo, flow, name) -> _Stage:
         provider, key = binding
         return provider, str(prop(key) or "")
 
-    # the cron applies where R6 checks it (standalone tasks: cron only)
-    if "schedulingStrategy" in resolved.properties:
-        cron_driven = prop("schedulingStrategy") == "CRON_DRIVEN"
-    else:
-        cron_driven = "schedulingPeriodCRON" in resolved.properties
-    cron = parse_cron(str(prop("schedulingPeriodCRON"))) if cron_driven else None
-    stage = partial(_Stage, flow, name, cron)
+    cron = topo.cron(name)
+    stage = partial(_Stage, flow, name,
+                    None if cron is None else parse_cron(str(cron[0])))
 
-    if binding := _match(_CONSUMER_BINDINGS, ancestry):
+    if binding := first_of(_CONSUMER_BINDINGS, ancestry):
         return stage(_consume, source=bucket(binding))
-    if binding := _match(_PUBLISHER_BINDINGS, ancestry):
+    if binding := first_of(_PUBLISHER_BINDINGS, ancestry):
         return stage(_deliver, destination=bucket(binding))
     if cat.ENCRYPT in ancestry or cat.DECRYPT in ancestry:
         operation = decrypt_bytes if cat.DECRYPT in ancestry else encrypt_bytes
         return stage(_transform, function=partial(
             operation, passphrase=cipher_key(prop("passphrase"))))
-    if key_prop := _match(cat.INVOKER_KEYS, ancestry):
+    if key_prop := first_of(cat.INVOKER_KEYS, ancestry):
         # looked up per item: functions may be registered after instantiate
         return stage(_transform, function_key=str(prop(key_prop) or ""))
     if cat.PROCESS_PREFIX + "RouteToRemote" in ancestry:
@@ -493,7 +482,7 @@ def _build_stage(topo, flow, name) -> _Stage:
         return stage(_route, clauses=[
             clause for clause in _parse_predicate(prop("route_predicate"))
             if clause[0] in available])
-    if copy := _match(_STANDALONE_COPIES, ancestry):
+    if copy := first_of(_STANDALONE_COPIES, ancestry):
         return stage(_deliver, source=bucket(copy[0]), destination=bucket(copy[1]))
 
     raise UnsupportedTypeError(
@@ -544,16 +533,16 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
             continue
         parts = line.split()
         if len(parts) != 5:
-            raise ValueError(f"schedule line {lineno}: expected 5 fields, "
+            raise ScheduleError(f"schedule line {lineno}: expected 5 fields, "
                              f"got {len(parts)}")
         tick_text, provider, bucket, key, payload_text = parts
         try:
             tick = int(tick_text, 10)
         except ValueError:
-            raise ValueError(f"schedule line {lineno}: bad tick "
+            raise ScheduleError(f"schedule line {lineno}: bad tick "
                              f"{tick_text!r}") from None
         if tick < 0:
-            raise ValueError(f"schedule line {lineno}: tick must be >= 0")
+            raise ScheduleError(f"schedule line {lineno}: tick must be >= 0")
         if len(payload_text) % 2 == 0 and payload_text \
                 and set(payload_text) <= _HEX_DIGITS:
             payload = bytes.fromhex(payload_text)
@@ -564,7 +553,7 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
                 with open(path, "rb") as handle:
                     payload = handle.read()
             except OSError as exc:
-                raise ValueError(f"schedule line {lineno}: cannot read "
+                raise ScheduleError(f"schedule line {lineno}: cannot read "
                                  f"{payload_text!r}: {exc}") from None
         out.append((tick, provider, bucket, key, payload))
     return out

@@ -2,10 +2,12 @@
 
 The verifier, the planner and the simulator all need the same facts about
 a topology: which templates are pipelines, which pipeline connections
-exist and of what relationship kind, where each block is hosted, and
-whether two connected blocks share a NiFi.  `Topology` derives them once.
-`lexicographic_order` is the one topological order they share: the
-planner's deployment order and the simulator's firing order.
+exist and of what relationship kind, where each block is hosted, whether
+two connected blocks share a NiFi, and which blocks fire on their cron.
+`Topology` derives them once.  `lexicographic_order` is the one
+topological order they share: the planner's deployment order and the
+simulator's firing order.  `first_of` reads the catalog's type-keyed
+tables against a block's ancestry.
 A type that does not resolve reads as None and an edge to a missing or
 non-pipeline template is left out, so broken input stays the verifier's
 to report; only the hosting queries raise, and `locality` turns their
@@ -45,6 +47,7 @@ class Topology:
         self.template = template
         self.defs = template.combined_definitions()
         self._resolved = {}
+        self._by_node = {}
         self._nifi = {}
 
     # -- types ---------------------------------------------------------------
@@ -59,8 +62,11 @@ class Topology:
         return self._resolved[type_name]
 
     def resolved_node(self, node_name):
-        node = self.template.node_templates.get(node_name)
-        return None if node is None else self.resolved_type(node.type)
+        if node_name not in self._by_node:
+            node = self.template.node_templates.get(node_name)
+            self._by_node[node_name] = None if node is None \
+                else self.resolved_type(node.type)
+        return self._by_node[node_name]
 
     def subtype(self, a, b) -> bool:
         resolved = self.resolved_type(a)
@@ -98,6 +104,23 @@ class Topology:
         if resolved is not None and prop_name in resolved.properties:
             return resolved.properties[prop_name].default, None
         return None, None
+
+    def cron(self, node_name):
+        """`evaluate_property` of the block's schedulingPeriodCRON when the
+        block fires on its cron, else None.
+
+        A type that declares schedulingStrategy fires on its cron when the
+        strategy evaluates to CRON_DRIVEN; a type that declares only
+        schedulingPeriodCRON (a standalone task) always does.
+        """
+        properties = self.resolved_node(node_name).properties
+        if "schedulingStrategy" in properties:
+            fires = self.evaluate_property(node_name, "schedulingStrategy")[0] \
+                == "CRON_DRIVEN"
+        else:
+            fires = "schedulingPeriodCRON" in properties
+        return self.evaluate_property(node_name, "schedulingPeriodCRON") \
+            if fires else None
 
     # -- connections ---------------------------------------------------------
 
@@ -201,6 +224,12 @@ class Topology:
             return self.colocated(a, b)
         except (MissingHostError, HostCycleError, NotAPipelineError):
             return None
+
+
+def first_of(table, ancestry):
+    """The value of the first `table` type in `ancestry`, else None."""
+    return next((value for type_name, value in table.items()
+                 if type_name in ancestry), None)
 
 
 def lexicographic_order(nodes, successors) -> list:

@@ -36,7 +36,7 @@ from .crypto import cipher_key
 from .errors import VerifierNonConvergenceError
 from .model import UNBOUNDED, RequirementAssignment, ServiceTemplate
 # colocated and host_chain are re-exported for callers of this module
-from .topology import Locality, Topology, colocated, host_chain
+from .topology import Locality, Topology, colocated, first_of, host_chain
 
 R1_REQ_MATCH = "R1-REQ-MATCH"
 R2_LOCALITY = "R2-LOCALITY"
@@ -53,6 +53,10 @@ FIXABLE = "fixable"
 WARNING = "warning"
 
 MAX_FIX_PASSES = 3
+
+# the connection kind that belongs between blocks of each locality
+_KIND_FOR = {Locality.LOCAL: cat.CONNECT_NIFI_LOCAL,
+             Locality.REMOTE: cat.CONNECT_NIFI_REMOTE}
 
 
 @dataclass
@@ -219,13 +223,11 @@ def _check_locality(topo: Topology) -> list[Diagnostic]:
         locality = topo.locality(a, b)
         if locality is None:
             continue
-        desired = cat.CONNECT_NIFI_LOCAL if locality is Locality.LOCAL \
-            else cat.CONNECT_NIFI_REMOTE
         if len(edges) > 1:
             out.append(Diagnostic(
                 R3_DUPLICATE_CONN, FIXABLE, [a, b],
                 f"{len(edges)} connections between {a!r} and {b!r}; blocks are "
-                f"{locality.value}, exactly one {desired!r} belongs here"))
+                f"{locality.value}, exactly one {_KIND_FOR[locality]!r} belongs here"))
         else:
             bucket = topo.kind_locality(edges[0][1])
             if bucket is not None and bucket is not locality:
@@ -301,23 +303,20 @@ def _check_scheduling(topo: Topology) -> list[Diagnostic]:
 
     for name in topo.pipelines:
         resolved = topo.resolved_node(name)
-        if "schedulingStrategy" in resolved.properties:
+        declares_strategy = "schedulingStrategy" in resolved.properties
+        if declares_strategy:
             strategy, why = topo.evaluate_property(name, "schedulingStrategy")
             if strategy not in cat.SCHEDULING_STRATEGIES:
                 finding(name, f"{name!r} has schedulingStrategy {strategy!r}, "
                         f"allowed: {', '.join(cat.SCHEDULING_STRATEGIES)}", why)
-            elif strategy == "CRON_DRIVEN":
-                expr, why = topo.evaluate_property(name, "schedulingPeriodCRON")
-                if not isinstance(expr, str) or not is_valid_cron(expr):
-                    finding(name, f"{name!r} is CRON driven but {expr!r} is not "
-                            f"a valid cron expression", why)
-        elif "schedulingPeriodCRON" in resolved.properties:
-            expr, why = topo.evaluate_property(name, "schedulingPeriodCRON")
+        if (cron := topo.cron(name)) is not None:
+            expr, why = cron
             if not isinstance(expr, str) or not is_valid_cron(expr):
-                finding(name, f"{name!r} schedules only by cron but {expr!r} is "
-                        f"not a valid cron expression", why)
-        key = next((key for type_name, key in cat.INVOKER_KEYS.items()
-                    if type_name in resolved.ancestry), None)
+                fires = "is CRON driven" if declares_strategy \
+                    else "schedules only by cron"
+                finding(name, f"{name!r} {fires} but {expr!r} is not a valid "
+                        f"cron expression", why)
+        key = first_of(cat.INVOKER_KEYS, resolved.ancestry)
         if key is not None:
             _, why = topo.evaluate_property(name, key)
             if why:
@@ -336,8 +335,7 @@ def _passphrase(rng: random.Random) -> str:
 def _fix_locality_pair(topo: Topology, nodes: dict, a: str, b: str) -> str:
     """Leave exactly one connection a -> b, of the locality-correct kind."""
     locality = topo.locality(a, b)
-    desired = cat.CONNECT_NIFI_LOCAL if locality is Locality.LOCAL \
-        else cat.CONNECT_NIFI_REMOTE
+    desired = _KIND_FOR[locality]
     edges = topo.pairs[(a, b)]
     keeper = next((assignment for assignment, kind in edges
                    if topo.kind_locality(kind) is locality), None)

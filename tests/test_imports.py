@@ -138,3 +138,22 @@ def test_the_private_name_check_finds_both_forms(tmp_path):
     path.write_text("from .crypto import _keystream\nfrom . import catalog as cat\n"
                     "cat._node\n")
     assert _private_imports(path) == ["bad.py:1 _keystream", "bad.py:3 cat._node"]
+
+
+SCHEDULING_WORDS = ("CRON_DRIVEN", "schedulingPeriodCRON")
+
+
+def _scheduling_literals(path):
+    """'file:line' for each string literal in `path` that holds a word of
+    the scheduling rule."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and any(word in node.value for word in SCHEDULING_WORDS)]
+
+
+def test_only_the_catalog_and_topology_spell_the_scheduling_rule():
+    assert [hit for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in ("catalog.py", "topology.py")
+            for hit in _scheduling_literals(path)] == []
+    assert _scheduling_literals(PACKAGE / "topology.py")

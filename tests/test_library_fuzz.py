@@ -7,7 +7,9 @@ serialize and re-parse, plan, instantiate and `run_until`.  Every entry
 point must return or raise a `ToscaflowError`; anything else escaping is a
 bug.  The repair must also leave its input as it was, every plan that
 returns must pass `validate_plan`, and a dependency cycle the planner
-reports must be one.
+reports must be one.  A cron that `instantiate` cannot parse must be an R6
+finding, the repaired template read back must have no fixable finding, and
+every template must read back from its own serialization unchanged.
 
 The default profile runs a few dozen examples;
 HYPOTHESIS_PROFILE=fuzz python -m pytest tests/test_library_fuzz.py
@@ -18,13 +20,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import topology_gen
-from toscaflow.errors import DependencyCycleError, ToscaflowError
+from toscaflow.errors import CronSyntaxError, DependencyCycleError, ToscaflowError
 from toscaflow.model import RequirementAssignment
 from toscaflow.parsing import parse_service_template, serialize_template
 from toscaflow.planner import build_graph, plan, validate_plan
 from toscaflow.simulator import instantiate
 from toscaflow.topology import Topology
-from toscaflow.verifier import verify
+from toscaflow.verifier import FIXABLE, check_scheduling, verify
 
 ODD_VALUES = ("none", "int", "bool", "list", "self", "artifact", "empty",
               "quoted")
@@ -84,7 +86,11 @@ def _plan(template):
 
 
 def _simulate(template):
-    flow = instantiate(template)
+    try:
+        flow = instantiate(template)
+    except CronSyntaxError:
+        assert check_scheduling(template)
+        raise
     for stage in flow.blocks.values():
         if stage.source is not None:
             flow.schedule_injection(0, *stage.source, "item", b"payload")
@@ -106,7 +112,13 @@ def test_only_toscaflow_errors_escape_the_library(seed, clean, mutations, data):
     fixed = template if verified is None else verified[0]
     reparsed = _or_toscaflow_error(
         lambda: parse_service_template(serialize_template(fixed)))
+    if verified is not None and reparsed is not None:
+        assert all(d.severity != FIXABLE for d in verify(reparsed)[1])
     for candidate in (fixed, reparsed):
-        if candidate is not None:
-            _or_toscaflow_error(lambda: _plan(candidate))
-            _or_toscaflow_error(lambda: _simulate(candidate))
+        if candidate is None:
+            continue
+        again = _or_toscaflow_error(
+            lambda: parse_service_template(serialize_template(candidate)))
+        assert again is None or again == candidate
+        _or_toscaflow_error(lambda: _plan(candidate))
+        _or_toscaflow_error(lambda: _simulate(candidate))

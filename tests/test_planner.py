@@ -272,3 +272,21 @@ def test_plan_is_the_inline_heap_order(load_fixture):
             assert plan(template).steps == steps
         outcomes.add(steps is None)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ["image_pipeline.yaml", "cyclic.yaml"])
+def test_one_plan_builds_one_topology(name, load_fixture, monkeypatch):
+    template = load_fixture(name)
+    built = []
+    init = Topology.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Topology, "__init__", counting)
+    try:
+        plan(template)
+    except DependencyCycleError:
+        pass
+    assert len(built) == 1

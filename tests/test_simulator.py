@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 import builders as b
 import topology_gen
 from toscaflow import catalog as cat
-from toscaflow.errors import DuplicateFunctionError, UnsupportedTypeError
+from toscaflow.errors import (
+    DuplicateFunctionError,
+    ScheduleError,
+    ToscaflowError,
+    UnsupportedTypeError,
+)
 from toscaflow.model import RequirementAssignment
 from toscaflow.planner import CONNECTS_TO, build_graph
 from toscaflow.topology import Topology, lexicographic_order
@@ -444,6 +449,27 @@ def test_parse_schedule_hex_and_file(tmp_path):
 def test_parse_schedule_rejects_malformed(line):
     with pytest.raises(ValueError):
         parse_schedule(line)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x minio b k 00", "schedule line 1: bad tick 'x'"),
+    ("-1 minio b k 00", "schedule line 1: tick must be >= 0"),
+    ("1 minio b k", "schedule line 1: expected 5 fields, got 4"),
+    ("1 minio b k nosuchfile.bin", "schedule line 1: cannot read 'nosuchfile.bin': "),
+])
+def test_schedule_errors_are_toscaflow_errors(line, message):
+    with pytest.raises(ToscaflowError) as excinfo:
+        parse_schedule(line)
+    assert type(excinfo.value) is ScheduleError
+    assert str(excinfo.value).startswith(message)
+
+
+def test_a_past_injection_is_a_toscaflow_error():
+    flow = instantiate(_two_stage())
+    flow.run_until(5)
+    with pytest.raises(ScheduleError, match=r"^tick 2 is already in the past "
+                                            r"\(clock is at 6\)$"):
+        flow.schedule_injection(2, "minio", "in", "k", b"\x01")
 
 
 # -- the engine, pinned event by event -----------------------------------------------
