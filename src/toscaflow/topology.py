@@ -115,12 +115,11 @@ class Topology:
         """
         properties = self.resolved_node(node_name).properties
         if "schedulingStrategy" in properties:
-            fires = self.evaluate_property(node_name, "schedulingStrategy")[0] \
-                == "CRON_DRIVEN"
-        else:
-            fires = "schedulingPeriodCRON" in properties
-        return self.evaluate_property(node_name, "schedulingPeriodCRON") \
-            if fires else None
+            if self.effective_property(node_name, "schedulingStrategy") != "CRON_DRIVEN":
+                return None
+        elif "schedulingPeriodCRON" not in properties:
+            return None
+        return self.evaluate_property(node_name, "schedulingPeriodCRON")
 
     # -- connections ---------------------------------------------------------
 

@@ -455,7 +455,8 @@ def test_parse_schedule_rejects_malformed(line):
     ("x minio b k 00", "schedule line 1: bad tick 'x'"),
     ("-1 minio b k 00", "schedule line 1: tick must be >= 0"),
     ("1 minio b k", "schedule line 1: expected 5 fields, got 4"),
-    ("1 minio b k nosuchfile.bin", "schedule line 1: cannot read 'nosuchfile.bin': "),
+    ("1 minio b k nosuchfile.bin",
+     "schedule line 1: cannot read 'nosuchfile.bin': "),
 ])
 def test_schedule_errors_are_toscaflow_errors(line, message):
     with pytest.raises(ToscaflowError) as excinfo:
