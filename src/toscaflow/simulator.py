@@ -349,7 +349,7 @@ class Flow:
         """Queue a put_object to happen at the start of `tick`."""
         if tick < self.clock:
             raise ScheduleError(f"tick {tick} is already in the past "
-                             f"(clock is at {self.clock})")
+                                f"(clock is at {self.clock})")
         self._injections.setdefault(tick, []).append(
             (provider, bucket, key, bytes(payload)))
 
@@ -534,13 +534,13 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
         parts = line.split()
         if len(parts) != 5:
             raise ScheduleError(f"schedule line {lineno}: expected 5 fields, "
-                             f"got {len(parts)}")
+                                f"got {len(parts)}")
         tick_text, provider, bucket, key, payload_text = parts
         try:
             tick = int(tick_text, 10)
         except ValueError:
             raise ScheduleError(f"schedule line {lineno}: bad tick "
-                             f"{tick_text!r}") from None
+                                f"{tick_text!r}") from None
         if tick < 0:
             raise ScheduleError(f"schedule line {lineno}: tick must be >= 0")
         if len(payload_text) % 2 == 0 and payload_text \
@@ -554,6 +554,6 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
                     payload = handle.read()
             except OSError as exc:
                 raise ScheduleError(f"schedule line {lineno}: cannot read "
-                                 f"{payload_text!r}: {exc}") from None
+                                    f"{payload_text!r}: {exc}") from None
         out.append((tick, provider, bucket, key, payload))
     return out
