@@ -581,3 +581,129 @@ def test_passphrase_repair_rekeys_the_pairs_that_already_agreed(monkeypatch):
     passphrases = {fixed.node_templates[name].property_values["passphrase"]
                    for name in ("E1", "D1", "D2")}
     assert len(passphrases) == 1 and passphrases != {"a"}
+
+
+# -- reports pinned on rarely reached branches ------------------------------------
+
+def _report(template, **options):
+    return [d.to_dict() for d in verify(template, **options)[1]]
+
+
+def test_node_of_an_unresolved_type_is_reported_once():
+    stack, nifi, source, dest = _stacked_pipeline_pair()
+    ghost = b.node("Ghost", "acme.nodes.Missing")
+    assert _report(b.template(*stack, source, dest, ghost)) == [
+        {"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Ghost"],
+         "message": "type 'acme.nodes.Missing' does not resolve", "fix": None}]
+
+
+def test_assignment_to_a_target_of_an_unresolved_type():
+    stack, nifi, source, dest = _stacked_pipeline_pair()
+    source.requirement_assignments[1].target = "Ghost"
+    ghost = b.node("Ghost", "acme.nodes.Missing")
+    assert _report(b.template(*stack, source, dest, ghost)) == [
+        {"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Ghost"],
+         "message": "type 'acme.nodes.Missing' does not resolve", "fix": None},
+        {"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Src", "Ghost"],
+         "message": "target 'Ghost' has unresolvable type 'acme.nodes.Missing'",
+         "fix": None}]
+
+
+_ONE_NIFI = """\
+tosca_definitions_version: tosca_simple_yaml_1_3
+node_types:
+  acme.nodes.Source:
+    derived_from: radon.nodes.datapipeline.source.ConsMinIO
+    requirements:
+      - connectToPipeline:
+          capability: radon.capabilities.datapipeline.ConnectToPipeline
+          node: radon.nodes.abstract.DataPipeline
+          relationship: radon.relationships.datapipeline.{kind}
+          occurrences: {occurrences}
+topology_template:
+  node_templates:
+    VM:
+      type: tosca.nodes.Compute
+    Nifi:
+      type: radon.nodes.nifi.Nifi
+      properties: {{component_version: "1.14.0"}}
+      requirements:
+        - host: VM
+    Src:
+      type: acme.nodes.Source
+      properties: {{name: s, BucketName: in, cred_file_path: c, MinIO_Endpoint: e}}
+      requirements:
+        - host: Nifi
+{connections}
+    Dst:
+      type: radon.nodes.datapipeline.destination.PubsMinIO
+      properties: {{name: d, BucketName: out, cred_file_path: c, MinIO_Endpoint: e}}
+      requirements:
+        - host: Nifi
+    Dst2:
+      type: radon.nodes.datapipeline.destination.PubsMinIO
+      properties: {{name: d2, BucketName: out2, cred_file_path: c, MinIO_Endpoint: e}}
+      requirements:
+        - host: Nifi
+"""
+
+
+def _one_nifi(kind, occurrences, *connections):
+    from toscaflow.parsing import parse_service_template
+
+    return parse_service_template(_ONE_NIFI.format(
+        kind=kind, occurrences=occurrences,
+        connections="\n".join(f"        - {name}: {target}"
+                              for name, target in connections)))
+
+
+def test_connection_filled_past_a_bounded_maximum():
+    template = _one_nifi("ConnectNifiLocal", "[1, 1]",
+                         ("connectToPipeline", "Dst"), ("connectToPipeline", "Dst2"))
+    assert _report(template) == [
+        {"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Src"],
+         "message": "'Src' fills requirement 'connectToPipeline' 2 times, "
+                    "maximum is 1", "fix": None}]
+
+
+def test_kind_repair_without_a_counterpart_overrides_the_relationship():
+    # both connection requirements of the type are remote, so the local
+    # kind can only be set as an override, which R1 then reports
+    template = _one_nifi("ConnectNifiRemote", "[1, UNBOUNDED]",
+                         ("connectToPipelineRemote", "Dst"),
+                         ("connectToPipeline", "Dst2"))
+    remote = "radon.relationships.datapipeline.ConnectNifiRemote"
+    local = "radon.relationships.datapipeline.ConnectNifiLocal"
+    wrong_kind = "connection 'Src' -> '{}' uses a remote relationship but the " \
+                 "blocks are local"
+    assert _report(template) == [
+        {"rule": R2_LOCALITY, "severity": FIXABLE, "nodes": ["Src", target],
+         "message": wrong_kind.format(target), "fix": None}
+        for target in ("Dst", "Dst2")]
+    fixed, report = verify(template, fix=True)
+    assert [d.to_dict() for d in report] == [
+        {"rule": R2_LOCALITY, "severity": FIXABLE, "nodes": ["Src", target],
+         "message": wrong_kind.format(target),
+         "fix": f"rewrote the connection to {local!r}"}
+        for target in ("Dst", "Dst2")] + [
+        {"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Src", target],
+         "message": f"relationship {local!r} on 'Src' is not a subtype of "
+                    f"declared {remote!r}", "fix": None}
+        for target in ("Dst", "Dst2")]
+    assert [(a.name, a.target, a.relationship)
+            for a in fixed.node_templates["Src"].requirement_assignments] == [
+        ("host", "Nifi", None), ("connectToPipelineRemote", "Dst", local),
+        ("connectToPipeline", "Dst2", local)]
+
+
+def test_connection_of_neither_kind_draws_no_r2():
+    stack, nifi, source, dest = _stacked_pipeline_pair()
+    source.requirement_assignments[1].relationship = cat.CONNECTS_TO
+    template = b.template(*stack, source, dest)
+    assert Topology(template).kind_locality(cat.CONNECTS_TO) is None
+    report = [{"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Src", "Dst"],
+               "message": f"relationship {cat.CONNECTS_TO!r} on 'Src' is not a "
+                          f"subtype of declared {cat.CONNECT_NIFI_LOCAL!r}",
+               "fix": None}]
+    assert _report(template) == report
+    assert _report(template, fix=True) == report
