@@ -123,14 +123,19 @@ class Topology:
 
     # -- connections ---------------------------------------------------------
 
+    def connects(self, req) -> bool:
+        """True when the requirement is a pipeline connection: it demands a
+        ConnectToPipeline-typed capability."""
+        return self.subtype(req.capability_type, cat.CONNECT_TO_PIPELINE_CAP)
+
     @cached_property
     def pairs(self) -> dict:
         """Sorted (source, target) pipeline pairs -> their edges.
 
         An edge is (assignment, effective relationship kind), in the order
         the source assigns them.  An assignment counts as a connection when
-        its requirement demands a ConnectToPipeline-typed capability;
-        assignments naming no requirement of the type are skipped.
+        its requirement `connects`; assignments naming no requirement of the
+        type are skipped.
         """
         pipelines = set(self.pipelines)
         pairs = {}
@@ -141,7 +146,7 @@ class Topology:
                 req = by_name.get(assignment.name)
                 if req is None or assignment.target not in pipelines:
                     continue
-                if self.subtype(req.capability_type, cat.CONNECT_TO_PIPELINE_CAP):
+                if self.connects(req):
                     kind = assignment.relationship or req.relationship_type
                     pairs.setdefault((name, assignment.target), []).append(
                         (assignment, kind))

@@ -89,18 +89,17 @@ def report_to_dict(diagnostics, fixed: bool):
 
 def check_requirements(template: ServiceTemplate) -> list[Diagnostic]:
     """R1 requirement/capability matching plus R5 hosting conformance."""
-    return _check_requirements(Topology(template))
+    return list(_check_requirements(Topology(template)))
 
 
-def _check_requirements(topo: Topology) -> list[Diagnostic]:
-    out = []
+def _check_requirements(topo: Topology):
     t = topo.template
     for name in sorted(t.node_templates):
         node = t.node_templates[name]
         resolved = topo.resolved_node(name)
         if resolved is None:
-            out.append(Diagnostic(R1_REQ_MATCH, ERROR, [name],
-                                  f"type {node.type!r} does not resolve"))
+            yield Diagnostic(R1_REQ_MATCH, ERROR, [name],
+                             f"type {node.type!r} does not resolve")
             continue
         by_name = {r.name: r for r in resolved.requirements}
         counts = {}
@@ -108,134 +107,112 @@ def _check_requirements(topo: Topology) -> list[Diagnostic]:
             counts[assignment.name] = counts.get(assignment.name, 0) + 1
             req = by_name.get(assignment.name)
             if req is None:
-                out.append(Diagnostic(
+                yield Diagnostic(
                     R1_REQ_MATCH, ERROR, [name],
                     f"{name!r} assigns requirement {assignment.name!r} that "
-                    f"type {node.type!r} does not declare"))
-                continue
-            target = assignment.target
-            if target not in t.node_templates:
-                out.append(Diagnostic(
+                    f"type {node.type!r} does not declare")
+            elif assignment.target not in t.node_templates:
+                yield Diagnostic(
                     R1_REQ_MATCH, ERROR, [name],
                     f"{name!r} requirement {assignment.name!r} targets missing "
-                    f"template {target!r}"))
-                continue
-            out.extend(_check_assignment(topo, name, node, req, assignment))
-        out.extend(_check_occurrences(topo, name, resolved, counts))
-    return out
+                    f"template {assignment.target!r}")
+            else:
+                yield from _check_assignment(topo, name, node, req, assignment)
+        yield from _check_occurrences(topo, name, resolved, counts)
 
 
 def _check_assignment(topo: Topology, name, node, req, assignment):
-    out = []
     target = assignment.target
     target_node = topo.template.node_templates[target]
     target_resolved = topo.resolved_node(target)
     if target_resolved is None:
-        out.append(Diagnostic(
+        yield Diagnostic(
             R1_REQ_MATCH, ERROR, [name, target],
-            f"target {target!r} has unresolvable type {target_node.type!r}"))
-        return out
+            f"target {target!r} has unresolvable type {target_node.type!r}")
+        return
 
     # declared node type conformance; hosting violations get their own rule
     if req.node_type and topo.resolved_type(req.node_type) is not None:
         if req.node_type not in target_resolved.ancestry:
             rule = R5_HOSTING if req.name == "host" else R1_REQ_MATCH
-            out.append(Diagnostic(
+            yield Diagnostic(
                 rule, ERROR, [name, target],
                 f"{name!r} requires {req.name!r} on a "
                 f"{req.node_type!r} node, but {target!r} is a "
-                f"{target_node.type!r}"))
+                f"{target_node.type!r}")
 
     # the target must offer a capability of the demanded type that accepts us
     if req.capability_type and topo.resolved_type(req.capability_type) is not None:
         matching = [c for c in target_resolved.capabilities.values()
                     if topo.subtype(c.capability_type, req.capability_type)]
         if not matching:
-            out.append(Diagnostic(
+            yield Diagnostic(
                 R1_REQ_MATCH, ERROR, [name, target],
                 f"{target!r} has no capability of type "
-                f"{req.capability_type!r} demanded by {name!r}"))
-        else:
-            accepted = any(
+                f"{req.capability_type!r} demanded by {name!r}")
+        elif not any(
                 not c.valid_source_types
                 or any(topo.subtype(node.type, s) for s in c.valid_source_types)
-                for c in matching)
-            if not accepted:
-                out.append(Diagnostic(
-                    R1_REQ_MATCH, ERROR, [name, target],
-                    f"{node.type!r} is not a valid source type for the "
-                    f"{req.capability_type!r} capability of {target!r}"))
+                for c in matching):
+            yield Diagnostic(
+                R1_REQ_MATCH, ERROR, [name, target],
+                f"{node.type!r} is not a valid source type for the "
+                f"{req.capability_type!r} capability of {target!r}")
 
     # an explicit relationship override must refine the declared one
     if assignment.relationship is not None and req.relationship_type:
         if not topo.subtype(assignment.relationship, req.relationship_type):
-            out.append(Diagnostic(
+            yield Diagnostic(
                 R1_REQ_MATCH, ERROR, [name, target],
                 f"relationship {assignment.relationship!r} on {name!r} is not "
-                f"a subtype of declared {req.relationship_type!r}"))
-    return out
+                f"a subtype of declared {req.relationship_type!r}")
 
 
 def _check_occurrences(topo: Topology, name, resolved, counts):
-    out = []
-    connect_reqs = [r for r in resolved.requirements
-                    if topo.subtype(r.capability_type, cat.CONNECT_TO_PIPELINE_CAP)]
-    other_reqs = [r for r in resolved.requirements if r not in connect_reqs]
-    for req in other_reqs:
-        count = counts.get(req.name, 0)
-        lo, hi = req.occurrences
-        if count < lo:
-            out.append(Diagnostic(
+    connect_reqs = [r for r in resolved.requirements if topo.connects(r)]
+    for req in resolved.requirements:
+        if req not in connect_reqs:
+            yield from _check_bounds(name, req, counts, req.occurrences[0])
+    if connect_reqs and sum(counts.get(r.name, 0) for r in connect_reqs) \
+            < max(r.occurrences[0] for r in connect_reqs):
+        yield Diagnostic(R1_REQ_MATCH, ERROR, [name],
+                         f"{name!r} has no downstream pipeline connection")
+    for req in connect_reqs:  # their minimum is the group's, checked above
+        yield from _check_bounds(name, req, counts, 0)
+
+
+def _check_bounds(name, req, counts, lo):
+    """`name` fills `req` fewer than `lo` or more than its maximum times."""
+    count, hi = counts.get(req.name, 0), req.occurrences[1]
+    for which, bound, broken in (("minimum", lo, count < lo),
+                                 ("maximum", hi, hi is not UNBOUNDED and count > hi)):
+        if broken:
+            yield Diagnostic(
                 R1_REQ_MATCH, ERROR, [name],
                 f"{name!r} fills requirement {req.name!r} {count} times, "
-                f"minimum is {lo}"))
-        if hi is not UNBOUNDED and count > hi:
-            out.append(Diagnostic(
-                R1_REQ_MATCH, ERROR, [name],
-                f"{name!r} fills requirement {req.name!r} {count} times, "
-                f"maximum is {hi}"))
-    if connect_reqs:
-        total = sum(counts.get(r.name, 0) for r in connect_reqs)
-        group_min = max(r.occurrences[0] for r in connect_reqs)
-        if total < group_min:
-            out.append(Diagnostic(
-                R1_REQ_MATCH, ERROR, [name],
-                f"{name!r} has no downstream pipeline connection"))
-        for req in connect_reqs:
-            lo, hi = req.occurrences
-            count = counts.get(req.name, 0)
-            if hi is not UNBOUNDED and count > hi:
-                out.append(Diagnostic(
-                    R1_REQ_MATCH, ERROR, [name],
-                    f"{name!r} fills requirement {req.name!r} {count} times, "
-                    f"maximum is {hi}"))
-    return out
+                f"{which} is {bound}")
 
 
 def check_locality(template: ServiceTemplate) -> list[Diagnostic]:
     """R2 wrong-kind connections and R3 duplicate connections."""
-    return _check_locality(Topology(template))
+    return list(_check_locality(Topology(template)))
 
 
-def _check_locality(topo: Topology) -> list[Diagnostic]:
-    out = []
+def _check_locality(topo: Topology):
     for (a, b), edges in topo.pairs.items():
         locality = topo.locality(a, b)
         if locality is None:
             continue
         if len(edges) > 1:
-            out.append(Diagnostic(
+            yield Diagnostic(
                 R3_DUPLICATE_CONN, FIXABLE, [a, b],
                 f"{len(edges)} connections between {a!r} and {b!r}; blocks are "
-                f"{locality.value}, exactly one {_KIND_FOR[locality]!r} belongs here"))
-        else:
-            bucket = topo.kind_locality(edges[0][1])
-            if bucket is not None and bucket is not locality:
-                out.append(Diagnostic(
-                    R2_LOCALITY, FIXABLE, [a, b],
-                    f"connection {a!r} -> {b!r} uses a {bucket.value} "
-                    f"relationship but the blocks are {locality.value}"))
-    return out
+                f"{locality.value}, exactly one {_KIND_FOR[locality]!r} belongs here")
+        elif (bucket := topo.kind_locality(edges[0][1])) not in (None, locality):
+            yield Diagnostic(
+                R2_LOCALITY, FIXABLE, [a, b],
+                f"connection {a!r} -> {b!r} uses a {bucket.value} "
+                f"relationship but the blocks are {locality.value}")
 
 
 def _reachable_from(adjacency, start):
@@ -252,7 +229,7 @@ def _reachable_from(adjacency, start):
 
 def check_encryption(template: ServiceTemplate) -> list[Diagnostic]:
     """R4: Encrypt/Decrypt pairing and passphrase agreement."""
-    return _check_encryption(Topology(template))
+    return list(_check_encryption(Topology(template)))
 
 
 def _encrypt_decrypt_pairs(topo: Topology):
@@ -264,42 +241,36 @@ def _encrypt_decrypt_pairs(topo: Topology):
     return encrypts, decrypts, pairs
 
 
-def _check_encryption(topo: Topology) -> list[Diagnostic]:
-    out = []
+def _check_encryption(topo: Topology):
     encrypts, decrypts, pairs = _encrypt_decrypt_pairs(topo)
     paired_e = {e for e, _ in pairs}
     paired_d = {d for _, d in pairs}
     for e in encrypts:
         if e not in paired_e:
-            out.append(Diagnostic(
-                R4_ENCRYPTION, ERROR, [e],
-                f"Encrypt node {e!r} reaches no Decrypt node"))
+            yield Diagnostic(R4_ENCRYPTION, ERROR, [e],
+                             f"Encrypt node {e!r} reaches no Decrypt node")
     for d in decrypts:
         if d not in paired_d:
-            out.append(Diagnostic(
+            yield Diagnostic(
                 R4_ENCRYPTION, ERROR, [d],
-                f"Decrypt node {d!r} is not reachable from any Encrypt node"))
+                f"Decrypt node {d!r} is not reachable from any Encrypt node")
     for e, d in pairs:
         if cipher_key(topo.effective_property(e, "passphrase")) != \
                 cipher_key(topo.effective_property(d, "passphrase")):
-            out.append(Diagnostic(
-                R4_ENCRYPTION, FIXABLE, [e, d],
-                f"passphrases of {e!r} and {d!r} differ"))
-    return out
+            yield Diagnostic(R4_ENCRYPTION, FIXABLE, [e, d],
+                             f"passphrases of {e!r} and {d!r} differ")
 
 
 def check_scheduling(template: ServiceTemplate) -> list[Diagnostic]:
     """R6: allowed strategies, parseable cron expressions and evaluable
     function keys."""
-    return _check_scheduling(Topology(template))
+    return list(_check_scheduling(Topology(template)))
 
 
-def _check_scheduling(topo: Topology) -> list[Diagnostic]:
-    out = []
-
+def _check_scheduling(topo: Topology):
     def finding(name, message, why):
-        out.append(Diagnostic(R6_SCHEDULING, ERROR, [name],
-                              f"{message} ({why})" if why else message))
+        return Diagnostic(R6_SCHEDULING, ERROR, [name],
+                          f"{message} ({why})" if why else message)
 
     for name in topo.pipelines:
         resolved = topo.resolved_node(name)
@@ -307,21 +278,20 @@ def _check_scheduling(topo: Topology) -> list[Diagnostic]:
         if declares_strategy:
             strategy, why = topo.evaluate_property(name, "schedulingStrategy")
             if strategy not in cat.SCHEDULING_STRATEGIES:
-                finding(name, f"{name!r} has schedulingStrategy {strategy!r}, "
-                        f"allowed: {', '.join(cat.SCHEDULING_STRATEGIES)}", why)
+                yield finding(name, f"{name!r} has schedulingStrategy {strategy!r}, "
+                              f"allowed: {', '.join(cat.SCHEDULING_STRATEGIES)}", why)
         if (cron := topo.cron(name)) is not None:
             expr, why = cron
             if not isinstance(expr, str) or not is_valid_cron(expr):
                 fires = "is CRON driven" if declares_strategy \
                     else "schedules only by cron"
-                finding(name, f"{name!r} {fires} but {expr!r} is not a valid "
-                        f"cron expression", why)
+                yield finding(name, f"{name!r} {fires} but {expr!r} is not a "
+                              f"valid cron expression", why)
         key = first_of(cat.INVOKER_KEYS, resolved.ancestry)
         if key is not None:
             _, why = topo.evaluate_property(name, key)
             if why:
-                finding(name, f"{name!r} cannot evaluate its {key}", why)
-    return out
+                yield finding(name, f"{name!r} cannot evaluate its {key}", why)
 
 
 # --------------------------------------------------------------------------
@@ -358,12 +328,9 @@ def _fix_locality_pair(topo: Topology, nodes: dict, a: str, b: str) -> str:
 
 def _rewrite_assignment_kind(topo: Topology, node_name: str,
                              assignment: RequirementAssignment, desired: str):
-    resolved = topo.resolved_node(node_name)
-    counterpart = next(
-        (r for r in resolved.requirements
-         if topo.subtype(r.capability_type, cat.CONNECT_TO_PIPELINE_CAP)
-         and r.relationship_type == desired),
-        None)
+    counterpart = next((r for r in topo.resolved_node(node_name).requirements
+                        if topo.connects(r) and r.relationship_type == desired),
+                       None)
     if counterpart is not None:
         return replace(assignment, name=counterpart.name, relationship=None)
     return replace(assignment, relationship=desired)
@@ -434,9 +401,7 @@ def _apply_fixes(topo: Topology, nodes: dict, fixables, rng, reported):
     encryption_pairs = []
     for diag in fixables:
         if diag.rule in (R2_LOCALITY, R3_DUPLICATE_CONN):
-            a, b = diag.nodes
-            description = _fix_locality_pair(topo, nodes, a, b)
-            reported[diag.key()].fix = description
+            reported[diag.key()].fix = _fix_locality_pair(topo, nodes, *diag.nodes)
         elif diag.rule == R4_ENCRYPTION:
             encryption_pairs.append(tuple(diag.nodes))
     if encryption_pairs:
