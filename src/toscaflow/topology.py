@@ -48,6 +48,7 @@ class Topology:
         self.defs = template.combined_definitions()
         self._resolved = {}
         self._by_node = {}
+        self._evaluated = {}
         self._nifi = {}
 
     # -- types ---------------------------------------------------------------
@@ -92,7 +93,13 @@ class Topology:
 
     def evaluate_property(self, node_name, prop_name):
         """(effective value, None), or (None, why) when the assigned value
-        cannot be evaluated."""
+        cannot be evaluated; each property is evaluated once per view."""
+        key = (node_name, prop_name)
+        if key not in self._evaluated:
+            self._evaluated[key] = self._evaluate(node_name, prop_name)
+        return self._evaluated[key]
+
+    def _evaluate(self, node_name, prop_name):
         node = self.template.node_templates[node_name]
         if prop_name in node.property_values:
             try:
