@@ -114,6 +114,10 @@ class DuplicateFunctionError(ToscaflowError):
     """A transform is already registered under that name."""
 
 
+class EmptyFunctionNameError(ToscaflowError, ValueError):
+    """A transform was registered under the empty name."""
+
+
 class CronSyntaxError(ToscaflowError):
     """A scheduling expression does not match the supported cron grammar."""
 

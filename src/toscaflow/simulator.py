@@ -32,7 +32,12 @@ from functools import partial
 from . import catalog as cat
 from .cron import CronExpr, cron_next, parse_cron
 from .crypto import cipher_key, decrypt_bytes, encrypt_bytes
-from .errors import DuplicateFunctionError, ScheduleError, UnsupportedTypeError
+from .errors import (
+    DuplicateFunctionError,
+    EmptyFunctionNameError,
+    ScheduleError,
+    UnsupportedTypeError,
+)
 from .model import ServiceTemplate
 from .topology import Topology, first_of, lexicographic_order
 
@@ -357,7 +362,7 @@ class Flow:
 
     def register_function(self, name: str, transform):
         if not name:
-            raise ValueError("function name must be non-empty")
+            raise EmptyFunctionNameError("function name must be non-empty")
         if name in self.functions:
             raise DuplicateFunctionError(f"function {name!r} already registered")
         self.functions[name] = transform

@@ -298,8 +298,9 @@ def test_register_function_duplicate_rejected(load_fixture):
     flow.register_function("my-fn", bytes)
     with pytest.raises(DuplicateFunctionError):
         flow.register_function("img-blur-nifi", bytes)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         flow.register_function("", bytes)
+    assert isinstance(raised.value, ToscaflowError)
 
 
 def test_encrypt_decrypt_round_trip_through_flow(load_fixture):
