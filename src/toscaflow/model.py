@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 from .errors import (
     CyclicDerivationError,
