@@ -34,12 +34,13 @@ validate_plan verify
 """.split()
 
 
-def _in_child(code):
-    """The JSON value `code` leaves in `result`, run in a fresh interpreter."""
+def _in_child(code, *flags):
+    """The JSON value `code` leaves in `result`, run in a fresh interpreter
+    started with `flags`."""
     script = (f"import json, sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
               f"{code}\nprint(json.dumps(result))")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60)
+    done = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -52,6 +53,13 @@ def test_building_the_catalog_loads_only_catalog_model_and_errors():
     loaded = _in_child("import toscaflow\ntoscaflow.builtin_catalog()\n"
                        f"result = {LOADED}")
     assert loaded == ["catalog", "errors", "model"]
+
+
+def test_building_the_catalog_does_not_load_typing():
+    # -S: no site hook may load typing before toscaflow does
+    loaded = _in_child("import toscaflow\ntoscaflow.builtin_catalog()\n"
+                       "result = 'typing' in sys.modules", "-S")
+    assert loaded is False
 
 
 @pytest.mark.parametrize("command, unused", [
@@ -157,3 +165,26 @@ def test_only_the_catalog_and_topology_spell_the_scheduling_rule():
             if path.name not in ("catalog.py", "topology.py")
             for hit in _scheduling_literals(path)] == []
     assert _scheduling_literals(PACKAGE / "topology.py")
+
+
+def _reads(path, name):
+    """'file:line' for each place `path` imports or reads `name`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and node.name == name]
+
+
+def test_only_the_catalog_and_topology_read_the_connection_capability():
+    assert [hit for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in ("catalog.py", "topology.py")
+            for hit in _reads(path, "CONNECT_TO_PIPELINE_CAP")] == []
+    assert _reads(PACKAGE / "topology.py", "CONNECT_TO_PIPELINE_CAP")
+
+
+def test_the_read_check_finds_each_form(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text("from .catalog import CAP\nfrom . import catalog as cat\n"
+                    "cat.CAP\nCAP\n")
+    assert _reads(path, "CAP") == ["bad.py:1", "bad.py:3", "bad.py:4"]
