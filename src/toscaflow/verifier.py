@@ -208,11 +208,13 @@ def _check_locality(topo: Topology):
                 R3_DUPLICATE_CONN, FIXABLE, [a, b],
                 f"{len(edges)} connections between {a!r} and {b!r}; blocks are "
                 f"{locality.value}, exactly one {_KIND_FOR[locality]!r} belongs here")
-        elif (bucket := topo.kind_locality(edges[0][1])) not in (None, locality):
-            yield Diagnostic(
-                R2_LOCALITY, FIXABLE, [a, b],
-                f"connection {a!r} -> {b!r} uses a {bucket.value} "
-                f"relationship but the blocks are {locality.value}")
+        else:
+            bucket = topo.kind_locality(edges[0][1])
+            if bucket is not None and bucket is not locality:
+                yield Diagnostic(
+                    R2_LOCALITY, FIXABLE, [a, b],
+                    f"connection {a!r} -> {b!r} uses a {bucket.value} "
+                    f"relationship but the blocks are {locality.value}")
 
 
 def _reachable_from(adjacency, start):
@@ -247,8 +249,9 @@ def _check_encryption(topo: Topology):
     paired_d = {d for _, d in pairs}
     for e in encrypts:
         if e not in paired_e:
-            yield Diagnostic(R4_ENCRYPTION, ERROR, [e],
-                             f"Encrypt node {e!r} reaches no Decrypt node")
+            yield Diagnostic(
+                R4_ENCRYPTION, ERROR, [e],
+                f"Encrypt node {e!r} reaches no Decrypt node")
     for d in decrypts:
         if d not in paired_d:
             yield Diagnostic(
@@ -257,8 +260,9 @@ def _check_encryption(topo: Topology):
     for e, d in pairs:
         if cipher_key(topo.effective_property(e, "passphrase")) != \
                 cipher_key(topo.effective_property(d, "passphrase")):
-            yield Diagnostic(R4_ENCRYPTION, FIXABLE, [e, d],
-                             f"passphrases of {e!r} and {d!r} differ")
+            yield Diagnostic(
+                R4_ENCRYPTION, FIXABLE, [e, d],
+                f"passphrases of {e!r} and {d!r} differ")
 
 
 def check_scheduling(template: ServiceTemplate) -> list[Diagnostic]:
