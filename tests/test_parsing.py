@@ -251,6 +251,18 @@ node_types:
       knob:
         type: integer
         default: 3
+      label:
+        type: string
+        default: true
+      count:
+        type: string
+        default: 7
+      limit:
+        type: integer
+        default: "7"
+      flag:
+        type: boolean
+        default: false
     attributes:
       block_id:
         type: string
@@ -276,7 +288,11 @@ topology_template:
 """
     template = parse_service_template(text)
     assert len(template.user_types) == 1
-    assert template.user_types[0].properties["knob"].default == 3
+    assert {name: prop.default for name, prop
+            in template.user_types[0].properties.items()} \
+        == {"knob": 3, "label": "true", "count": "7", "limit": 7, "flag": False}
+    assert [type(prop.default) for prop in template.user_types[0].properties.values()] \
+        == [int, str, str, int, bool]
     assert template.user_types[0].attributes["block_id"].default == "block-7"
     once = serialize_template(template)
     assert parse_service_template(once) == template
@@ -424,6 +440,8 @@ SHAPE_ERRORS = [
      "unsupported property type 'float' on 'p'", "4:18"),
     (D, NODE_TYPE + "    properties: {p: {type: integer, default: x}}\n",
      SchemaError, "default 'x' of property 'p' does not fit type 'integer'", "4:18"),
+    (D, NODE_TYPE + "    properties: {p: {type: boolean, default: x}}\n",
+     SchemaError, "default 'x' of property 'p' does not fit type 'boolean'", "4:18"),
     (D, NODE_TYPE + "    attributes: 5\n", SchemaError,
      "attributes must be a mapping", "4:17"),
     (D, NODE_TYPE + "    attributes: {a: [b]}\n", SchemaError,
@@ -448,6 +466,12 @@ SHAPE_ERRORS = [
     (D, NODE_TYPE + "    requirements: [{r: {" + REQUIREMENT
      + ", occurrences: [1, many]}}]\n",
      SchemaError, "bad maximum occurrence 'many' on r", "4:21"),
+    (D, NODE_TYPE + "    requirements: [{r: {" + REQUIREMENT
+     + ", occurrences: [true, 1]}}]\n",
+     SchemaError, "bad minimum occurrence True on r", "4:21"),
+    (D, NODE_TYPE + "    requirements: [{r: {" + REQUIREMENT
+     + ", occurrences: [1, 1.5]}}]\n",
+     SchemaError, "bad maximum occurrence 1.5 on r", "4:21"),
     (R, "requirements:\n  - a: {" + REQUIREMENT + "}\n  - b\n", SchemaError,
      "requirement entry must be a mapping", "3:5"),
     (R, "other: 1\n", SchemaError, "fragment has no 'requirements' key", "1:1"),
@@ -460,6 +484,8 @@ SHAPE_ERRORS = [
      "capability 'c' lacks 'type'", "4:20"),
     (D, NODE_TYPE + "    capabilities: {c: {type: C, valid_source_types: S}}\n",
      SchemaError, "valid_source_types of 'c' must be a list", "4:20"),
+    (D, NODE_TYPE + "    capabilities: {c: {type: C, occurrences: [0, many]}}\n",
+     SchemaError, "bad maximum occurrence 'many' on c", "4:20"),
     # service templates and node templates
     (T, TOPOLOGY, SchemaError, "missing tosca_definitions_version", "1:1"),
     (T, V, SchemaError, "missing topology_template", "1:1"),
