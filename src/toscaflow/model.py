@@ -59,11 +59,11 @@ class PropertyDefinition:
 
     def __post_init__(self):
         if self.value_type not in VALUE_TYPES:
-            raise ValueError(f"unsupported property type {self.value_type!r}")
+            raise ValueError(f"unsupported property type {self.value_type!r} "
+                             f"on {self.name!r}")
         if self.default is not None and not _conforms(self.default, self.value_type):
-            raise ValueError(
-                f"default {self.default!r} does not conform to {self.value_type}"
-            )
+            raise ValueError(f"default {self.default!r} of property {self.name!r} "
+                             f"does not fit type {self.value_type!r}")
 
 
 @dataclass
@@ -86,11 +86,7 @@ class RequirementDefinition:
     occurrences: Occurrences = (1, 1)
 
     def __post_init__(self):
-        lo, hi = self.occurrences
-        if hi is not UNBOUNDED and (lo > hi or hi < 1):
-            raise ValueError(f"bad occurrences {self.occurrences!r} on {self.name}")
-        if lo < 0:
-            raise ValueError(f"negative minimum occurrence on {self.name}")
+        _check_occurrences(self.name, self.occurrences, least_maximum=1)
 
 
 @dataclass
@@ -103,9 +99,7 @@ class CapabilityDefinition:
     occurrences: Occurrences = (1, UNBOUNDED)
 
     def __post_init__(self):
-        lo, hi = self.occurrences
-        if hi is not UNBOUNDED and lo > hi:
-            raise ValueError(f"bad occurrences {self.occurrences!r} on {self.name}")
+        _check_occurrences(self.name, self.occurrences, least_maximum=0)
 
 
 @dataclass
@@ -191,9 +185,21 @@ def _conforms(value, value_type):
         return isinstance(value, str)
     if value_type == "integer":
         return isinstance(value, int) and not isinstance(value, bool)
-    if value_type == "boolean":
-        return isinstance(value, bool)
-    return False
+    return isinstance(value, bool)
+
+
+def _check_occurrences(name, occurrences, least_maximum):
+    """Raise ValueError unless (min, max) are a count of at least 0 and a
+    count or UNBOUNDED, min <= max and max >= `least_maximum`."""
+    lo, hi = occurrences
+    if not _conforms(lo, "integer") or lo < 0:
+        raise ValueError(f"bad minimum occurrence {lo!r} on {name}")
+    if hi is UNBOUNDED:
+        return
+    if not _conforms(hi, "integer"):
+        raise ValueError(f"bad maximum occurrence {hi!r} on {name}")
+    if lo > hi or hi < least_maximum:
+        raise ValueError(f"bad occurrences {occurrences!r} on {name}")
 
 
 def ancestry_of(name: str, defs: Mapping[str, TypeDefinition]) -> list[TypeDefinition]:

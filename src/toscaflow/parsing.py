@@ -279,29 +279,18 @@ def _parse_type(name, kind, body_node, location, filename) -> TypeDefinition:
     return TypeDefinition(name=name, kind=kind, location=location, **fields)
 
 
-def _coerce_default(value, value_type, where, name_node, filename):
-    if value is None:
-        return None
-    if value_type == "string":
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, (int, float)):
-            return str(value)
-        if isinstance(value, str):
-            return value
-    elif value_type == "integer":
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, str):
-            try:
-                return int(value, 10)
-            except ValueError:
-                pass
-    elif value_type == "boolean":
-        if isinstance(value, bool):
-            return value
-    raise SchemaError(f"default {value!r} of {where} does not fit type "
-                      f"{value_type!r}", _loc(name_node, filename))
+def _coerce_default(value, value_type):
+    """`value` read as a `value_type` where YAML typed it otherwise: a bool
+    or number as text for a string, decimal text as an int for an integer.
+    Anything else is returned as it is, for the model to judge."""
+    if value_type == "string" and isinstance(value, (bool, int, float)):
+        return str(value).lower() if isinstance(value, bool) else str(value)
+    if value_type == "integer" and isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    return value
 
 
 def _parse_property_defs(node, filename):
@@ -310,13 +299,13 @@ def _parse_property_defs(node, filename):
         raw = _fields(body_node, f"property {name!r}", filename) \
             if _present(body_node) else {}
         value_type = str(raw.get("type", "string"))
-        if value_type not in ("string", "integer", "boolean"):
-            raise SchemaError(f"unsupported property type {value_type!r} "
-                              f"on {name!r}", _loc(name_node, filename))
-        default = _coerce_default(raw.get("default"), value_type,
-                                  f"property {name!r}", name_node, filename)
-        out[name] = PropertyDefinition(name, value_type, default,
-                                       bool(raw.get("required", True)))
+        out[name] = _checked(
+            PropertyDefinition, name_node, filename,
+            name=name,
+            value_type=value_type,
+            default=_coerce_default(raw.get("default"), value_type),
+            required=bool(raw.get("required", True)),
+        )
     return out
 
 
@@ -337,15 +326,7 @@ def _parse_occurrences(raw, where, name_node, filename, default):
         raise SchemaError(f"occurrences of {where} must be [min, max]",
                           _loc(name_node, filename))
     lo, hi = raw
-    if not isinstance(lo, int) or isinstance(lo, bool) or lo < 0:
-        raise SchemaError(f"bad minimum occurrence {lo!r} on {where}",
-                          _loc(name_node, filename))
-    if isinstance(hi, str) and hi == "UNBOUNDED":
-        return (lo, UNBOUNDED)
-    if not isinstance(hi, int) or isinstance(hi, bool):
-        raise SchemaError(f"bad maximum occurrence {hi!r} on {where}",
-                          _loc(name_node, filename))
-    return (lo, hi)
+    return (lo, UNBOUNDED if hi == "UNBOUNDED" else hi)
 
 
 def _checked(definition_class, name_node, filename, **fields):

@@ -12,8 +12,11 @@ from toscaflow.errors import (
     UnknownTypeError,
 )
 from toscaflow.model import (
+    UNBOUNDED,
+    CapabilityDefinition,
     NodeTemplate,
     PropertyDefinition,
+    RequirementDefinition,
     ServiceTemplate,
     TypeDefinition,
     evaluate_intrinsic,
@@ -104,6 +107,58 @@ def test_most_derived_property_wins():
     }
     assert resolve_type("Leaf", defs).properties["p"].default == "leaf-default"
     assert resolve_type("Base", defs).properties["p"].default == "base-default"
+
+
+RECORD_ERRORS = [
+    (PropertyDefinition, {"value_type": "float"},
+     "unsupported property type 'float' on 'p'"),
+    (PropertyDefinition, {"value_type": "float", "default": "x"},
+     "unsupported property type 'float' on 'p'"),
+    (PropertyDefinition, {"value_type": "integer", "default": "x"},
+     "default 'x' of property 'p' does not fit type 'integer'"),
+    (PropertyDefinition, {"value_type": "integer", "default": True},
+     "default True of property 'p' does not fit type 'integer'"),
+    (PropertyDefinition, {"value_type": "boolean", "default": 1},
+     "default 1 of property 'p' does not fit type 'boolean'"),
+    (RequirementDefinition, {"occurrences": ("a", 1)},
+     "bad minimum occurrence 'a' on r"),
+    (RequirementDefinition, {"occurrences": (True, 1)},
+     "bad minimum occurrence True on r"),
+    (RequirementDefinition, {"occurrences": (-1, 1)},
+     "bad minimum occurrence -1 on r"),
+    (RequirementDefinition, {"occurrences": (-1, UNBOUNDED)},
+     "bad minimum occurrence -1 on r"),
+    (RequirementDefinition, {"occurrences": (1.5, UNBOUNDED)},
+     "bad minimum occurrence 1.5 on r"),
+    (RequirementDefinition, {"occurrences": (1, "x")},
+     "bad maximum occurrence 'x' on r"),
+    (RequirementDefinition, {"occurrences": (2, 1)}, "bad occurrences (2, 1) on r"),
+    (RequirementDefinition, {"occurrences": (0, 0)}, "bad occurrences (0, 0) on r"),
+    (CapabilityDefinition, {"occurrences": (2, 1)}, "bad occurrences (2, 1) on c"),
+    (CapabilityDefinition, {"occurrences": (0, "x")},
+     "bad maximum occurrence 'x' on c"),
+    (TypeDefinition, {"kind": "bogus"}, "unsupported type kind 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("record, fields, message", RECORD_ERRORS,
+                         ids=[f"{case[0].__name__}: {case[2]}" for case in RECORD_ERRORS])
+def test_records_reject_what_breaks_their_rules(record, fields, message):
+    name = {PropertyDefinition: "p", RequirementDefinition: "r",
+            CapabilityDefinition: "c", TypeDefinition: "T"}[record]
+    with pytest.raises(ValueError) as excinfo:
+        record(name=name, **fields)
+    assert type(excinfo.value) is ValueError
+    assert excinfo.value.args == (message,)
+
+
+def test_records_accept_the_edges_of_their_rules():
+    assert PropertyDefinition("p", "boolean", False).default is False
+    assert PropertyDefinition("p", "integer", 0).default == 0
+    assert RequirementDefinition("r", occurrences=(0, 1)).occurrences == (0, 1)
+    assert RequirementDefinition("r", occurrences=(0, UNBOUNDED)).occurrences \
+        == (0, UNBOUNDED)
+    assert CapabilityDefinition("c", occurrences=(0, 0)).occurrences == (0, 0)
 
 
 def _minio_template():
