@@ -35,6 +35,11 @@ class Locality(Enum):
     REMOTE = "remote"
 
 
+# the connection kind that belongs between blocks of each locality
+CONNECTION_KIND = {Locality.LOCAL: cat.CONNECT_NIFI_LOCAL,
+                   Locality.REMOTE: cat.CONNECT_NIFI_REMOTE}
+
+
 class Topology:
     """Resolved types, pipelines, connections and hosting of one template.
 
@@ -169,11 +174,8 @@ class Topology:
 
     def kind_locality(self, kind):
         """The locality a relationship kind asserts, or None for neither."""
-        if self.subtype(kind, cat.CONNECT_NIFI_LOCAL):
-            return Locality.LOCAL
-        if self.subtype(kind, cat.CONNECT_NIFI_REMOTE):
-            return Locality.REMOTE
-        return None
+        return next((locality for locality, connection in CONNECTION_KIND.items()
+                     if self.subtype(kind, connection)), None)
 
     # -- hosting -------------------------------------------------------------
 

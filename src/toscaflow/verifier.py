@@ -35,8 +35,9 @@ from .cron import is_valid_cron
 from .crypto import cipher_key
 from .errors import VerifierNonConvergenceError
 from .model import UNBOUNDED, RequirementAssignment, ServiceTemplate
-# colocated and host_chain are re-exported for callers of this module
-from .topology import Locality, Topology, colocated, first_of, host_chain
+# Locality, colocated and host_chain are re-exported for callers of this module
+from .topology import (CONNECTION_KIND, Locality, Topology, colocated, first_of,
+                       host_chain)
 
 R1_REQ_MATCH = "R1-REQ-MATCH"
 R2_LOCALITY = "R2-LOCALITY"
@@ -53,10 +54,6 @@ FIXABLE = "fixable"
 WARNING = "warning"
 
 MAX_FIX_PASSES = 3
-
-# the connection kind that belongs between blocks of each locality
-_KIND_FOR = {Locality.LOCAL: cat.CONNECT_NIFI_LOCAL,
-             Locality.REMOTE: cat.CONNECT_NIFI_REMOTE}
 
 
 @dataclass
@@ -207,7 +204,7 @@ def _check_locality(topo: Topology):
             yield Diagnostic(
                 R3_DUPLICATE_CONN, FIXABLE, [a, b],
                 f"{len(edges)} connections between {a!r} and {b!r}; blocks are "
-                f"{locality.value}, exactly one {_KIND_FOR[locality]!r} belongs here")
+                f"{locality.value}, exactly one {CONNECTION_KIND[locality]!r} belongs here")
         else:
             bucket = topo.kind_locality(edges[0][1])
             if bucket is not None and bucket is not locality:
@@ -309,7 +306,7 @@ def _passphrase(rng: random.Random) -> str:
 def _fix_locality_pair(topo: Topology, nodes: dict, a: str, b: str) -> str:
     """Leave exactly one connection a -> b, of the locality-correct kind."""
     locality = topo.locality(a, b)
-    desired = _KIND_FOR[locality]
+    desired = CONNECTION_KIND[locality]
     edges = topo.pairs[(a, b)]
     keeper = next((assignment for assignment, kind in edges
                    if topo.kind_locality(kind) is locality), None)

@@ -176,11 +176,13 @@ def _reads(path, name):
             or isinstance(node, ast.alias) and node.name == name]
 
 
-def test_only_the_catalog_and_topology_read_the_connection_capability():
+@pytest.mark.parametrize("name", ["CONNECT_TO_PIPELINE_CAP", "CONNECT_NIFI_LOCAL",
+                                  "CONNECT_NIFI_REMOTE"])
+def test_only_the_catalog_and_topology_read_the_connection_capability(name):
     assert [hit for path in sorted(PACKAGE.glob("*.py"))
             if path.name not in ("catalog.py", "topology.py")
-            for hit in _reads(path, "CONNECT_TO_PIPELINE_CAP")] == []
-    assert _reads(PACKAGE / "topology.py", "CONNECT_TO_PIPELINE_CAP")
+            for hit in _reads(path, name)] == []
+    assert _reads(PACKAGE / "topology.py", name)
 
 
 def test_the_read_check_finds_each_form(tmp_path):
