@@ -19,7 +19,8 @@ Six rules, run in order:
 
 R2, R3, and R4 passphrase mismatches are fixable; fixes never add or remove
 node templates, only rewrite connection kinds, drop duplicate edges, and
-re-key passphrases.  Capability-side occurrence minimums are not enforced
+re-key passphrases.  A connection kind is rewritten only where R1 accepts
+the result, so an R2 finding with no such rewrite is an error.  Capability-side occurrence minimums are not enforced
 (idle capacity is legal), and the local/remote connection requirement pair
 is counted jointly against its minimum so a block needs *a* downstream,
 not one of each kind.
@@ -206,10 +207,13 @@ def _check_locality(topo: Topology):
                 f"{len(edges)} connections between {a!r} and {b!r}; blocks are "
                 f"{locality.value}, exactly one {CONNECTION_KIND[locality]!r} belongs here")
         else:
-            bucket = topo.kind_locality(edges[0][1])
+            assignment, kind = edges[0]
+            bucket = topo.kind_locality(kind)
             if bucket is not None and bucket is not locality:
+                rewrite = _rewrite_assignment_kind(topo, a, assignment,
+                                                   CONNECTION_KIND[locality])
                 yield Diagnostic(
-                    R2_LOCALITY, FIXABLE, [a, b],
+                    R2_LOCALITY, ERROR if rewrite is None else FIXABLE, [a, b],
                     f"connection {a!r} -> {b!r} uses a {bucket.value} "
                     f"relationship but the blocks are {locality.value}")
 
@@ -304,37 +308,48 @@ def _passphrase(rng: random.Random) -> str:
 
 
 def _fix_locality_pair(topo: Topology, nodes: dict, a: str, b: str) -> str:
-    """Leave exactly one connection a -> b, of the locality-correct kind."""
+    """Leave exactly one connection a -> b: one of the locality-correct kind
+    if there is one, else the first, rewritten to that kind where that is
+    legal."""
     locality = topo.locality(a, b)
     desired = CONNECTION_KIND[locality]
     edges = topo.pairs[(a, b)]
     keeper = next((assignment for assignment, kind in edges
                    if topo.kind_locality(kind) is locality), None)
-    rewrote = keeper is None
-    if rewrote:
+    rewrite = None
+    if keeper is not None:
+        actions = [f"kept the {desired!r} connection"]
+    else:
         keeper = edges[0][0]
-    drop = {id(assignment) for assignment, _ in edges
-            if assignment is not keeper}
+        rewrite = _rewrite_assignment_kind(topo, a, keeper, desired)
+        actions = [] if rewrite is None else [f"rewrote the connection to {desired!r}"]
+    drop = {id(assignment) for assignment, _ in edges if assignment is not keeper}
     nodes[a] = replace(nodes[a], requirement_assignments=[
-        _rewrite_assignment_kind(topo, a, assignment, desired)
-        if rewrote and assignment is keeper else assignment
+        rewrite if rewrite is not None and assignment is keeper else assignment
         for assignment in nodes[a].requirement_assignments
         if id(assignment) not in drop])
-    action = f"rewrote the connection to {desired!r}" if rewrote \
-        else f"kept the {desired!r} connection"
     if len(edges) > 1:
-        return f"dropped {len(edges) - 1} duplicate connection(s) and {action}"
-    return action
+        actions.insert(0, f"dropped {len(edges) - 1} duplicate connection(s)")
+    return " and ".join(actions)
 
 
 def _rewrite_assignment_kind(topo: Topology, node_name: str,
                              assignment: RequirementAssignment, desired: str):
-    counterpart = next((r for r in topo.resolved_node(node_name).requirements
+    """`assignment` made a connection of the `desired` kind, or None where
+    no rewrite is legal: the node's type has no connection requirement of
+    that kind, and R1 rejects `desired` as an override of the declared
+    relationship."""
+    requirements = topo.resolved_node(node_name).requirements
+    counterpart = next((r for r in requirements
                         if topo.connects(r) and r.relationship_type == desired),
                        None)
     if counterpart is not None:
         return replace(assignment, name=counterpart.name, relationship=None)
-    return replace(assignment, relationship=desired)
+    declared = next(r.relationship_type for r in requirements
+                    if r.name == assignment.name)
+    if not declared or topo.subtype(desired, declared):
+        return replace(assignment, relationship=desired)
+    return None
 
 
 def _fix_encryption(nodes: dict, pairs, mismatches, rng: random.Random) -> dict:

@@ -618,7 +618,7 @@ node_types:
       - connectToPipeline:
           capability: radon.capabilities.datapipeline.ConnectToPipeline
           node: radon.nodes.abstract.DataPipeline
-          relationship: radon.relationships.datapipeline.{kind}
+          relationship: {relationship}
           occurrences: {occurrences}
 topology_template:
   node_templates:
@@ -648,17 +648,17 @@ topology_template:
 """
 
 
-def _one_nifi(kind, occurrences, *connections):
+def _one_nifi(relationship, occurrences, *connections):
     from toscaflow.parsing import parse_service_template
 
     return parse_service_template(_ONE_NIFI.format(
-        kind=kind, occurrences=occurrences,
+        relationship=relationship, occurrences=occurrences,
         connections="\n".join(f"        - {name}: {target}"
                               for name, target in connections)))
 
 
 def test_connection_filled_past_a_bounded_maximum():
-    template = _one_nifi("ConnectNifiLocal", "[1, 1]",
+    template = _one_nifi(cat.CONNECT_NIFI_LOCAL, "[1, 1]",
                          ("connectToPipeline", "Dst"), ("connectToPipeline", "Dst2"))
     assert _report(template) == [
         {"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Src"],
@@ -666,34 +666,64 @@ def test_connection_filled_past_a_bounded_maximum():
                     "maximum is 1", "fix": None}]
 
 
-def test_kind_repair_without_a_counterpart_overrides_the_relationship():
-    # both connection requirements of the type are remote, so the local
-    # kind can only be set as an override, which R1 then reports
-    template = _one_nifi("ConnectNifiRemote", "[1, UNBOUNDED]",
+_WRONG_KIND = "connection 'Src' -> '{}' uses a remote relationship but the " \
+              "blocks are local"
+
+
+def _assigned(template):
+    return [(a.name, a.target, a.relationship)
+            for a in template.node_templates["Src"].requirement_assignments]
+
+
+def test_kind_repair_without_a_legal_rewrite_is_an_error():
+    # both connection requirements of the type are remote, and R1 rejects
+    # the local kind as an override of either, so no rewrite is legal
+    template = _one_nifi(cat.CONNECT_NIFI_REMOTE, "[1, UNBOUNDED]",
                          ("connectToPipelineRemote", "Dst"),
                          ("connectToPipeline", "Dst2"))
-    remote = "radon.relationships.datapipeline.ConnectNifiRemote"
-    local = "radon.relationships.datapipeline.ConnectNifiLocal"
-    wrong_kind = "connection 'Src' -> '{}' uses a remote relationship but the " \
-                 "blocks are local"
-    assert _report(template) == [
-        {"rule": R2_LOCALITY, "severity": FIXABLE, "nodes": ["Src", target],
-         "message": wrong_kind.format(target), "fix": None}
-        for target in ("Dst", "Dst2")]
-    fixed, report = verify(template, fix=True)
-    assert [d.to_dict() for d in report] == [
-        {"rule": R2_LOCALITY, "severity": FIXABLE, "nodes": ["Src", target],
-         "message": wrong_kind.format(target),
-         "fix": f"rewrote the connection to {local!r}"}
-        for target in ("Dst", "Dst2")] + [
-        {"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Src", target],
-         "message": f"relationship {local!r} on 'Src' is not a subtype of "
-                    f"declared {remote!r}", "fix": None}
-        for target in ("Dst", "Dst2")]
-    assert [(a.name, a.target, a.relationship)
-            for a in fixed.node_templates["Src"].requirement_assignments] == [
-        ("host", "Nifi", None), ("connectToPipelineRemote", "Dst", local),
-        ("connectToPipeline", "Dst2", local)]
+    report = [{"rule": R2_LOCALITY, "severity": ERROR, "nodes": ["Src", target],
+               "message": _WRONG_KIND.format(target), "fix": None}
+              for target in ("Dst", "Dst2")]
+    assert _report(template) == report
+    fixed, diagnostics = verify(template, fix=True)
+    assert [d.to_dict() for d in diagnostics] == report
+    assert _assigned(fixed) == _assigned(template) == [
+        ("host", "Nifi", None), ("connectToPipelineRemote", "Dst", None),
+        ("connectToPipeline", "Dst2", None)]
+
+
+def test_duplicate_repair_without_a_legal_rewrite_keeps_the_first_kind():
+    template = _one_nifi(cat.CONNECT_NIFI_REMOTE, "[1, UNBOUNDED]",
+                         ("connectToPipelineRemote", "Dst"),
+                         ("connectToPipeline", "Dst"))
+    duplicates = {"rule": R3_DUPLICATE_CONN, "severity": FIXABLE, "nodes": ["Src", "Dst"],
+                  "message": "2 connections between 'Src' and 'Dst'; blocks are local, "
+                             f"exactly one {cat.CONNECT_NIFI_LOCAL!r} belongs here",
+                  "fix": None}
+    assert _report(template) == [duplicates]
+    fixed, diagnostics = verify(template, fix=True)
+    assert [d.to_dict() for d in diagnostics] == [
+        {**duplicates, "fix": "dropped 1 duplicate connection(s)"},
+        {"rule": R2_LOCALITY, "severity": ERROR, "nodes": ["Src", "Dst"],
+         "message": _WRONG_KIND.format("Dst"), "fix": None}]
+    assert _assigned(fixed) == [("host", "Nifi", None),
+                                ("connectToPipelineRemote", "Dst", None)]
+
+
+def test_kind_repair_overrides_a_relationship_r1_accepts():
+    # the local-side requirement declares only ConnectsTo, which the local
+    # kind refines; the type has no requirement of the local kind itself
+    remote = f"{{node: Dst, relationship: {cat.CONNECT_NIFI_REMOTE}}}"
+    template = _one_nifi(cat.CONNECTS_TO, "[1, UNBOUNDED]",
+                         ("connectToPipeline", remote))
+    fixed, diagnostics = verify(template, fix=True)
+    assert [d.to_dict() for d in diagnostics] == [
+        {"rule": R2_LOCALITY, "severity": FIXABLE, "nodes": ["Src", "Dst"],
+         "message": _WRONG_KIND.format("Dst"),
+         "fix": f"rewrote the connection to {cat.CONNECT_NIFI_LOCAL!r}"}]
+    assert _assigned(fixed) == [("host", "Nifi", None),
+                                ("connectToPipeline", "Dst", cat.CONNECT_NIFI_LOCAL)]
+    assert _report(fixed) == []
 
 
 def test_connection_of_neither_kind_draws_no_r2():
