@@ -211,7 +211,7 @@ class _Stage:
 
     def fire(self, tick: int):
         items = self._drain_inputs() if self.source is None \
-            else self._take_new_objects(tick)
+            else self._take_new_objects()
         for item in items:
             self.consumed += 1
             item.visit(self.name, tick)
@@ -250,24 +250,18 @@ class _Stage:
         self.flow.error_items.append(item)
         self.flow.events_this_tick.append((self.name, "error", reason))
 
-    def _take_new_objects(self, tick: int):
-        """An item for each source event written by `tick` since the last
-        one taken, in write order, each born here.  The scan ends before
-        the handlers run, so a copy into its own bucket copies each object
-        once per firing."""
+    def _take_new_objects(self):
+        """An item for each source event since the last one taken, in write
+        order, each born here.  Every event is written at or before the
+        current tick, at which the stage fires.  The scan ends before the
+        handlers run, so a copy into its own bucket copies each object once
+        per firing."""
         provider, bucket = self.source
-        items = []
-        for event in self.events[self.cursor:]:
-            if event.tick > tick:
-                break  # ticks never decrease within a bucket
-            items.append(FlowItem(
-                payload=event.payload,
-                attributes={
-                    "source_provider": provider,
-                    "source_bucket": bucket,
-                    "key": event.key,
-                },
-            ))
+        items = [FlowItem(payload=event.payload,
+                          attributes={"source_provider": provider,
+                                      "source_bucket": bucket,
+                                      "key": event.key})
+                 for event in self.events[self.cursor:]]
         self.cursor += len(items)
         self.flow.born += len(items)
         return items
