@@ -299,13 +299,10 @@ def _parse_property_defs(node, filename):
         raw = _fields(body_node, f"property {name!r}", filename) \
             if _present(body_node) else {}
         value_type = str(raw.get("type", "string"))
-        out[name] = _checked(
-            PropertyDefinition, name_node, filename,
-            name=name,
-            value_type=value_type,
-            default=_coerce_default(raw.get("default"), value_type),
-            required=bool(raw.get("required", True)),
-        )
+        default = _coerce_default(raw.get("default"), value_type)
+        out[name] = _checked(PropertyDefinition, name_node, filename, name=name,
+                             value_type=value_type, default=default,
+                             required=bool(raw.get("required", True)))
     return out
 
 

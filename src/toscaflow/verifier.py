@@ -314,22 +314,23 @@ def _fix_locality_pair(topo: Topology, nodes: dict, a: str, b: str) -> str:
     locality = topo.locality(a, b)
     desired = CONNECTION_KIND[locality]
     edges = topo.pairs[(a, b)]
+    actions = [f"dropped {len(edges) - 1} duplicate connection(s)"] \
+        if len(edges) > 1 else []
     keeper = next((assignment for assignment, kind in edges
                    if topo.kind_locality(kind) is locality), None)
-    rewrite = None
     if keeper is not None:
-        actions = [f"kept the {desired!r} connection"]
+        kept = keeper
+        actions.append(f"kept the {desired!r} connection")
     else:
         keeper = edges[0][0]
-        rewrite = _rewrite_assignment_kind(topo, a, keeper, desired)
-        actions = [] if rewrite is None else [f"rewrote the connection to {desired!r}"]
+        kept = _rewrite_assignment_kind(topo, a, keeper, desired) or keeper
+        if kept is not keeper:
+            actions.append(f"rewrote the connection to {desired!r}")
     drop = {id(assignment) for assignment, _ in edges if assignment is not keeper}
     nodes[a] = replace(nodes[a], requirement_assignments=[
-        rewrite if rewrite is not None and assignment is keeper else assignment
+        kept if assignment is keeper else assignment
         for assignment in nodes[a].requirement_assignments
         if id(assignment) not in drop])
-    if len(edges) > 1:
-        actions.insert(0, f"dropped {len(edges) - 1} duplicate connection(s)")
     return " and ".join(actions)
 
 
