@@ -9,6 +9,7 @@ from bruteforce import diagnostics_as_set, rule_violations
 from toscaflow import catalog as cat
 from toscaflow import verifier
 from toscaflow.errors import HostCycleError, MissingHostError, NotAPipelineError
+from toscaflow.model import ServiceTemplate, TypeDefinition
 from toscaflow.parsing import serialize_template
 from toscaflow.simulator import instantiate
 from toscaflow.topology import Topology
@@ -724,6 +725,14 @@ def test_kind_repair_overrides_a_relationship_r1_accepts():
     assert _assigned(fixed) == [("host", "Nifi", None),
                                 ("connectToPipeline", "Dst", cat.CONNECT_NIFI_LOCAL)]
     assert _report(fixed) == []
+
+
+@pytest.mark.parametrize("base, locality", [(cat.CONNECT_NIFI_LOCAL, Locality.LOCAL),
+                                            (cat.CONNECT_NIFI_REMOTE, Locality.REMOTE)])
+def test_a_kind_derived_from_a_connection_kind_asserts_its_locality(base, locality):
+    kind = TypeDefinition("acme.relationships.Derived", "relationship", derived_from=base)
+    topo = Topology(ServiceTemplate(user_types=[kind]))
+    assert topo.kind_locality(kind.name) is locality
 
 
 def test_connection_of_neither_kind_draws_no_r2():
