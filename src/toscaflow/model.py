@@ -189,8 +189,9 @@ def _conforms(value, value_type):
 
 
 def _check_occurrences(name, occurrences, least_maximum):
-    """Raise ValueError unless (min, max) are a count of at least 0 and a
-    count or UNBOUNDED, min <= max and max >= `least_maximum`."""
+    """Raise ValueError unless `occurrences` is (min, max) with min a
+    non-bool int of at least 0 and max UNBOUNDED or a non-bool int no less
+    than min and `least_maximum`."""
     lo, hi = occurrences
     if not _conforms(lo, "integer") or lo < 0:
         raise ValueError(f"bad minimum occurrence {lo!r} on {name}")

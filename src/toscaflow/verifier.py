@@ -20,10 +20,11 @@ Six rules, run in order:
 R2, R3, and R4 passphrase mismatches are fixable; fixes never add or remove
 node templates, only rewrite connection kinds, drop duplicate edges, and
 re-key passphrases.  A connection kind is rewritten only where R1 accepts
-the result, so an R2 finding with no such rewrite is an error.  Capability-side occurrence minimums are not enforced
-(idle capacity is legal), and the local/remote connection requirement pair
-is counted jointly against its minimum so a block needs *a* downstream,
-not one of each kind.
+the result, so an R2 finding with no such rewrite is an error.
+Capability-side occurrence minimums are not enforced (idle capacity is
+legal), and the local/remote connection requirement pair is counted
+jointly against its minimum so a block needs *a* downstream, not one of
+each kind.
 """
 
 from __future__ import annotations
@@ -205,7 +206,8 @@ def _check_locality(topo: Topology):
             yield Diagnostic(
                 R3_DUPLICATE_CONN, FIXABLE, [a, b],
                 f"{len(edges)} connections between {a!r} and {b!r}; blocks are "
-                f"{locality.value}, exactly one {CONNECTION_KIND[locality]!r} belongs here")
+                f"{locality.value}, exactly one {CONNECTION_KIND[locality]!r} "
+                f"belongs here")
         else:
             assignment, kind = edges[0]
             bucket = topo.kind_locality(kind)
