@@ -49,30 +49,35 @@ VALUE_TYPES = ("string", "integer", "boolean")
 
 
 @dataclass
-class PropertyDefinition:
-    """One declared property on a type: name, scalar type, default, required."""
+class AttributeDefinition:
+    """A runtime attribute slot (e.g. the engine-assigned pipeline id)."""
 
+    noun = "attribute"  # names the record in its errors
     name: str
     value_type: str = "string"
     default: Any = None
-    required: bool = True
 
     def __post_init__(self):
         if self.value_type not in VALUE_TYPES:
-            raise ValueError(f"unsupported property type {self.value_type!r} "
+            raise ValueError(f"unsupported {self.noun} type {self.value_type!r} "
                              f"on {self.name!r}")
         if self.default is not None and not _conforms(self.default, self.value_type):
-            raise ValueError(f"default {self.default!r} of property {self.name!r} "
+            raise ValueError(f"default {self.default!r} of {self.noun} {self.name!r} "
                              f"does not fit type {self.value_type!r}")
 
 
 @dataclass
-class AttributeDefinition:
-    """A runtime attribute slot (e.g. the engine-assigned pipeline id)."""
+class PropertyDefinition(AttributeDefinition):
+    """One declared property on a type: an attribute's fields plus required."""
 
-    name: str
-    value_type: str = "string"
-    default: Any = None
+    noun = "property"
+    required: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.required, bool):
+            raise ValueError(f"required {self.required!r} of property {self.name!r} "
+                             f"is not a boolean")
 
 
 @dataclass

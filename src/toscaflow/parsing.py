@@ -294,25 +294,26 @@ def _coerce_default(value, value_type):
 
 
 def _parse_property_defs(node, filename):
-    out = {}
-    for name, body_node, name_node in _items(node, "properties", filename):
-        raw = _fields(body_node, f"property {name!r}", filename) \
-            if _present(body_node) else {}
-        value_type = str(raw.get("type", "string"))
-        default = _coerce_default(raw.get("default"), value_type)
-        out[name] = _checked(PropertyDefinition, name_node, filename, name=name,
-                             value_type=value_type, default=default,
-                             required=bool(raw.get("required", True)))
-    return out
+    return _parse_value_defs(node, filename, PropertyDefinition, "properties",
+                             "required")
 
 
 def _parse_attribute_defs(node, filename):
+    return _parse_value_defs(node, filename, AttributeDefinition, "attributes")
+
+
+def _parse_value_defs(node, filename, definition_class, section, *optional):
+    """Each property or attribute of `section` as a `definition_class`
+    record; the `optional` keys a body holds are passed on as read."""
     out = {}
-    for name, body_node, _ in _items(node, "attributes", filename):
-        raw = _fields(body_node, f"attribute {name!r}", filename) \
+    for name, body_node, name_node in _items(node, section, filename):
+        raw = _fields(body_node, f"{definition_class.noun} {name!r}", filename) \
             if _present(body_node) else {}
-        out[name] = AttributeDefinition(name, str(raw.get("type", "string")),
-                                        raw.get("default"))
+        value_type = str(raw.get("type", "string"))
+        out[name] = _checked(definition_class, name_node, filename, name=name,
+                             value_type=value_type,
+                             default=_coerce_default(raw.get("default"), value_type),
+                             **{key: raw[key] for key in optional if key in raw})
     return out
 
 
@@ -736,6 +737,20 @@ def _dump_occurrences(occurrences):
     return [lo, "UNBOUNDED" if hi is UNBOUNDED else hi]
 
 
+def _dump_values(definitions):
+    """Attribute or property bodies by sorted name; `required` only when false."""
+    out = {}
+    for name in sorted(definitions):
+        definition = definitions[name]
+        body = {"type": definition.value_type}
+        if definition.default is not None:
+            body["default"] = definition.default
+        if not getattr(definition, "required", True):
+            body["required"] = False
+        out[name] = body
+    return out
+
+
 def _dump_type(definition: TypeDefinition):
     out = {}
     if definition.derived_from:
@@ -743,25 +758,9 @@ def _dump_type(definition: TypeDefinition):
     if definition.metadata:
         out["metadata"] = dict(definition.metadata)
     if definition.attributes:
-        attrs = {}
-        for name in sorted(definition.attributes):
-            attr = definition.attributes[name]
-            body = {"type": attr.value_type}
-            if attr.default is not None:
-                body["default"] = attr.default
-            attrs[name] = body
-        out["attributes"] = attrs
+        out["attributes"] = _dump_values(definition.attributes)
     if definition.properties:
-        props = {}
-        for name in sorted(definition.properties):
-            prop = definition.properties[name]
-            body = {"type": prop.value_type}
-            if prop.default is not None:
-                body["default"] = prop.default
-            if not prop.required:
-                body["required"] = False
-            props[name] = body
-        out["properties"] = props
+        out["properties"] = _dump_values(definition.properties)
     if definition.requirements:
         out["requirements"] = [
             {req.name: {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import DependencyCycleError
 from .model import ServiceTemplate
-from .topology import Locality, Topology, lexicographic_order
+from .topology import Locality, Topology, find_cycle, lexicographic_order
 
 HOSTED_ON = "HostedOn"
 CONNECTS_TO = "ConnectsTo"
@@ -102,7 +102,10 @@ def plan(template: ServiceTemplate) -> DeploymentPlan:
         successors[(edge.target, _START)].append((edge.source, dependent))
     ordered = lexicographic_order(steps, successors)
     if len(ordered) != len(steps):
-        raise DependencyCycleError(_find_cycle(graph))
+        adjacency = {}
+        for edge in graph.edges:
+            adjacency.setdefault(edge.source, []).append(edge.target)
+        raise DependencyCycleError(find_cycle(graph.vertices, adjacency))
 
     plan_steps = []
     for name, rank in ordered:
@@ -110,40 +113,6 @@ def plan(template: ServiceTemplate) -> DeploymentPlan:
         plan_steps.append(PlanStep(name, OPERATIONS[rank],
                                    "remote:" + ",".join(remote) if remote else None))
     return DeploymentPlan(steps=plan_steps)
-
-
-def _find_cycle(graph: DependencyGraph) -> list[str]:
-    """One cycle, found by depth-first search from the sorted vertices.
-
-    An explicit stack of successor iterators stands in for recursion, so a
-    dependency chain of any length fits.
-    """
-    adjacency = {}
-    for edge in graph.edges:
-        adjacency.setdefault(edge.source, []).append(edge.target)
-    for targets in adjacency.values():
-        targets.sort()
-    colors = {}
-    path = []
-    for root in sorted(graph.vertices):
-        if root in colors:
-            continue
-        colors[root] = "grey"
-        path.append(root)
-        pending = [iter(adjacency.get(root, ()))]
-        while pending:
-            for nxt in pending[-1]:
-                if colors.get(nxt) == "grey":
-                    return path[path.index(nxt):]
-                if nxt not in colors:
-                    colors[nxt] = "grey"
-                    path.append(nxt)
-                    pending.append(iter(adjacency.get(nxt, ())))
-                    break
-            else:
-                colors[path.pop()] = "black"
-                pending.pop()
-    return []
 
 
 def undeploy_plan(template: ServiceTemplate) -> DeploymentPlan:

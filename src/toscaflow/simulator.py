@@ -7,7 +7,7 @@ FaaS calls are byte transforms looked up in a registry.  Event-driven
 stages fire every tick and drain whatever is pending; CRON-driven stages
 fire only on ticks matching their expression.  Within one tick stages fire
 in topological order of the connection graph, so an event-driven chain is
-traversed in a single tick.
+traversed in a single tick; `instantiate` refuses a connection cycle.
 
 Every store write is appended to the flow's event log and to one event
 list per (provider, bucket); a stage reading a bucket keeps an offset into
@@ -33,13 +33,14 @@ from . import catalog as cat
 from .cron import CronExpr, cron_next, parse_cron
 from .crypto import cipher_key, decrypt_bytes, encrypt_bytes
 from .errors import (
+    DependencyCycleError,
     DuplicateFunctionError,
     EmptyFunctionNameError,
     ScheduleError,
     UnsupportedTypeError,
 )
 from .model import ServiceTemplate
-from .topology import Topology, first_of, lexicographic_order
+from .topology import Topology, find_cycle, first_of, lexicographic_order
 
 # consumer / publisher types -> (store provider label, bucket property)
 _CONSUMER_BINDINGS = {
@@ -434,7 +435,8 @@ def instantiate(template: ServiceTemplate) -> Flow:
     """Build a Flow from a template that verified with zero errors.
 
     Raises UnsupportedTypeError when a pipeline node's type has no
-    simulation behaviour (abstract blocks, AWS shell/SQL tasks).
+    simulation behaviour (abstract blocks, AWS shell/SQL tasks), and
+    DependencyCycleError naming one cycle when the connections form one.
     """
     topo = Topology(template)
     flow = Flow(template)
@@ -445,9 +447,9 @@ def instantiate(template: ServiceTemplate) -> Flow:
         flow.in_edges.setdefault(target, []).append(source)
     for name in topo.pipelines:
         flow.blocks[name] = _build_stage(topo, flow, name)
-    order = lexicographic_order(topo.pipelines, topo.successors)
-    # connection cycles fire after the acyclic part, in name order
-    flow._firing_order = order + sorted(set(topo.pipelines) - set(order))
+    flow._firing_order = lexicographic_order(topo.pipelines, topo.successors)
+    if len(flow._firing_order) != len(topo.pipelines):
+        raise DependencyCycleError(find_cycle(topo.pipelines, topo.successors))
     return flow
 
 

@@ -5,9 +5,9 @@ a topology: which templates are pipelines, which pipeline connections
 exist and of what relationship kind, where each block is hosted, whether
 two connected blocks share a NiFi, and which blocks fire on their cron.
 `Topology` derives them once.  `lexicographic_order` is the one
-topological order they share: the planner's deployment order and the
-simulator's firing order.  `first_of` reads the catalog's type-keyed
-tables against a block's ancestry.
+topological order of the planner and the simulator, and `find_cycle` names
+the cycle both refuse when it leaves a node out.  `first_of` reads the
+catalog's type-keyed tables against a block's ancestry.
 A type that does not resolve reads as None and an edge to a missing or
 non-pipeline template is left out, so broken input stays the verifier's
 to report; only the hosting queries raise, and `locality` turns their
@@ -267,6 +267,33 @@ def lexicographic_order(nodes, successors) -> list:
             if indegree[after] == 0:
                 heapq.heappush(ready, after)
     return order
+
+
+def find_cycle(nodes, successors) -> list:
+    """One cycle, by depth-first search from the sorted nodes through their
+    sorted successors, or [] when there is none.  An explicit stack of
+    iterators stands in for recursion, so a chain of any length fits."""
+    colors = {}
+    path = []
+    for root in sorted(nodes):
+        if root in colors:
+            continue
+        colors[root] = "grey"
+        path.append(root)
+        pending = [iter(sorted(successors.get(root, ())))]
+        while pending:
+            for nxt in pending[-1]:
+                if colors.get(nxt) == "grey":
+                    return path[path.index(nxt):]
+                if nxt not in colors:
+                    colors[nxt] = "grey"
+                    path.append(nxt)
+                    pending.append(iter(sorted(successors.get(nxt, ()))))
+                    break
+            else:
+                colors[path.pop()] = "black"
+                pending.pop()
+    return []
 
 
 def host_chain(node_name: str, template: ServiceTemplate) -> list[str]:

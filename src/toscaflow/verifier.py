@@ -37,9 +37,7 @@ from .cron import is_valid_cron
 from .crypto import cipher_key
 from .errors import VerifierNonConvergenceError
 from .model import UNBOUNDED, RequirementAssignment, ServiceTemplate
-# Locality, colocated and host_chain are re-exported for callers of this module
-from .topology import (CONNECTION_KIND, Locality, Topology, colocated, first_of,
-                       host_chain)
+from .topology import CONNECTION_KIND, Topology, first_of
 
 R1_REQ_MATCH = "R1-REQ-MATCH"
 R2_LOCALITY = "R2-LOCALITY"
@@ -53,7 +51,6 @@ RULES = (R1_REQ_MATCH, R2_LOCALITY, R3_DUPLICATE_CONN, R4_ENCRYPTION,
 
 ERROR = "error"
 FIXABLE = "fixable"
-WARNING = "warning"
 
 MAX_FIX_PASSES = 3
 

@@ -56,3 +56,21 @@ def fill_required(template_obj, defs):
                     and prop.name not in nt.property_values:
                 nt.property_values[prop.name] = "x"
     return template_obj
+
+
+def diamond_cycle():
+    """Src -> A; A -> B, C; B, C -> D; D -> A, Dst: a connection cycle that
+    holds a diamond, so every lap through it doubles the items in flight."""
+    stack, nifi = nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+    targets = {"A": ["B", "C"], "B": ["D"], "C": ["D"], "D": ["A", "Dst"]}
+    blocks = [node(name, PRC + "ExecutePython",
+                   props={"name": name, "script_path": "run.py"},
+                   reqs=[("host", nifi)] + [("ConnectToPipeline", t) for t in outs])
+              for name, outs in targets.items()]
+    return template(
+        *stack, *blocks,
+        node("Src", SRC + "ConsMinIO", props={"name": "s", "BucketName": "in", **minio},
+             reqs=[("host", nifi), ("connectToPipeline", "A")]),
+        node("Dst", DST + "PubsMinIO", props={"name": "d", "BucketName": "out", **minio},
+             reqs=[("host", nifi)]))

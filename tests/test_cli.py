@@ -7,6 +7,7 @@ import zipfile
 
 import pytest
 
+import builders as b
 import toscaflow
 from toscaflow.cli import main
 from toscaflow.csar import unpack_csar
@@ -81,6 +82,16 @@ def test_plan_cyclic_names_cycle_members(fixture_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "Exec_A" in out and "Exec_B" in out
+
+
+def test_simulate_refuses_a_connection_cycle(fixture_path, tmp_path, capsys):
+    assert main(["simulate", fixture_path("cyclic.yaml")]) == 1
+    assert capsys.readouterr() == (
+        "cannot simulate: dependency cycle: Exec_A -> Exec_B\n", "")
+    path = tmp_path / "diamond.yaml"
+    path.write_text(serialize_template(b.diamond_cycle()), encoding="utf-8")
+    assert main(["simulate", str(path), "--until", "30"]) == 1
+    assert capsys.readouterr() == ("cannot simulate: dependency cycle: A -> B -> D\n", "")
 
 
 def test_plan_refuses_unverified_template(fixture_path, capsys):

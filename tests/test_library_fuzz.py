@@ -6,8 +6,9 @@ under a random requirement name) and runs it through verify with repair,
 serialize and re-parse, plan, instantiate and `run_until`.  Every entry
 point must return or raise a `ToscaflowError`; anything else escaping is a
 bug.  The repair must also leave its input as it was, every plan that
-returns must pass `validate_plan`, and a dependency cycle the planner
-reports must be one.  A cron that `instantiate` cannot parse must be an R6
+returns must pass `validate_plan`, and a dependency cycle the planner or
+`instantiate` reports must be one; `plan` must refuse every connection
+cycle that `instantiate` refuses.  A cron that `instantiate` cannot parse must be an R6
 finding, the repaired template read back must have no fixable finding, and
 every template must read back from its own serialization unchanged.
 
@@ -16,6 +17,7 @@ HYPOTHESIS_PROFILE=fuzz python -m pytest tests/test_library_fuzz.py
 runs thousands.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -71,16 +73,19 @@ def _or_toscaflow_error(call):
         return None
 
 
+def _assert_cycle(members, edges):
+    """`members` are distinct, and each leads to the next by an edge."""
+    assert members and len(set(members)) == len(members)
+    assert all(pair in edges for pair in zip(members, members[1:] + members[:1]))
+
+
 def _plan(template):
     """Plan `template` and check the plan, or the cycle it reports."""
     try:
         deployment = plan(template)
     except DependencyCycleError as exc:
-        edges = {(e.source, e.target) for e in build_graph(template).edges}
-        members = exc.members
-        assert members and len(set(members)) == len(members)
-        assert all(pair in edges
-                   for pair in zip(members, members[1:] + members[:1]))
+        _assert_cycle(exc.members,
+                      {(e.source, e.target) for e in build_graph(template).edges})
         return
     assert validate_plan(deployment, template)
 
@@ -90,6 +95,12 @@ def _simulate(template):
         flow = instantiate(template)
     except CronSyntaxError:
         assert check_scheduling(template)
+        raise
+    except DependencyCycleError as exc:
+        successors = Topology(template).successors
+        _assert_cycle(exc.members, {(source, target) for source in successors
+                                    for target in successors[source]})
+        pytest.raises(DependencyCycleError, plan, template)
         raise
     for stage in flow.blocks.values():
         if stage.source is not None:

@@ -442,10 +442,20 @@ SHAPE_ERRORS = [
      SchemaError, "default 'x' of property 'p' does not fit type 'integer'", "4:18"),
     (D, NODE_TYPE + "    properties: {p: {type: boolean, default: x}}\n",
      SchemaError, "default 'x' of property 'p' does not fit type 'boolean'", "4:18"),
+    (D, NODE_TYPE + "    properties: {p: {required: \"false\"}}\n",
+     SchemaError, "required 'false' of property 'p' is not a boolean", "4:18"),
+    (D, NODE_TYPE + "    properties: {p: {required: [x]}}\n",
+     SchemaError, "required ['x'] of property 'p' is not a boolean", "4:18"),
+    (D, NODE_TYPE + "    properties: {p: {required: 0}}\n",
+     SchemaError, "required 0 of property 'p' is not a boolean", "4:18"),
     (D, NODE_TYPE + "    attributes: 5\n", SchemaError,
      "attributes must be a mapping", "4:17"),
     (D, NODE_TYPE + "    attributes: {a: [b]}\n", SchemaError,
      "attribute 'a' must be a mapping", "4:21"),
+    (D, NODE_TYPE + "    attributes: {a: {type: float}}\n", SchemaError,
+     "unsupported attribute type 'float' on 'a'", "4:18"),
+    (D, NODE_TYPE + "    attributes: {a: {type: integer, default: x}}\n",
+     SchemaError, "default 'x' of attribute 'a' does not fit type 'integer'", "4:18"),
     (D, NODE_TYPE + "    requirements: {}\n", SchemaError,
      "requirements must be a list", "4:19"),
     (D, NODE_TYPE + "    requirements: [a]\n", SchemaError,

@@ -15,13 +15,13 @@ from toscaflow.planner import (
     DependencyGraph,
     DeploymentPlan,
     PlanStep,
-    _find_cycle,
     build_graph,
     plan,
     undeploy_plan,
     validate_plan,
 )
-from toscaflow.topology import Locality, Topology
+from toscaflow.simulator import instantiate
+from toscaflow.topology import Locality, Topology, find_cycle, host_chain
 from toscaflow.verifier import verify
 
 
@@ -49,7 +49,6 @@ def test_build_graph_image_pipeline_counts(load_fixture):
     connects = [e for e in graph.edges if e.kind == CONNECTS_TO]
     assert len(connects) == 5
     # four distinct hosting stacks: follow host edges to their roots
-    from toscaflow.verifier import host_chain
     roots = {host_chain(name, template)[-1]
              for name in template.node_templates}
     assert roots == {"OpenStackPlatform_0", "AWSPlatform_0", "GCP_VM", "Azure_VM"}
@@ -79,13 +78,23 @@ def test_plan_is_deterministic(load_fixture):
     assert plan(template) == plan(template)
 
 
-def test_mutually_connected_pipelines_cycle(load_fixture):
-    template = load_fixture("cyclic.yaml")
-    _, diags = verify(template)
-    assert diags == []
-    with pytest.raises(DependencyCycleError) as excinfo:
+def _refused_cycle(template):
+    """The members of the cycle `plan` names, once `instantiate` has named
+    the same one."""
+    with pytest.raises(DependencyCycleError) as planned:
         plan(template)
-    assert set(excinfo.value.members) == {"Exec_A", "Exec_B"}
+    with pytest.raises(DependencyCycleError) as instantiated:
+        instantiate(template)
+    assert instantiated.value.members == planned.value.members
+    return planned.value.members
+
+
+def test_mutually_connected_pipelines_cycle(load_fixture):
+    for template, members in ((load_fixture("cyclic.yaml"), ["Exec_A", "Exec_B"]),
+                              (b.diamond_cycle(), ["A", "B", "D"])):
+        _, diags = verify(template)
+        assert diags == []
+        assert _refused_cycle(template) == members
 
 
 def test_long_dependency_ring_names_its_cycle():
@@ -98,13 +107,11 @@ def test_long_dependency_ring_names_its_cycle():
                props={"name": name, "script_path": "run.py"},
                reqs=[("host", nifi), ("ConnectToPipeline", names[(i + 1) % size])])
         for i, name in enumerate(names)]
-    with pytest.raises(DependencyCycleError) as excinfo:
-        plan(b.template(*stack, *ring))
-    assert excinfo.value.members == names
+    assert _refused_cycle(b.template(*stack, *ring)) == names
 
 
 def _recursive_find_cycle(graph):
-    # the recursive depth-first search _find_cycle replaced, as a reference
+    # the recursive depth-first search find_cycle replaced, as a reference
     adjacency = {}
     for edge in graph.edges:
         adjacency.setdefault(edge.source, []).append(edge.target)
@@ -139,8 +146,11 @@ def test_find_cycle_matches_recursive_search():
         edges = [DependencyEdge(rng.choice(vertices), rng.choice(vertices),
                                 CONNECTS_TO)
                  for _ in range(rng.randint(0, 16))]
+        successors = {}
+        for edge in edges:
+            successors.setdefault(edge.source, []).append(edge.target)
         graph = DependencyGraph(vertices=vertices, edges=edges)
-        assert _find_cycle(graph) == _recursive_find_cycle(graph)
+        assert find_cycle(vertices, successors) == _recursive_find_cycle(graph)
 
 
 def test_validate_plan_rejects_reordered_dependency(load_fixture):

@@ -16,7 +16,8 @@ import topology_gen
 from toscaflow import catalog as cat
 from toscaflow import simulator
 from toscaflow.cron import is_valid_cron, parse_cron
-from toscaflow.errors import CronSyntaxError, ToscaflowError, UnsupportedTypeError
+from toscaflow.errors import (CronSyntaxError, DependencyCycleError, ToscaflowError,
+                              UnsupportedTypeError)
 from toscaflow.parsing import parse_service_template
 from toscaflow.simulator import instantiate
 from toscaflow.topology import Topology
@@ -133,7 +134,7 @@ def _copied_r6(topo):
 def _stage_outcomes(template, monkeypatch):
     """Pipeline -> (cron text or None, function key) of its stage, or the
     error building it raised.  Each stage is built even when an earlier one
-    fails."""
+    fails, and before a connection cycle is refused."""
     outcomes = {}
     build = simulator._build_stage
 
@@ -149,7 +150,10 @@ def _stage_outcomes(template, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(simulator, "_build_stage", recording)
-        instantiate(template)
+        try:
+            instantiate(template)
+        except DependencyCycleError:
+            pass
     return outcomes
 
 

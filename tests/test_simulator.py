@@ -8,6 +8,7 @@ import builders as b
 import topology_gen
 from toscaflow import catalog as cat
 from toscaflow.errors import (
+    DependencyCycleError,
     DuplicateFunctionError,
     ScheduleError,
     ToscaflowError,
@@ -267,14 +268,16 @@ def test_connection_to_a_compute_node_gets_no_queue():
 
 
 def test_queues_are_the_planner_connections(load_fixture):
+    with pytest.raises(DependencyCycleError):
+        instantiate(load_fixture("cyclic.yaml"))
     templates = [load_fixture(name) for name in (
-        "cyclic.yaml", "duplicate_connection.yaml", "encrypt_mismatch.yaml",
+        "duplicate_connection.yaml", "encrypt_mismatch.yaml",
         "image_pipeline.yaml", "s3_to_gcs.yaml")]
     for seed in range(300):
         template = topology_gen.random_topology(seed)
         if not [d for d in verify(template)[1] if d.severity == ERROR]:
             templates.append(template)
-    assert len(templates) == 69
+    assert len(templates) == 68
     for template in templates:
         assert set(instantiate(template).queues) == _connects_to(template)
 
@@ -752,7 +755,8 @@ def test_a_write_nothing_reads_does_not_stop_the_jump():
 
 def _firing_order_by_resorting(names, out_edges):
     """The firing order as computed before it used a heap: pop the first
-    ready name, re-sort after every step."""
+    ready name, re-sort after every step.  Names on or behind a cycle are
+    left out."""
     indegree = {name: 0 for name in names}
     for source, targets in out_edges.items():
         for target in targets:
@@ -767,7 +771,6 @@ def _firing_order_by_resorting(names, out_edges):
             if indegree[target] == 0:
                 ready.append(target)
         ready.sort()
-    order.extend(sorted(set(names) - set(order)))
     return order
 
 
@@ -783,15 +786,15 @@ def test_firing_order_is_the_resorting_order(load_fixture):
         for source, target in topo.pairs:
             out_edges.setdefault(source, []).append(target)
         names = list(topo.pipelines)
-        order = lexicographic_order(names, out_edges)
-        assert order + sorted(set(names) - set(order)) \
+        assert lexicographic_order(names, out_edges) \
             == _firing_order_by_resorting(names, out_edges)
 
 
 def test_instantiate_fires_in_the_resorting_order(load_fixture):
+    with pytest.raises(DependencyCycleError):
+        instantiate(load_fixture("cyclic.yaml"))
     templates = [load_fixture(name) for name in (
-        "cyclic.yaml", "encrypt_mismatch.yaml", "image_pipeline.yaml",
-        "s3_to_gcs.yaml")]
+        "encrypt_mismatch.yaml", "image_pipeline.yaml", "s3_to_gcs.yaml")]
     templates += [topology_gen.random_clean_dag(seed) for seed in range(60)]
     for template in templates:
         topo = Topology(template)

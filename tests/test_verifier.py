@@ -12,11 +12,10 @@ from toscaflow.errors import HostCycleError, MissingHostError, NotAPipelineError
 from toscaflow.model import ServiceTemplate, TypeDefinition
 from toscaflow.parsing import serialize_template
 from toscaflow.simulator import instantiate
-from toscaflow.topology import Topology
+from toscaflow.topology import Locality, Topology, colocated, host_chain
 from toscaflow.verifier import (
     ERROR,
     FIXABLE,
-    Locality,
     R1_REQ_MATCH,
     R2_LOCALITY,
     R3_DUPLICATE_CONN,
@@ -27,8 +26,6 @@ from toscaflow.verifier import (
     check_locality,
     check_requirements,
     check_scheduling,
-    colocated,
-    host_chain,
     verify,
 )
 
