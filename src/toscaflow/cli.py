@@ -56,6 +56,8 @@ def _print_report(diagnostics, report_format: str, fixed: bool):
         columns = [diag.rule, diag.severity, ",".join(diag.nodes), diag.message]
         if diag.fix:
             columns.append(f"fixed: {diag.fix}")
+        if diag.location:
+            columns.append(str(diag.location))
         print("\t".join(columns))
 
 

@@ -9,23 +9,22 @@ zero; the date fields therefore never constrain a match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CronSyntaxError
+from .model import Record
 
 _FIELD_RANGES = (("second", 0, 59), ("minute", 0, 59), ("hour", 0, 23))
 
 SECONDS_PER_DAY = 86400
 
 
-@dataclass(frozen=True)
-class CronExpr:
+class CronExpr(Record, frozen=True):
     """A parsed expression: the admissible values of each time field."""
 
-    text: str
-    seconds: frozenset[int]
-    minutes: frozenset[int]
-    hours: frozenset[int]
+    _fields = ("text", "seconds", "minutes", "hours")
+
+    def __init__(self, text: str, seconds: frozenset[int], minutes: frozenset[int],
+                 hours: frozenset[int]):
+        self.__dict__.update(text=text, seconds=seconds, minutes=minutes, hours=hours)
 
     def matches(self, tick: int) -> bool:
         second_of_day = tick % SECONDS_PER_DAY

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import zipfile
-from dataclasses import dataclass, field
 
 from .errors import (
     ArchiveTooLargeError,
@@ -17,6 +16,7 @@ from .errors import (
     MissingMetadataError,
     UnsafeMemberNameError,
 )
+from .model import Record
 
 META_PATH = "TOSCA-Metadata/TOSCA.meta"
 META_VERSION = "1.1"
@@ -30,13 +30,16 @@ _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 MAX_UNPACKED_BYTES = 256 * 1024 * 1024
 
 
-@dataclass
-class CsarArchive:
+class CsarArchive(Record):
     """An unpacked archive: entry file name, payload files, metadata map."""
 
-    entry_definitions: str
-    files: dict[str, bytes] = field(default_factory=dict)
-    metadata: dict[str, str] = field(default_factory=dict)
+    _fields = ("entry_definitions", "files", "metadata")
+
+    def __init__(self, entry_definitions: str, files: dict[str, bytes] | None = None,
+                 metadata: dict[str, str] | None = None):
+        self.entry_definitions = entry_definitions
+        self.files = {} if files is None else files
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def entry_bytes(self) -> bytes:

@@ -13,7 +13,8 @@ with its input every node it did not repair.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from operator import attrgetter
 
 from .errors import (
     CyclicDerivationError,
@@ -48,113 +49,166 @@ Occurrences = tuple
 VALUE_TYPES = ("string", "integer", "boolean")
 
 
-@dataclass
-class AttributeDefinition:
+class Record:
+    """Base of the value records: equality, repr and `replace` by field.
+
+    A subclass lists its fields in `_fields`, in constructor order, and
+    writes its own `__init__`, which runs the record's checks.  Records are
+    equal when they are of one class and agree on every field, and `repr`
+    shows the fields.  `location` is not a field, so it takes part in
+    neither; `replace` keeps it.  `class R(Record, frozen=True)` makes
+    records that refuse assignment and hash by their fields.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen=False):
+        cls._key = attrgetter(*cls._fields)
+        if frozen:
+            def refuse(self, name, *value):
+                raise AttributeError(f"cannot assign to field {name!r}")
+            cls.__setattr__ = cls.__delattr__ = refuse
+            cls.__hash__ = lambda self: hash(self._key(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """This record with `changes`, built again through `__init__`."""
+        return self.__class__(**{**self.__dict__, **changes})
+
+
+class AttributeDefinition(Record):
     """A runtime attribute slot (e.g. the engine-assigned pipeline id)."""
 
     noun = "attribute"  # names the record in its errors
-    name: str
-    value_type: str = "string"
-    default: Any = None
+    _fields = ("name", "value_type", "default")
 
-    def __post_init__(self):
-        if self.value_type not in VALUE_TYPES:
-            raise ValueError(f"unsupported {self.noun} type {self.value_type!r} "
-                             f"on {self.name!r}")
-        if self.default is not None and not _conforms(self.default, self.value_type):
-            raise ValueError(f"default {self.default!r} of {self.noun} {self.name!r} "
-                             f"does not fit type {self.value_type!r}")
+    def __init__(self, name: str, value_type: str = "string", default: object = None):
+        self.name, self.value_type, self.default = name, value_type, default
+        if value_type not in VALUE_TYPES:
+            raise ValueError(f"unsupported {self.noun} type {value_type!r} on {name!r}")
+        if default is not None and not _conforms(default, value_type):
+            raise ValueError(f"default {default!r} of {self.noun} {name!r} "
+                             f"does not fit type {value_type!r}")
 
 
-@dataclass
 class PropertyDefinition(AttributeDefinition):
     """One declared property on a type: an attribute's fields plus required."""
 
     noun = "property"
-    required: bool = True
+    _fields = (*AttributeDefinition._fields, "required")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not isinstance(self.required, bool):
-            raise ValueError(f"required {self.required!r} of property {self.name!r} "
+    def __init__(self, name: str, value_type: str = "string", default: object = None,
+                 required: bool = True):
+        super().__init__(name, value_type, default)
+        self.required = required
+        if not isinstance(required, bool):
+            raise ValueError(f"required {required!r} of property {name!r} "
                              f"is not a boolean")
 
 
-@dataclass
-class RequirementDefinition:
+class RequirementDefinition(Record):
     """A declared need: demanded capability, acceptable node and relationship."""
 
-    name: str
-    capability_type: str = ""
-    node_type: str = ""
-    relationship_type: str = ""
-    occurrences: Occurrences = (1, 1)
+    _fields = ("name", "capability_type", "node_type", "relationship_type",
+               "occurrences")
 
-    def __post_init__(self):
-        _check_occurrences(self.name, self.occurrences, least_maximum=1)
+    def __init__(self, name: str, capability_type: str = "", node_type: str = "",
+                 relationship_type: str = "", occurrences: Occurrences = (1, 1)):
+        _check_occurrences(name, occurrences, least_maximum=1)
+        self.name, self.capability_type = name, capability_type
+        self.node_type, self.relationship_type = node_type, relationship_type
+        self.occurrences = occurrences
 
 
-@dataclass
-class CapabilityDefinition:
+class CapabilityDefinition(Record):
     """A declared ability to satisfy requirements of a given capability type."""
 
-    name: str
-    capability_type: str = ""
-    valid_source_types: list[str] = field(default_factory=list)
-    occurrences: Occurrences = (1, UNBOUNDED)
+    _fields = ("name", "capability_type", "valid_source_types", "occurrences")
 
-    def __post_init__(self):
-        _check_occurrences(self.name, self.occurrences, least_maximum=0)
-
-
-@dataclass
-class TypeDefinition:
-    """A node, capability, or relationship type, before ancestry flattening."""
-
-    name: str
-    kind: str  # "node" | "capability" | "relationship"
-    derived_from: str | None = None
-    properties: dict[str, PropertyDefinition] = field(default_factory=dict)
-    attributes: dict[str, AttributeDefinition] = field(default_factory=dict)
-    requirements: list[RequirementDefinition] = field(default_factory=list)
-    capabilities: dict[str, CapabilityDefinition] = field(default_factory=dict)
-    metadata: dict[str, str] = field(default_factory=dict)
-    # where the definition was parsed from, if anywhere; not part of equality
-    location: Any = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("node", "capability", "relationship"):
-            raise ValueError(f"unsupported type kind {self.kind!r}")
+    def __init__(self, name: str, capability_type: str = "",
+                 valid_source_types: list[str] | None = None,
+                 occurrences: Occurrences = (1, UNBOUNDED)):
+        _check_occurrences(name, occurrences, least_maximum=0)
+        self.name, self.capability_type, self.occurrences = \
+            name, capability_type, occurrences
+        self.valid_source_types = \
+            [] if valid_source_types is None else valid_source_types
 
 
-@dataclass
-class RequirementAssignment:
-    """One requirement filled in on a node template."""
+class TypeDefinition(Record):
+    """A node, capability, or relationship type, before ancestry flattening.
 
-    name: str
-    target: str
-    relationship: str | None = None  # optional override of the declared type
+    `location` is where the definition was parsed from, if anywhere.
+    """
+
+    _fields = ("name", "kind", "derived_from", "properties", "attributes",
+               "requirements", "capabilities", "metadata")
+
+    def __init__(self, name: str, kind: str, derived_from: str | None = None,
+                 properties: dict[str, PropertyDefinition] | None = None,
+                 attributes: dict[str, AttributeDefinition] | None = None,
+                 requirements: list[RequirementDefinition] | None = None,
+                 capabilities: dict[str, CapabilityDefinition] | None = None,
+                 metadata: dict[str, str] | None = None, location: object = None):
+        if kind not in ("node", "capability", "relationship"):
+            raise ValueError(f"unsupported type kind {kind!r}")
+        self.name, self.kind, self.derived_from = name, kind, derived_from
+        self.properties = {} if properties is None else properties
+        self.attributes = {} if attributes is None else attributes
+        self.requirements = [] if requirements is None else requirements
+        self.capabilities = {} if capabilities is None else capabilities
+        self.metadata = {} if metadata is None else metadata
+        self.location = location
 
 
-@dataclass
-class NodeTemplate:
+class RequirementAssignment(Record):
+    """One requirement filled in on a node template; `relationship`
+    optionally overrides the declared type."""
+
+    _fields = ("name", "target", "relationship")
+
+    def __init__(self, name: str, target: str, relationship: str | None = None):
+        self.name, self.target, self.relationship = name, target, relationship
+
+
+class NodeTemplate(Record):
     """A concrete node in a topology: a typed instance with assigned values."""
 
-    name: str
-    type: str
-    property_values: dict[str, Any] = field(default_factory=dict)
-    artifacts: dict[str, str] = field(default_factory=dict)
-    requirement_assignments: list[RequirementAssignment] = field(default_factory=list)
-    location: Any = field(default=None, compare=False, repr=False)
+    _fields = ("name", "type", "property_values", "artifacts",
+               "requirement_assignments")
+
+    def __init__(self, name: str, type: str,
+                 property_values: dict[str, object] | None = None,
+                 artifacts: dict[str, str] | None = None,
+                 requirement_assignments: list[RequirementAssignment] | None = None,
+                 location: object = None):
+        self.name, self.type, self.location = name, type, location
+        self.property_values = {} if property_values is None else property_values
+        self.artifacts = {} if artifacts is None else artifacts
+        self.requirement_assignments = \
+            [] if requirement_assignments is None else requirement_assignments
 
 
-@dataclass
-class ServiceTemplate:
+class ServiceTemplate(Record):
     """A parsed blueprint: inline type definitions plus the topology."""
 
-    tosca_version: str = "tosca_simple_yaml_1_3"
-    user_types: list[TypeDefinition] = field(default_factory=list)
-    node_templates: dict[str, NodeTemplate] = field(default_factory=dict)
+    tosca_version = "tosca_simple_yaml_1_3"  # what a new template declares
+    _fields = ("tosca_version", "user_types", "node_templates")
+
+    def __init__(self, tosca_version: str = tosca_version,
+                 user_types: list[TypeDefinition] | None = None,
+                 node_templates: dict[str, NodeTemplate] | None = None):
+        self.tosca_version = tosca_version
+        self.user_types = [] if user_types is None else user_types
+        self.node_templates = {} if node_templates is None else node_templates
 
     def combined_definitions(self):
         """The built-in catalog overlaid with this template's inline types.
@@ -168,21 +222,24 @@ class ServiceTemplate:
         return defs
 
 
-@dataclass
-class ResolvedNodeType:
+class ResolvedNodeType(Record):
     """A type with its derived_from ancestry flattened into merged maps.
 
     `ancestry` runs root first, the requested type last.  On a name
     collision the most-derived declaration wins wholesale.
     """
 
-    name: str
-    kind: str
-    ancestry: list[str]
-    properties: dict[str, PropertyDefinition]
-    attributes: dict[str, AttributeDefinition]
-    requirements: list[RequirementDefinition]
-    capabilities: dict[str, CapabilityDefinition]
+    _fields = ("name", "kind", "ancestry", "properties", "attributes",
+               "requirements", "capabilities")
+
+    def __init__(self, name: str, kind: str, ancestry: list[str],
+                 properties: dict[str, PropertyDefinition],
+                 attributes: dict[str, AttributeDefinition],
+                 requirements: list[RequirementDefinition],
+                 capabilities: dict[str, CapabilityDefinition]):
+        self.name, self.kind, self.ancestry = name, kind, ancestry
+        self.properties, self.attributes = properties, attributes
+        self.requirements, self.capabilities = requirements, capabilities
 
 
 def _conforms(value, value_type):

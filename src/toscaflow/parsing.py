@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import re
 import warnings
-from dataclasses import dataclass
 
 import yaml
 
@@ -31,6 +30,7 @@ from .model import (
     CapabilityDefinition,
     NodeTemplate,
     PropertyDefinition,
+    Record,
     RequirementAssignment,
     RequirementDefinition,
     ServiceTemplate,
@@ -52,13 +52,13 @@ _IGNORED_QUIETLY = {"description", "metadata"}
 _LINE_BREAK = re.compile("\r\n|[\n\r\x85\u2028\u2029]")  # YAML's line breaks
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(Record, frozen=True):
     """1-based position of a construct in its input file."""
 
-    file: str
-    line: int
-    column: int
+    _fields = ("file", "line", "column")
+
+    def __init__(self, file: str, line: int, column: int):
+        self.__dict__.update(file=file, line=line, column=column)
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"

@@ -9,10 +9,8 @@ direct scan and serves as the independent oracle for `plan`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DependencyCycleError
-from .model import ServiceTemplate
+from .model import Record, ServiceTemplate
 from .topology import Locality, Topology, find_cycle, lexicographic_order
 
 HOSTED_ON = "HostedOn"
@@ -22,34 +20,38 @@ OPERATIONS = ("create", "configure", "start")
 _CREATE, _CONFIGURE, _START = range(len(OPERATIONS))  # ranks in OPERATIONS
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
-    """`source` depends on `target` being up."""
+class DependencyEdge(Record, frozen=True):
+    """`source` depends on `target` being up; `kind` is HostedOn or
+    ConnectsTo."""
 
-    source: str
-    target: str
-    kind: str  # HostedOn | ConnectsTo
+    _fields = ("source", "target", "kind")
 
-
-@dataclass
-class DependencyGraph:
-    vertices: list[str]
-    edges: list[DependencyEdge]
+    def __init__(self, source: str, target: str, kind: str):
+        self.__dict__.update(source=source, target=target, kind=kind)
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    node: str
-    op: str
-    annotation: str | None = None
+class DependencyGraph(Record):
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: list[str], edges: list[DependencyEdge]):
+        self.vertices, self.edges = vertices, edges
+
+
+class PlanStep(Record, frozen=True):
+    _fields = ("node", "op", "annotation")
+
+    def __init__(self, node: str, op: str, annotation: str | None = None):
+        self.__dict__.update(node=node, op=op, annotation=annotation)
 
     def to_dict(self):
         return {"node": self.node, "op": self.op, "annotation": self.annotation}
 
 
-@dataclass
-class DeploymentPlan:
-    steps: list[PlanStep] = field(default_factory=list)
+class DeploymentPlan(Record):
+    _fields = ("steps",)
+
+    def __init__(self, steps: list[PlanStep] | None = None):
+        self.steps = [] if steps is None else steps
 
     def to_list(self):
         return [step.to_dict() for step in self.steps]

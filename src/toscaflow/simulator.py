@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import catalog as cat
@@ -39,7 +38,7 @@ from .errors import (
     ScheduleError,
     UnsupportedTypeError,
 )
-from .model import ServiceTemplate
+from .model import Record, ServiceTemplate
 from .topology import Topology, find_cycle, first_of, lexicographic_order
 
 # consumer / publisher types -> (store provider label, bucket property)
@@ -146,13 +145,16 @@ BUILTIN_FUNCTIONS = {
 }
 
 
-@dataclass
-class FlowItem:
+class FlowItem(Record):
     """One simulated data unit moving through the pipeline."""
 
-    payload: bytes
-    attributes: dict[str, str] = field(default_factory=dict)
-    trail: list[tuple[str, int]] = field(default_factory=list)
+    _fields = ("payload", "attributes", "trail")
+
+    def __init__(self, payload: bytes, attributes: dict[str, str] | None = None,
+                 trail: list[tuple[str, int]] | None = None):
+        self.payload = payload
+        self.attributes = {} if attributes is None else attributes
+        self.trail = [] if trail is None else trail
 
     def visit(self, block: str, tick: int):
         if self.trail and tick < self.trail[-1][1]:
@@ -167,14 +169,13 @@ class FlowItem:
         return [block for block, _ in self.trail]
 
 
-@dataclass(frozen=True)
-class StoreEvent:
-    seq: int
-    tick: int
-    provider: str
-    bucket: str
-    key: str
-    payload: bytes
+class StoreEvent(Record, frozen=True):
+    _fields = ("seq", "tick", "provider", "bucket", "key", "payload")
+
+    def __init__(self, seq: int, tick: int, provider: str, bucket: str, key: str,
+                 payload: bytes):
+        self.__dict__.update(seq=seq, tick=tick, provider=provider, bucket=bucket,
+                             key=key, payload=payload)
 
 
 class _Stage:

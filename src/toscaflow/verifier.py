@@ -30,13 +30,12 @@ each kind.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 
 from . import catalog as cat
 from .cron import is_valid_cron
 from .crypto import cipher_key
 from .errors import VerifierNonConvergenceError
-from .model import UNBOUNDED, RequirementAssignment, ServiceTemplate
+from .model import UNBOUNDED, Record, RequirementAssignment, ServiceTemplate
 from .topology import CONNECTION_KIND, Topology, first_of
 
 R1_REQ_MATCH = "R1-REQ-MATCH"
@@ -55,15 +54,16 @@ FIXABLE = "fixable"
 MAX_FIX_PASSES = 3
 
 
-@dataclass
-class Diagnostic:
-    """One verifier finding."""
+class Diagnostic(Record):
+    """One verifier finding.  `location` is where its first node was
+    parsed from, if anywhere."""
 
-    rule: str
-    severity: str
-    nodes: list[str]
-    message: str
-    fix: str | None = None
+    _fields = ("rule", "severity", "nodes", "message", "fix")
+
+    def __init__(self, rule: str, severity: str, nodes: list[str], message: str,
+                 fix: str | None = None, location: object = None):
+        self.rule, self.severity, self.nodes = rule, severity, nodes
+        self.message, self.fix, self.location = message, fix, location
 
     def key(self):
         return (self.rule, tuple(self.nodes), self.message)
@@ -85,7 +85,8 @@ def report_to_dict(diagnostics, fixed: bool):
 
 def check_requirements(template: ServiceTemplate) -> list[Diagnostic]:
     """R1 requirement/capability matching plus R5 hosting conformance."""
-    return list(_check_requirements(Topology(template)))
+    topo = Topology(template)
+    return _located(topo, _check_requirements(topo))
 
 
 def _check_requirements(topo: Topology):
@@ -191,7 +192,8 @@ def _check_bounds(name, req, counts, lo):
 
 def check_locality(template: ServiceTemplate) -> list[Diagnostic]:
     """R2 wrong-kind connections and R3 duplicate connections."""
-    return list(_check_locality(Topology(template)))
+    topo = Topology(template)
+    return _located(topo, _check_locality(topo))
 
 
 def _check_locality(topo: Topology):
@@ -231,7 +233,8 @@ def _reachable_from(adjacency, start):
 
 def check_encryption(template: ServiceTemplate) -> list[Diagnostic]:
     """R4: Encrypt/Decrypt pairing and passphrase agreement."""
-    return list(_check_encryption(Topology(template)))
+    topo = Topology(template)
+    return _located(topo, _check_encryption(topo))
 
 
 def _encrypt_decrypt_pairs(topo: Topology):
@@ -268,7 +271,8 @@ def _check_encryption(topo: Topology):
 def check_scheduling(template: ServiceTemplate) -> list[Diagnostic]:
     """R6: allowed strategies, parseable cron expressions and evaluable
     function keys."""
-    return list(_check_scheduling(Topology(template)))
+    topo = Topology(template)
+    return _located(topo, _check_scheduling(topo))
 
 
 def _check_scheduling(topo: Topology):
@@ -326,7 +330,7 @@ def _fix_locality_pair(topo: Topology, nodes: dict, a: str, b: str) -> str:
         if kept is not keeper:
             actions.append(f"rewrote the connection to {desired!r}")
     drop = {id(assignment) for assignment, _ in edges if assignment is not keeper}
-    nodes[a] = replace(nodes[a], requirement_assignments=[
+    nodes[a] = nodes[a].replace(requirement_assignments=[
         kept if assignment is keeper else assignment
         for assignment in nodes[a].requirement_assignments
         if id(assignment) not in drop])
@@ -344,11 +348,11 @@ def _rewrite_assignment_kind(topo: Topology, node_name: str,
                         if topo.connects(r) and r.relationship_type == desired),
                        None)
     if counterpart is not None:
-        return replace(assignment, name=counterpart.name, relationship=None)
+        return assignment.replace(name=counterpart.name, relationship=None)
     declared = next(r.relationship_type for r in requirements
                     if r.name == assignment.name)
     if not declared or topo.subtype(desired, declared):
-        return replace(assignment, relationship=desired)
+        return assignment.replace(relationship=desired)
     return None
 
 
@@ -374,14 +378,23 @@ def _fix_encryption(nodes: dict, pairs, mismatches, rng: random.Random) -> dict:
         fresh = _passphrase(rng)
         for member in members:
             values = {**nodes[member].property_values, "passphrase": fresh}
-            nodes[member] = replace(nodes[member], property_values=values)
+            nodes[member] = nodes[member].replace(property_values=values)
             fixes[member] = f"assigned a shared passphrase to {', '.join(members)}"
     return {(e, d): fixes[e] for e, d in mismatches}
 
 
 def _run_checks(topo: Topology) -> list[Diagnostic]:
-    return [*_check_requirements(topo), *_check_locality(topo),
-            *_check_encryption(topo), *_check_scheduling(topo)]
+    return _located(topo, [*_check_requirements(topo), *_check_locality(topo),
+                           *_check_encryption(topo), *_check_scheduling(topo)])
+
+
+def _located(topo: Topology, diagnostics) -> list[Diagnostic]:
+    """`diagnostics` in a list, each given the location of its first node."""
+    nodes = topo.template.node_templates
+    found = list(diagnostics)
+    for diag in found:
+        diag.location = nodes[diag.nodes[0]].location
+    return found
 
 
 def verify(template: ServiceTemplate, fix: bool = False,
@@ -409,7 +422,7 @@ def verify(template: ServiceTemplate, fix: bool = False,
                 f"fixable diagnostics remain after {MAX_FIX_PASSES} fix passes")
         nodes = dict(work.node_templates)
         _apply_fixes(topo, nodes, fixables, rng, reported)
-        work = replace(work, node_templates=nodes)
+        work = work.replace(node_templates=nodes)
     return work, list(reported.values())
 
 

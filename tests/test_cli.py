@@ -42,6 +42,17 @@ def test_verify_json_report(fixture_path, capsys):
     assert report["diagnostics"][0]["fix"] is None
 
 
+def test_verify_text_report_ends_with_the_first_nodes_location(fixture_path, capsys):
+    path = fixture_path("duplicate_connection.yaml")
+    fixed = "\tfixed: dropped 1 duplicate connection(s)"
+    for flags, fix in (([], ""), (["--fix"], fixed)):
+        main(["verify", path, *flags])
+        line, = capsys.readouterr().out.splitlines()
+        assert line.startswith("R3-DUPLICATE-CONN\tfixable\tConsS3Bucket,PubGCS\t")
+        assert fix in line
+        assert line.endswith(f"\t{path}:22:5")
+
+
 def test_verify_missing_file_exits_2(capsys):
     assert main(["verify", "missing.yaml"]) == 2
 
@@ -266,7 +277,7 @@ def test_self_referencing_script_path_fails_verify_and_simulate(tmp_path, capsys
         "script_path: { get_property: [SELF, script_path] }").replace(
         "{ get_property: [SELF, schedulingStrategy] }", "EVENT_DRIVEN"))
     finding = ("R6-SCHEDULING\terror\tPy\t'Py' cannot evaluate its script_path "
-               "(get_property cycle: Py.script_path -> Py.script_path)\n")
+               f"(get_property cycle: Py.script_path -> Py.script_path)\t{path}:11:5\n")
     for command in ("verify", "simulate"):
         assert main([command, str(path)]) == 1, command
         assert finding in capsys.readouterr().out, command

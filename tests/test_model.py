@@ -23,6 +23,8 @@ from toscaflow.model import (
     is_subtype,
     resolve_type,
 )
+from toscaflow.parsing import SourceLocation
+from toscaflow.planner import PlanStep
 
 CONS_S3 = "radon.nodes.datapipeline.source.ConsS3Bucket"
 CONS_GCS = "radon.nodes.datapipeline.source.ConsGCSBucket"
@@ -159,6 +161,19 @@ def test_records_accept_the_edges_of_their_rules():
     assert RequirementDefinition("r", occurrences=(0, UNBOUNDED)).occurrences \
         == (0, UNBOUNDED)
     assert CapabilityDefinition("c", occurrences=(0, 0)).occurrences == (0, 0)
+
+
+def test_replace_builds_again_through_init_and_keeps_location():
+    where = SourceLocation("a.yaml", 2, 3)
+    node = NodeTemplate("N", "t", artifacts={"a": "x.py"}, location=where)
+    moved = node.replace(type="u")
+    assert (moved.type, moved.artifacts, moved.location) == ("u", {"a": "x.py"}, where)
+    assert node.type == "t"
+    assert PlanStep("A", "create").replace(op="start") == PlanStep("A", "start")
+    with pytest.raises(ValueError, match="is not a boolean"):
+        PropertyDefinition("p").replace(required="no")
+    with pytest.raises(TypeError):
+        node.replace(colour="red")
 
 
 def _minio_template():

@@ -177,6 +177,20 @@ def test_duplicate_connection_fix_keeps_single_remote_edge(load_fixture):
                 .requirement_assignments if a.target == "PubGCS"]) == 2
 
 
+def test_a_finding_is_located_at_its_first_node_outside_its_identity(load_fixture):
+    template = load_fixture("duplicate_connection.yaml")
+    where = template.node_templates["ConsS3Bucket"].location
+    assert (where.line, where.column) == (22, 5)
+    fixed, diags = verify(template, fix=True)
+    assert diags[0].location is where
+    assert check_locality(template)[0].location is where
+    assert fixed.node_templates["ConsS3Bucket"].location is where  # repair keeps it
+    elsewhere = diags[0].replace(location=None)
+    assert elsewhere == diags[0] and elsewhere.key() == diags[0].key()
+    assert elsewhere.to_dict() == diags[0].to_dict()
+    assert "location" not in diags[0].to_dict()
+
+
 def test_same_nifi_remote_edge_rewritten_to_local():
     stack, nifi, source, dest = _stacked_pipeline_pair()
     source.requirement_assignments = [
@@ -186,6 +200,7 @@ def test_same_nifi_remote_edge_rewritten_to_local():
     template = b.template(*stack, source, dest)
     diags = check_locality(template)
     assert [d.rule for d in diags] == [R2_LOCALITY]
+    assert diags[0].location is None  # the node was built in code
     fixed, fixed_diags = verify(template, fix=True)
     edge = [a for a in fixed.node_templates["Src"].requirement_assignments
             if a.target == "Dst"][0]
