@@ -66,7 +66,7 @@ class Record:
         cls._key = attrgetter(*cls._fields)
         if frozen:
             def refuse(self, name, *value):
-                raise AttributeError(f"cannot assign to field {name!r}")
+                raise AttributeError(f"{cls.__name__} is frozen: cannot change {name!r}")
             cls.__setattr__ = cls.__delattr__ = refuse
             cls.__hash__ = lambda self: hash(self._key(self))
 

@@ -85,8 +85,7 @@ def report_to_dict(diagnostics, fixed: bool):
 
 def check_requirements(template: ServiceTemplate) -> list[Diagnostic]:
     """R1 requirement/capability matching plus R5 hosting conformance."""
-    topo = Topology(template)
-    return _located(topo, _check_requirements(topo))
+    return _located(_check_requirements, Topology(template))
 
 
 def _check_requirements(topo: Topology):
@@ -192,8 +191,7 @@ def _check_bounds(name, req, counts, lo):
 
 def check_locality(template: ServiceTemplate) -> list[Diagnostic]:
     """R2 wrong-kind connections and R3 duplicate connections."""
-    topo = Topology(template)
-    return _located(topo, _check_locality(topo))
+    return _located(_check_locality, Topology(template))
 
 
 def _check_locality(topo: Topology):
@@ -233,8 +231,7 @@ def _reachable_from(adjacency, start):
 
 def check_encryption(template: ServiceTemplate) -> list[Diagnostic]:
     """R4: Encrypt/Decrypt pairing and passphrase agreement."""
-    topo = Topology(template)
-    return _located(topo, _check_encryption(topo))
+    return _located(_check_encryption, Topology(template))
 
 
 def _encrypt_decrypt_pairs(topo: Topology):
@@ -271,8 +268,7 @@ def _check_encryption(topo: Topology):
 def check_scheduling(template: ServiceTemplate) -> list[Diagnostic]:
     """R6: allowed strategies, parseable cron expressions and evaluable
     function keys."""
-    topo = Topology(template)
-    return _located(topo, _check_scheduling(topo))
+    return _located(_check_scheduling, Topology(template))
 
 
 def _check_scheduling(topo: Topology):
@@ -384,14 +380,15 @@ def _fix_encryption(nodes: dict, pairs, mismatches, rng: random.Random) -> dict:
 
 
 def _run_checks(topo: Topology) -> list[Diagnostic]:
-    return _located(topo, [*_check_requirements(topo), *_check_locality(topo),
-                           *_check_encryption(topo), *_check_scheduling(topo)])
+    return [diag for check in (_check_requirements, _check_locality,
+                               _check_encryption, _check_scheduling)
+            for diag in _located(check, topo)]
 
 
-def _located(topo: Topology, diagnostics) -> list[Diagnostic]:
-    """`diagnostics` in a list, each given the location of its first node."""
+def _located(check, topo: Topology) -> list[Diagnostic]:
+    """The findings of `check`, each given the location of its first node."""
     nodes = topo.template.node_templates
-    found = list(diagnostics)
+    found = list(check(topo))
     for diag in found:
         diag.location = nodes[diag.nodes[0]].location
     return found
