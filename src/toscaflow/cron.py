@@ -24,7 +24,10 @@ class CronExpr(Record, frozen=True):
 
     def __init__(self, text: str, seconds: frozenset[int], minutes: frozenset[int],
                  hours: frozenset[int]):
-        self.__dict__.update(text=text, seconds=seconds, minutes=minutes, hours=hours)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "seconds", seconds)
+        object.__setattr__(self, "minutes", minutes)
+        object.__setattr__(self, "hours", hours)
 
     def matches(self, tick: int) -> bool:
         second_of_day = tick % SECONDS_PER_DAY

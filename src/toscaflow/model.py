@@ -57,7 +57,8 @@ class Record:
     equal when they are of one class and agree on every field, and `repr`
     shows the fields.  `location` is not a field, so it takes part in
     neither; `replace` keeps it.  `class R(Record, frozen=True)` makes
-    records that refuse assignment and hash by their fields.
+    records that hash by their fields and refuse assignment, so their
+    `__init__` sets each field with `object.__setattr__`.
     """
 
     _fields = ()

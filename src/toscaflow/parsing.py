@@ -58,7 +58,9 @@ class SourceLocation(Record, frozen=True):
     _fields = ("file", "line", "column")
 
     def __init__(self, file: str, line: int, column: int):
-        self.__dict__.update(file=file, line=line, column=column)
+        object.__setattr__(self, "file", file)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"

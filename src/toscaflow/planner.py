@@ -27,7 +27,9 @@ class DependencyEdge(Record, frozen=True):
     _fields = ("source", "target", "kind")
 
     def __init__(self, source: str, target: str, kind: str):
-        self.__dict__.update(source=source, target=target, kind=kind)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "kind", kind)
 
 
 class DependencyGraph(Record):
@@ -41,7 +43,9 @@ class PlanStep(Record, frozen=True):
     _fields = ("node", "op", "annotation")
 
     def __init__(self, node: str, op: str, annotation: str | None = None):
-        self.__dict__.update(node=node, op=op, annotation=annotation)
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "annotation", annotation)
 
     def to_dict(self):
         return {"node": self.node, "op": self.op, "annotation": self.annotation}

@@ -174,8 +174,12 @@ class StoreEvent(Record, frozen=True):
 
     def __init__(self, seq: int, tick: int, provider: str, bucket: str, key: str,
                  payload: bytes):
-        self.__dict__.update(seq=seq, tick=tick, provider=provider, bucket=bucket,
-                             key=key, payload=payload)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "tick", tick)
+        object.__setattr__(self, "provider", provider)
+        object.__setattr__(self, "bucket", bucket)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "payload", payload)
 
 
 class _Stage:
