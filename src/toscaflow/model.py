@@ -61,8 +61,6 @@ class Record:
     `__init__` sets each field with `object.__setattr__`.
     """
 
-    _fields = ()
-
     def __init_subclass__(cls, frozen=False):
         cls._key = attrgetter(*cls._fields)
         if frozen:
