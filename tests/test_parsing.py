@@ -514,6 +514,8 @@ SHAPE_ERRORS = [
      "node template 'X' has no type", "4:5"),
     (T, NODE + "      interfaces: {}\n", SchemaError,
      "unknown key 'interfaces' on node template 'X'", "6:7"),
+    (N, "X: {type: tosca.nodes.Compute, description: d, x: 1}\n", SchemaError,
+     "unknown key 'x' on node template 'X'", "1:48"),
     (T, V + TOPOLOGY + "    X: {type: acme.Missing}\n", SchemaError,
      "node template 'X': unknown type 'acme.Missing'", "4:5"),
     (T, NODE + "      properties: [a]\n", SchemaError,
@@ -605,9 +607,29 @@ def _attributed_to(record):
      "p.yaml:4:5: ignoring unknown key 'x' in type 'T'", "parse_service_template"),
     (T, V + "topology_template:\n  inputs: {}\n  node_templates:\n",
      "p.yaml:3:3: ignoring topology_template key 'inputs'", "test"),
+    (D, NODE_TYPE + TOPOLOGY,
+     "p.yaml:4:1: ignoring unknown top-level key 'topology_template'", "test"),
 ])
 def test_unknown_keys_warn_with_their_location(parse, text, message, attributed_to):
     with pytest.warns(UserWarning) as records:
         parse(text, filename="p.yaml")
     assert [str(record.message) for record in records] == [message]
     assert _attributed_to(records[0]) == attributed_to
+
+
+def test_a_node_template_body_accepts_description_and_metadata():
+    template = parse_service_template(
+        NODE + "      description: a node\n      metadata: {owner: me}\n")
+    assert template.node_templates["X"].type == "tosca.nodes.Compute"
+
+
+@pytest.mark.parametrize("rest", [
+    TOPOLOGY + "    X: {type: tosca.nodes.Compute}\n    X: {}\n",  # a duplicate key
+    "description: no topology\n",
+])
+def test_an_unconstructible_version_header_is_reported_first(rest):
+    with pytest.raises(TemplateSyntaxError) as excinfo:
+        parse_service_template("tosca_definitions_version: !!int x\n" + rest,
+                               filename="p.yaml")
+    assert excinfo.value.args[0] == "invalid literal for int() with base 10: 'x'"
+    assert str(excinfo.value.location) == "p.yaml:1:28"
