@@ -12,6 +12,7 @@ sorted, stable key order, so serialize(parse(serialize(t))) == serialize(t).
 from __future__ import annotations
 
 import copy
+import functools
 import re
 import warnings
 
@@ -46,7 +47,7 @@ _SECTION_KINDS = {
     "relationship_types": "relationship",
 }
 
-# top-level keys we understand but deliberately do not interpret
+# keys of a document or a node template we read but do not interpret
 _IGNORED_QUIETLY = {"description", "metadata"}
 
 _LINE_BREAK = re.compile("\r\n|[\n\r\x85\u2028\u2029]")  # YAML's line breaks
@@ -233,21 +234,30 @@ def parse_definitions(text: str, filename: str = "<string>") -> list[TypeDefinit
     version header is tolerated when a type section is present.  Unknown
     top-level keys are ignored with a warning.
     """
-    root = _compose(text, filename)
-    sections = []
-    saw_version = False
-    for key, value_node, key_node in _items(root, "definitions document", filename):
-        if key == TOSCA_VERSION_KEY:
-            saw_version = True
-        elif key in _SECTION_KINDS:
-            sections.append((key, value_node))
-        elif key not in _IGNORED_QUIETLY:
-            warnings.warn(f"{_loc(key_node, filename)}: ignoring unknown "
-                          f"top-level key {key!r}", stacklevel=2)
-    if not saw_version and not sections:
+    version, sections, _ = _top_level(text, "definitions document", filename)
+    if version is None and not sections:
         raise SchemaError(f"missing {TOSCA_VERSION_KEY}",
                           SourceLocation(filename, 1, 1))
     return _parse_type_sections(sections, filename)
+
+
+def _top_level(text, what, filename, body_key=None):
+    """The version header (None when absent), the (key, node) type
+    sections in document order and the node of `body_key` (None when
+    absent) of the document `text`; any other key warns, attributed to
+    the public parser's caller, unless it is ignored quietly."""
+    version, sections, body_node = None, [], None
+    for key, value_node, key_node in _items(_compose(text, filename), what, filename):
+        if key == TOSCA_VERSION_KEY:
+            version = str(_construct(value_node, filename))
+        elif key in _SECTION_KINDS:
+            sections.append((key, value_node))
+        elif key == body_key:
+            body_node = value_node
+        elif key not in _IGNORED_QUIETLY:
+            warnings.warn(f"{_loc(key_node, filename)}: ignoring unknown "
+                          f"top-level key {key!r}", stacklevel=3)
+    return version, sections, body_node
 
 
 def _parse_type_sections(sections, filename) -> list[TypeDefinition]:
@@ -295,16 +305,7 @@ def _coerce_default(value, value_type):
     return value
 
 
-def _parse_property_defs(node, filename):
-    return _parse_value_defs(node, filename, PropertyDefinition, "properties",
-                             "required")
-
-
-def _parse_attribute_defs(node, filename):
-    return _parse_value_defs(node, filename, AttributeDefinition, "attributes")
-
-
-def _parse_value_defs(node, filename, definition_class, section, *optional):
+def _parse_value_defs(definition_class, section, optional, node, filename):
     """Each property or attribute of `section` as a `definition_class`
     record; the `optional` keys a body holds are passed on as read."""
     out = {}
@@ -382,8 +383,10 @@ def _parse_capability_defs(node, filename):
 
 # the sections of a type body, each keyed by its TypeDefinition field
 _TYPE_SECTIONS = {
-    "properties": _parse_property_defs,
-    "attributes": _parse_attribute_defs,
+    "properties": functools.partial(_parse_value_defs, PropertyDefinition,
+                                    "properties", ("required",)),
+    "attributes": functools.partial(_parse_value_defs, AttributeDefinition,
+                                    "attributes", ()),
     "requirements": _parse_requirement_defs,
     "capabilities": _parse_capability_defs,
 }
@@ -414,29 +417,15 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
     `combined_definitions`: the built-in catalog overlaid with the
     document's inline type sections.
     """
-    root = _compose(text, filename)
-    version = None
-    inline_sections = []
-    topology_node = None
-    for key, value_node, key_node in _items(root, "service template", filename):
-        if key == TOSCA_VERSION_KEY:
-            version = str(_construct(value_node, filename))
-        elif key in _SECTION_KINDS:
-            inline_sections.append((key, value_node))
-        elif key == "topology_template":
-            topology_node = value_node
-        elif key not in _IGNORED_QUIETLY:
-            warnings.warn(f"{_loc(key_node, filename)}: ignoring unknown "
-                          f"top-level key {key!r}", stacklevel=2)
+    version, sections, topology_node = _top_level(text, "service template", filename,
+                                                  "topology_template")
     if version is None:
         raise SchemaError(f"missing {TOSCA_VERSION_KEY}",
                           SourceLocation(filename, 1, 1))
     if topology_node is None:
         raise SchemaError("missing topology_template",
                           SourceLocation(filename, 1, 1))
-
-    template = ServiceTemplate(tosca_version=version,
-                               user_types=_parse_type_sections(inline_sections, filename))
+    user_types = _parse_type_sections(sections, filename)
 
     templates_node = None
     for key, value_node, key_node in _items(topology_node, "topology_template", filename):
@@ -450,15 +439,15 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
                           _loc(topology_node, filename))
 
     node_templates = _parse_node_templates(
-        templates_node, filename, template.combined_definitions(), partial=False)
-    template.node_templates = node_templates
+        templates_node, filename,
+        ServiceTemplate(user_types=user_types).combined_definitions(), partial=False)
     for node in node_templates.values():
         for assignment in node.requirement_assignments:
             if assignment.target not in node_templates:
                 raise SchemaError(
                     f"node {node.name!r} requirement {assignment.name!r} targets "
                     f"unknown template {assignment.target!r}", node.location)
-    return template
+    return ServiceTemplate(version, user_types, node_templates)
 
 
 def parse_node_templates_fragment(text: str,
@@ -502,7 +491,7 @@ def _parse_node_template(name, body_node, location, filename, defs, partial):
             artifacts = _parse_artifacts(value_node, name, filename)
         elif key == "requirements":
             assignments = _parse_requirement_assignments(value_node, name, filename)
-        elif key not in ("description", "metadata"):
+        elif key not in _IGNORED_QUIETLY:
             raise SchemaError(f"unknown key {key!r} on node template {name!r}",
                               _loc(key_node, filename))
     if type_name is None:

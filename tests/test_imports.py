@@ -16,6 +16,7 @@ import typing
 import pytest
 
 import toscaflow
+from toscaflow import model
 
 PACKAGE = pathlib.Path(toscaflow.__file__).parent
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "s3_to_gcs.yaml"
@@ -204,3 +205,35 @@ def test_the_read_check_finds_each_form(tmp_path):
     path.write_text("from .catalog import CAP\nfrom . import catalog as cat\n"
                     "cat.CAP\nCAP\n")
     assert _reads(path, "CAP") == ["bad.py:1", "bad.py:3", "bad.py:4"]
+
+
+MODEL_RECORDS = [value for value in vars(model).values()
+                 if isinstance(value, type) and issubclass(value, model.Record)
+                 and value is not model.Record and value.__module__ == model.__name__]
+MODEL_FIELDS = {field for record in MODEL_RECORDS for field in record._fields}
+
+
+def _late_writes(path):
+    """'file:line name' for each attribute `path` assigns outside an
+    `__init__` whose name is a field of a model record."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_init = {id(node) for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef) and function.name == "__init__"
+               for node in ast.walk(function)}
+    return [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr in MODEL_FIELDS and id(node) not in in_init]
+
+
+def test_no_module_writes_a_model_record_field_after_init():
+    assert len(MODEL_RECORDS) == 9
+    assert [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in _late_writes(path)] == []
+
+
+def test_the_late_write_check_finds_plain_and_tuple_targets(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text("class T:\n    def __init__(self, x):\n        self.name = x\n\n"
+                    "def f(t, x):\n    t.node_templates = x\n"
+                    "    t.kind, t.other = x, x\n    t.other = x\n")
+    assert _late_writes(path) == ["bad.py:6 node_templates", "bad.py:7 kind"]

@@ -633,3 +633,11 @@ def test_an_unconstructible_version_header_is_reported_first(rest):
                                filename="p.yaml")
     assert excinfo.value.args[0] == "invalid literal for int() with base 10: 'x'"
     assert str(excinfo.value.location) == "p.yaml:1:28"
+
+
+def test_a_definitions_header_is_constructed_as_a_templates_is():
+    with pytest.raises(TemplateSyntaxError) as excinfo:
+        parse_definitions("tosca_definitions_version: !!int x\nnode_types: {}\n",
+                          filename="p.yaml")
+    assert excinfo.value.args[0] == "invalid literal for int() with base 10: 'x'"
+    assert str(excinfo.value.location) == "p.yaml:1:28"
