@@ -76,8 +76,12 @@ def pack_csar(entry: str, files: dict[str, bytes]) -> bytes:
 
 
 def _parse_meta(raw: bytes) -> dict[str, str]:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MissingMetadataError(f"{META_PATH} is not UTF-8: {exc}") from exc
     metadata = {}
-    for line in raw.decode("utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or ":" not in line:
             continue
@@ -113,12 +117,26 @@ def _check_unpacked_size(infos):
             f"the {MAX_UNPACKED_BYTES} allowed")
 
 
+def _read(archive, name) -> bytes:
+    """The bytes of member `name`.  On damaged bytes zipfile raises any of
+    eight unrelated classes (BadZipFile, zlib.error, LZMAError, OSError,
+    EOFError, NotImplementedError, RuntimeError, ValueError); each means
+    the archive cannot be read."""
+    try:
+        return archive.read(name)
+    except Exception as exc:
+        raise MissingMetadataError(
+            f"cannot read archive member {name!r}: {exc}") from exc
+
+
 def unpack_csar(data: bytes) -> CsarArchive:
     """Read a CSAR back into memory, validating its metadata, member names
-    and total uncompressed size before any member is read."""
+    and total uncompressed size before any member is read.  Bytes that
+    cannot be read as a zip, or a member that cannot be read, are a
+    MissingMetadataError."""
     try:
         archive = zipfile.ZipFile(io.BytesIO(data))
-    except zipfile.BadZipFile as exc:
+    except Exception as exc:  # any of the classes `_read` lists
         raise MissingMetadataError(f"not a zip archive: {exc}") from exc
     with archive:
         names = archive.namelist()
@@ -128,11 +146,11 @@ def unpack_csar(data: bytes) -> CsarArchive:
         _check_unpacked_size(archive.infolist())
         if META_PATH not in names:
             raise MissingMetadataError(f"archive lacks {META_PATH}")
-        metadata = _parse_meta(archive.read(META_PATH))
+        metadata = _parse_meta(_read(archive, META_PATH))
         entry = metadata.get("Entry-Definitions")
         if not entry:
             raise MissingMetadataError("TOSCA.meta lacks Entry-Definitions")
-        files = {name: archive.read(name) for name in names
+        files = {name: _read(archive, name) for name in names
                  if name != META_PATH and not name.endswith("/")}
     if entry not in files:
         raise MissingEntryDefinitionsError(

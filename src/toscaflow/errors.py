@@ -60,7 +60,9 @@ class DuplicateTemplateNameError(SchemaError):
 
 
 class MissingMetadataError(ToscaflowError):
-    """CSAR archive lacks TOSCA-Metadata/TOSCA.meta (or is not a zip at all)."""
+    """CSAR archive lacks a readable TOSCA-Metadata/TOSCA.meta, or cannot be
+    read at all: not a zip, a damaged or encrypted member, a metadata file
+    that is not UTF-8."""
 
 
 class MissingEntryDefinitionsError(ToscaflowError):

@@ -206,6 +206,22 @@ def test_csar_unpack_non_zip_exits_2(tmp_path, capsys):
     assert main(["csar", "unpack", str(bogus), str(tmp_path / "out")]) == 2
 
 
+def test_csar_unpack_of_a_damaged_member_prints_one_error_line(tmp_path, capsys):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as stored:
+        stored.writestr("TOSCA-Metadata/TOSCA.meta", "Entry-Definitions: service.yaml\n")
+        stored.writestr("service.yaml", b"tosca_definitions_version: x\n")
+    archive = tmp_path / "damaged.csar"
+    archive.write_bytes(buffer.getvalue().replace(b"version: x", b"version: y"))
+    dest = tmp_path / "out"
+
+    assert main(["csar", "unpack", str(archive), str(dest)]) == 2
+    assert capsys.readouterr().err == ("error: cannot read archive member "
+                                       "'service.yaml': Bad CRC-32 for file "
+                                       "'service.yaml'\n")
+    assert not dest.exists()
+
+
 def test_csar_unpack_refuses_member_outside_dest(tmp_path, capsys):
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as crafted:

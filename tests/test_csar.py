@@ -1,4 +1,5 @@
 import io
+import random
 import zipfile
 
 import pytest
@@ -9,6 +10,7 @@ from toscaflow.errors import (
     ArchiveTooLargeError,
     MissingEntryDefinitionsError,
     MissingMetadataError,
+    ToscaflowError,
     UnsafeMemberNameError,
 )
 
@@ -133,3 +135,64 @@ def test_unpack_cap_counts_every_member(monkeypatch):
     monkeypatch.setattr(csar, "MAX_UNPACKED_BYTES", total - 1)
     with pytest.raises(ArchiveTooLargeError):
         unpack_csar(packed)
+
+
+SERVICE = b"tosca_definitions_version: tosca_simple_yaml_1_3\n"
+
+
+def _two_members(method=zipfile.ZIP_STORED, meta=b"Entry-Definitions: service.yaml\n"):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", method) as archive:
+        archive.writestr(META_PATH, meta)
+        archive.writestr("service.yaml", SERVICE)
+    return buffer.getvalue()
+
+
+def _service_record(data, offset, change):
+    """`data` with byte `offset` of service.yaml's central-directory record
+    replaced by `change(byte)`."""
+    data = bytearray(data)
+    at = data.rindex(b"PK\x01\x02") + offset
+    data[at] = change(data[at])
+    return bytes(data)
+
+
+def _bad_deflate_block():
+    data = bytearray(_two_members(zipfile.ZIP_DEFLATED))
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        header = archive.getinfo("service.yaml").header_offset
+    name_size, extra_size = data[header + 26], data[header + 28]
+    data[header + 30 + name_size + extra_size] = 0xFF  # final block, reserved type
+    return bytes(data)
+
+
+DAMAGED = {
+    "crc mismatch": (_two_members().replace(b"simple", b"simplE"),
+                     "Bad CRC-32 for file 'service.yaml'"),
+    "bad deflate block": (_bad_deflate_block(), "invalid block type"),
+    "unknown compression method": (_service_record(_two_members(), 10, lambda _: 99),
+                                   "compression method is not supported"),
+    "encrypted flag": (_service_record(_two_members(), 8, lambda bits: bits | 1),
+                       "is encrypted"),
+    "non-UTF-8 TOSCA.meta": (_two_members(meta=b"Entry-Definitions: s\xff.yaml\n"),
+                             "TOSCA.meta is not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("data, message", DAMAGED.values(), ids=DAMAGED.keys())
+def test_unpack_reports_a_damaged_archive_as_missing_metadata(data, message):
+    with pytest.raises(MissingMetadataError, match=message):
+        unpack_csar(data)
+
+
+def test_unpack_raises_only_toscaflow_errors_on_flipped_bytes():
+    packed = pack_csar("service.yaml", FILES)
+    rng = random.Random(7)
+    for _ in range(2000):
+        data = bytearray(packed)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        try:
+            assert isinstance(unpack_csar(bytes(data)), csar.CsarArchive)
+        except ToscaflowError:
+            pass
