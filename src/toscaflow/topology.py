@@ -185,7 +185,6 @@ class Topology:
         if node_name not in templates:
             raise MissingHostError(f"no node template named {node_name!r}")
         chain = [node_name]
-        visited = {node_name}
         current = node_name
         while True:
             resolved = self.resolved_node(current)
@@ -205,11 +204,10 @@ class Topology:
             if target not in templates:
                 raise MissingHostError(f"{current!r} is hosted on unknown template "
                                        f"{target!r}")
-            if target in visited:
+            if target in chain:
                 raise HostCycleError(
                     "host cycle: " + " -> ".join(chain + [target]))
             chain.append(target)
-            visited.add(target)
             current = target
 
     def nearest_nifi(self, node_name) -> str:

@@ -45,9 +45,6 @@ R4_ENCRYPTION = "R4-ENCRYPTION"
 R5_HOSTING = "R5-HOSTING"
 R6_SCHEDULING = "R6-SCHEDULING"
 
-RULES = (R1_REQ_MATCH, R2_LOCALITY, R3_DUPLICATE_CONN, R4_ENCRYPTION,
-         R5_HOSTING, R6_SCHEDULING)
-
 ERROR = "error"
 FIXABLE = "fixable"
 
