@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import zipfile
+import zlib
 
 from .errors import (
     ArchiveTooLargeError,
@@ -21,6 +22,18 @@ from .model import Record
 META_PATH = "TOSCA-Metadata/TOSCA.meta"
 META_VERSION = "1.1"
 CSAR_VERSION = "1.1"
+
+try:
+    from lzma import LZMAError
+except ImportError:  # zipfile then refuses lzma members with a RuntimeError
+    LZMAError = RuntimeError
+
+# what zipfile raises on damaged bytes: BadZipFile for a bad header or CRC;
+# zlib.error, LZMAError, OSError (bzip2) or EOFError for a bad stream;
+# RuntimeError for an encrypted member or, as NotImplementedError, an
+# unknown method; ValueError for a bad offset or a name that is not UTF-8
+_UNREADABLE = (zipfile.BadZipFile, zlib.error, LZMAError, OSError, EOFError,
+               RuntimeError, ValueError)
 
 # fixed timestamp so packing is deterministic
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
@@ -118,13 +131,9 @@ def _check_unpacked_size(infos):
 
 
 def _read(archive, name) -> bytes:
-    """The bytes of member `name`.  On damaged bytes zipfile raises any of
-    eight unrelated classes (BadZipFile, zlib.error, LZMAError, OSError,
-    EOFError, NotImplementedError, RuntimeError, ValueError); each means
-    the archive cannot be read."""
     try:
         return archive.read(name)
-    except Exception as exc:
+    except _UNREADABLE as exc:
         raise MissingMetadataError(
             f"cannot read archive member {name!r}: {exc}") from exc
 
@@ -136,7 +145,7 @@ def unpack_csar(data: bytes) -> CsarArchive:
     MissingMetadataError."""
     try:
         archive = zipfile.ZipFile(io.BytesIO(data))
-    except Exception as exc:  # any of the classes `_read` lists
+    except _UNREADABLE as exc:
         raise MissingMetadataError(f"not a zip archive: {exc}") from exc
     with archive:
         names = archive.namelist()

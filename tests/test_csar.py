@@ -140,11 +140,12 @@ def test_unpack_cap_counts_every_member(monkeypatch):
 SERVICE = b"tosca_definitions_version: tosca_simple_yaml_1_3\n"
 
 
-def _two_members(method=zipfile.ZIP_STORED, meta=b"Entry-Definitions: service.yaml\n"):
+def _two_members(method=zipfile.ZIP_STORED, meta=b"Entry-Definitions: service.yaml\n",
+                 service=SERVICE):
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", method) as archive:
         archive.writestr(META_PATH, meta)
-        archive.writestr("service.yaml", SERVICE)
+        archive.writestr("service.yaml", service)
     return buffer.getvalue()
 
 
@@ -172,6 +173,10 @@ DAMAGED = {
     "bad deflate block": (_bad_deflate_block(), "invalid block type"),
     "unknown compression method": (_service_record(_two_members(), 10, lambda _: 99),
                                    "compression method is not supported"),
+    # stored bytes read as lzma: a header naming filter properties it refuses
+    "bad lzma stream": (_service_record(
+        _two_members(service=b"\x09\x14\x05\x00\xff\x00\x00\x01\x00garbage"),
+        10, lambda _: zipfile.ZIP_LZMA), "Invalid or unsupported options"),
     "encrypted flag": (_service_record(_two_members(), 8, lambda bits: bits | 1),
                        "is encrypted"),
     "non-UTF-8 TOSCA.meta": (_two_members(meta=b"Entry-Definitions: s\xff.yaml\n"),
