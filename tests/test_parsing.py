@@ -623,21 +623,13 @@ def test_a_node_template_body_accepts_description_and_metadata():
     assert template.node_templates["X"].type == "tosca.nodes.Compute"
 
 
-@pytest.mark.parametrize("rest", [
-    TOPOLOGY + "    X: {type: tosca.nodes.Compute}\n    X: {}\n",  # a duplicate key
-    "description: no topology\n",
+@pytest.mark.parametrize("parse, rest", [
+    (T, TOPOLOGY + "    X: {type: tosca.nodes.Compute}\n    X: {}\n"),  # a duplicate key
+    (T, "description: no topology\n"),
+    (D, "node_types: {}\n"),  # a definitions header is constructed as a template's
 ])
-def test_an_unconstructible_version_header_is_reported_first(rest):
+def test_an_unconstructible_version_header_is_reported_first(parse, rest):
     with pytest.raises(TemplateSyntaxError) as excinfo:
-        parse_service_template("tosca_definitions_version: !!int x\n" + rest,
-                               filename="p.yaml")
-    assert excinfo.value.args[0] == "invalid literal for int() with base 10: 'x'"
-    assert str(excinfo.value.location) == "p.yaml:1:28"
-
-
-def test_a_definitions_header_is_constructed_as_a_templates_is():
-    with pytest.raises(TemplateSyntaxError) as excinfo:
-        parse_definitions("tosca_definitions_version: !!int x\nnode_types: {}\n",
-                          filename="p.yaml")
+        parse("tosca_definitions_version: !!int x\n" + rest, filename="p.yaml")
     assert excinfo.value.args[0] == "invalid literal for int() with base 10: 'x'"
     assert str(excinfo.value.location) == "p.yaml:1:28"
