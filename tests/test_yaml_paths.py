@@ -328,10 +328,13 @@ def test_dump_anchors_a_date_used_twice():
 
 
 def test_dump_emits_str_int_bool_and_none_without_the_representer(monkeypatch):
-    """The fixtures and the catalog hold only those scalars, so writing them
-    runs neither PyYAML's representer nor `yaml.dump`."""
+    """The fixtures, the catalog and the repaired generated topologies hold
+    only those scalars, so writing them runs neither PyYAML's representer
+    nor `yaml.dump`."""
     templates = [parse_service_template(CORPUS[path.name], filename=path.name)
                  for path in FIXTURES]
+    templates += [verify(topology_gen.random_topology(seed), fix=True, seed=seed)[0]
+                  for seed in range(6)]
     expected = [serialize_template(template) for template in templates]
     catalog = export_catalog_yaml()
 
