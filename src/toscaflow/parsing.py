@@ -11,7 +11,6 @@ sorted, stable key order, so serialize(parse(serialize(t))) == serialize(t).
 
 from __future__ import annotations
 
-import copy
 import functools
 import re
 import warnings
@@ -590,23 +589,25 @@ def serialize_definitions(definitions) -> str:
 
 def _dump(doc) -> str:
     """`yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False, indent=2,
-    default_flow_style=False, width=100)`, byte for byte, emitted by
-    libyaml where it writes the events as the pure emitter does."""
-    events, libyaml_alike = _events(doc)
-    dumper = getattr(yaml, "CSafeDumper", None) if libyaml_alike else None
-    return yaml.emit(events, Dumper=dumper or yaml.SafeDumper, indent=2, width=100)
+    default_flow_style=False, width=100)`, byte for byte.  Plain data is
+    walked into events once and emitted by libyaml where PyYAML has it;
+    any other document is handed to that call."""
+    events = _events(doc)
+    if events is None:
+        return yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False, indent=2,
+                         default_flow_style=False, width=100)
+    return yaml.emit(events, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
+                     indent=2, width=100)
 
 
 _RESOLVER = yaml.resolver.Resolver()
 # only its scalar representers run, never `represent_data`, so it records
 # no objects and one instance serves every call
 _REPRESENTER = yaml.representer.SafeRepresenter()
-_REPRESENTERS = _REPRESENTER.yaml_representers
-_LIBYAML_KINDS = {str, dict, list, type(None), bool, int, float}
-# unanchored collections share their start and end events
+_SCALAR_REPRESENTERS = {kind: _REPRESENTER.yaml_representers[kind]
+                        for kind in (type(None), bool, int, float)}
+# collections share their start and end events
 _MAP_START = yaml.MappingStartEvent(None, "tag:yaml.org,2002:map", True,
-                                    flow_style=False)
-_SET_START = yaml.MappingStartEvent(None, "tag:yaml.org,2002:set", False,
                                     flow_style=False)
 _SEQ_START = yaml.SequenceStartEvent(None, "tag:yaml.org,2002:seq", True,
                                      flow_style=False)
@@ -614,102 +615,77 @@ _MAP_END = yaml.MappingEndEvent()
 _SEQ_END = yaml.SequenceEndEvent()
 
 
+class _NotPlain(Exception):
+    """A value `_events` leaves to `yaml.dump`."""
+
+
 def _events(doc):
-    """The events SafeDumper emits for `doc`, in one walk, and whether
-    libyaml writes them byte for byte as the pure emitter does.
+    """The events SafeDumper emits for `doc`, in one walk, when `doc` is
+    plain data; else None.
 
-    A string is one event, built once per distinct string in the call; any
-    other scalar is the event of SafeRepresenter's node for it.  A value
-    SafeRepresenter may alias (a collection, a date) is anchored when it
-    recurs by identity, and the anchors are numbered in order of the
-    first recurrences, as the serializer numbers them.
+    Plain data is a dict or a list at the root, and below it dicts with
+    str keys of 1 to 122 characters, lists, and printable-ASCII strs,
+    ints, floats, bools and None; no collection is reached twice, so
+    nothing is anchored.  libyaml writes its events byte for byte as the
+    pure emitter does.  The two emitters differ in folding a long
+    double-quoted scalar, which a string of printable ASCII never is.
+    They also differ in which keys they write in the explicit `? key`
+    form: the pure emitter does so for an empty key, and for one that
+    comes to 128 characters or more with its five-character tag `!!str`;
+    libyaml only for a key past 128.  And libyaml ends a plain root
+    scalar without the pure emitter's `...`.
 
-    The two emitters differ in folding a long double-quoted scalar, which
-    a string of printable ASCII never is.  They also differ in which keys
-    they write in the explicit `? key` form: the pure emitter does so for
-    an empty key, and for one that comes to 128 characters or more with
-    its five-character tag `!!str`; libyaml only for a key past 128.  And
-    libyaml ends a plain root scalar without the pure emitter's `...`.
-    Any value but a str, dict, list, int, bool, None or float goes to the
-    pure emitter.
+    A string is one event, built once per distinct string in the call;
+    any other scalar is the event of SafeRepresenter's node for it.
     """
     events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
     strings = {}
-    seen = {}  # id of an aliasable value -> [index of its first event, anchor]
-    anchors = 0
-    alike = type(doc) in (dict, list)
+    walked = set()  # ids of the collections walked
 
     def string(text):
-        nonlocal alike
         if not (text.isascii() and text.isprintable()):
-            alike = False
+            raise _NotPlain
         plain = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) == _STR_TAG
         strings[text] = event = yaml.ScalarEvent(None, _STR_TAG, (plain, True), text)
         return event
 
-    def recurs(value):
-        """Whether `value` was walked before; if so its alias is emitted."""
-        nonlocal anchors
-        entry = seen.get(id(value))
-        if entry is None:
-            seen[id(value)] = [len(events), None]
-            return False
-        first, anchor = entry
-        if anchor is None:
-            anchors += 1
-            anchor = entry[1] = f"id{anchors:03d}"
-            events[first] = copy.copy(events[first])
-            events[first].anchor = anchor
-        events.append(yaml.AliasEvent(anchor))
-        return True
-
     def walk(value):
-        nonlocal alike
         kind = type(value)
         if kind is str:
             events.append(strings.get(value) or string(value))
-            return
-        if kind not in _LIBYAML_KINDS:
-            alike = False
-        if (kind is dict or kind is list or not _REPRESENTER.ignore_aliases(value)) \
-                and recurs(value):
-            return
-        if kind is dict:
+        elif kind in _SCALAR_REPRESENTERS:
+            node = _SCALAR_REPRESENTERS[kind](_REPRESENTER, value)
+            plain = _RESOLVER.resolve(yaml.ScalarNode, node.value, (True, False))
+            events.append(yaml.ScalarEvent(None, node.tag, (node.tag == plain, False),
+                                           node.value))
+        elif kind is list and id(value) not in walked:
+            walked.add(id(value))
+            events.append(_SEQ_START)
+            for item in value:
+                walk(item)
+            events.append(_SEQ_END)
+        elif kind is dict and id(value) not in walked:
+            walked.add(id(value))
             events.append(_MAP_START)
             for key, item in value.items():
-                if type(key) is str:
-                    events.append(strings.get(key) or string(key))
-                    if not 0 < len(key) < 123:
-                        alike = False
-                else:
-                    alike = False
-                    walk(key)
+                if type(key) is not str or not 0 < len(key) < 123:
+                    raise _NotPlain
+                events.append(strings.get(key) or string(key))
                 if type(item) is str:
                     events.append(strings.get(item) or string(item))
                 else:
                     walk(item)
             events.append(_MAP_END)
-        elif kind is list or kind is tuple:
-            events.append(_SEQ_START)
-            for item in value:
-                walk(item)
-            events.append(_SEQ_END)
-        elif kind is set:
-            events.append(_SET_START)
-            for key in value:
-                walk(key)
-                walk(None)
-            events.append(_MAP_END)
         else:
-            node = _REPRESENTERS.get(kind, _REPRESENTERS[None])(_REPRESENTER, value)
-            plain = _RESOLVER.resolve(yaml.ScalarNode, node.value, (True, False))
-            events.append(yaml.ScalarEvent(
-                None, node.tag, (node.tag == plain, node.tag == _STR_TAG), node.value,
-                style=node.style))
+            raise _NotPlain
 
-    walk(doc)
-    events += [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
-    return events, alike
+    if type(doc) is not dict and type(doc) is not list:
+        return None
+    try:
+        walk(doc)
+    except _NotPlain:
+        return None
+    return events + [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
 
 
 def _definition_sections(definitions):

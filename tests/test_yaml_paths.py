@@ -196,7 +196,7 @@ def test_nesting_bound_sends_deep_text_to_the_pure_loader():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_libyaml_emits_the_corpus_as_the_pure_emitter(name):
     doc = yaml.safe_load(CORPUS[name])
-    assert _events(doc)[1]
+    assert _events(doc) is not None
     assert yaml.dump(doc, Dumper=yaml.CSafeDumper, **DUMP_OPTIONS) == \
         yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
 
@@ -233,7 +233,7 @@ def test_printable_ascii_is_emitted_as_by_the_pure_emitter(doc):
 def test_what_libyaml_emits_otherwise_goes_to_the_pure_emitter(doc):
     pure = yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
     assert yaml.dump(doc, Dumper=yaml.CSafeDumper, **DUMP_OPTIONS) != pure
-    assert not _events(doc)[1]
+    assert _events(doc) is None
     _assert_dumps_as_yaml_dump(doc)
 
 
@@ -311,6 +311,26 @@ def test_dump_writes_every_scalar_type_as_yaml_dump(doc):
 ], ids=repr)
 def test_dump_writes_strings_another_type_would_read_as_yaml_dump(text):
     _assert_dumps_as_yaml_dump({"key": text, text or "k": [text]})
+
+
+_SHARED = ["a", 1]
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": {1, 2}},
+    {"a": datetime.date(2020, 1, 2)},
+    {"a": b"hi"},
+    {"a": (1, "b")},
+    {1: "a"},
+    {"x": _SHARED, "y": {"z": _SHARED}},
+    {"a": "\u00e9"},
+    {"a": "a\nb"},
+    {"": 1},
+    {"k" * 123: 1},
+], ids=repr)
+def test_dump_hands_what_is_not_plain_data_to_yaml_dump(doc):
+    assert _events(doc) is None
+    _assert_dumps_as_yaml_dump(doc)
 
 
 def test_dump_anchors_a_list_shared_under_two_keys():
