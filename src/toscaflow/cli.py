@@ -185,6 +185,9 @@ def cmd_csar(args) -> int:
             archive = unpack_csar(handle.read())
     except ToscaflowError as exc:
         return _fail(str(exc))
+    problem = _unpack_conflict(args.dest, sorted(archive.files))
+    if problem:
+        return _fail(problem)
     for rel, payload in sorted(archive.files.items()):
         destination = os.path.join(args.dest, rel.replace("/", os.sep))
         os.makedirs(os.path.dirname(destination) or ".", exist_ok=True)
@@ -193,6 +196,22 @@ def cmd_csar(args) -> int:
     print(f"unpacked {len(archive.files)} file(s) to {args.dest} "
           f"(entry: {archive.entry_definitions})")
     return EXIT_CLEAN
+
+
+def _unpack_conflict(dest, names):
+    """Why the members `names` cannot all be written under `dest`, judged
+    by what already exists there, or None: unpacking writes nothing
+    unless it can write every member."""
+    for rel in names:
+        parts = rel.split("/")
+        for depth in range(len(parts)):
+            path = os.path.join(dest, *parts[:depth])
+            if os.path.lexists(path) and not os.path.isdir(path):
+                return f"cannot unpack {rel!r}: {path!r} is not a directory"
+        path = os.path.join(dest, *parts)
+        if os.path.isdir(path):
+            return f"cannot unpack {rel!r}: {path!r} is a directory"
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -365,6 +365,32 @@ def test_csar_unpack_refuses_member_clash(tmp_path, capsys):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("in_the_way, error", [
+    ("z", "cannot unpack 'z/c.yml': '{dest}/z' is not a directory"),
+    ("z/c.yml/", "cannot unpack 'z/c.yml': '{dest}/z/c.yml' is a directory"),
+])
+def test_csar_unpack_writes_nothing_unless_it_can_write_every_member(
+        tmp_path, capsys, in_the_way, error):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as crafted:
+        crafted.writestr("TOSCA-Metadata/TOSCA.meta",
+                         "Entry-Definitions: service.yaml\n")
+        crafted.writestr("service.yaml", b"x")
+        crafted.writestr("z/c.yml", b"y")
+    archive = tmp_path / "bundle.csar"
+    archive.write_bytes(buffer.getvalue())
+    dest = tmp_path / "out"
+    if in_the_way.endswith("/"):
+        (dest / in_the_way).mkdir(parents=True)
+    else:
+        dest.mkdir()
+        (dest / in_the_way).write_bytes(b"a file")
+
+    assert main(["csar", "unpack", str(archive), str(dest)]) == 2
+    assert capsys.readouterr().err == f"error: {error.format(dest=dest)}\n"
+    assert not (dest / "service.yaml").exists()
+
+
 def test_csar_unpack_refuses_an_archive_declaring_too_many_bytes(tmp_path, capsys):
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as crafted:
