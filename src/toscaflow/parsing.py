@@ -244,11 +244,17 @@ def _top_level(text, what, filename, body_key=None):
     """The version header (None when absent), the (key, node) type
     sections in document order and the node of `body_key` (None when
     absent) of the document `text`; any other key warns, attributed to
-    the public parser's caller, unless it is ignored quietly."""
+    the public parser's caller, unless it is ignored quietly.  A header
+    is the text of a scalar: a null or a collection is a SchemaError."""
     version, sections, body_node = None, [], None
     for key, value_node, key_node in _items(_compose(text, filename), what, filename):
         if key == TOSCA_VERSION_KEY:
-            version = str(_construct(value_node, filename))
+            version = _construct(value_node, filename) \
+                if isinstance(value_node, yaml.ScalarNode) else None
+            if version is None:
+                raise SchemaError(f"{TOSCA_VERSION_KEY} must name a version",
+                                  _loc(value_node, filename))
+            version = str(version)
         elif key in _SECTION_KINDS:
             sections.append((key, value_node))
         elif key == body_key:

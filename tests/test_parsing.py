@@ -423,6 +423,20 @@ SHAPE_ERRORS = [
      SchemaError, "mapping key None is not a string", "6:20"),
     # definitions documents
     (D, "description: d\n", SchemaError, "missing tosca_definitions_version", "1:1"),
+    (D, "tosca_definitions_version: [a, {b: 1}]\nnode_types: {}\n", SchemaError,
+     "tosca_definitions_version must name a version", "1:28"),
+    (D, "tosca_definitions_version: {x: 1}\n", SchemaError,
+     "tosca_definitions_version must name a version", "1:28"),
+    (D, "tosca_definitions_version:\nnode_types: {}\n", SchemaError,
+     "tosca_definitions_version must name a version", "1:27"),
+    (T, "tosca_definitions_version: [a]\n" + TOPOLOGY, SchemaError,
+     "tosca_definitions_version must name a version", "1:28"),
+    (T, "tosca_definitions_version: {x: 1}\n" + TOPOLOGY, SchemaError,
+     "tosca_definitions_version must name a version", "1:28"),
+    (T, "tosca_definitions_version: ~\n" + TOPOLOGY, SchemaError,
+     "tosca_definitions_version must name a version", "1:28"),
+    (T, "tosca_definitions_version:\n" + TOPOLOGY, SchemaError,
+     "tosca_definitions_version must name a version", "1:27"),
     (D, V + "node_types: [a]\n", SchemaError, "node_types must be a mapping", "2:13"),
     (D, V + "capability_types: [a]\n", SchemaError,
      "capability_types must be a mapping", "2:19"),
@@ -633,3 +647,14 @@ def test_an_unconstructible_version_header_is_reported_first(parse, rest):
         parse("tosca_definitions_version: !!int x\n" + rest, filename="p.yaml")
     assert excinfo.value.args[0] == "invalid literal for int() with base 10: 'x'"
     assert str(excinfo.value.location) == "p.yaml:1:28"
+
+
+@pytest.mark.parametrize("header, version", [
+    ("tosca_simple_yaml_1_2", "tosca_simple_yaml_1_2"),
+    ("'1.3'", "1.3"),
+    ("1.3", "1.3"),
+    ("false", "False"),
+])
+def test_a_scalar_version_header_reads_as_its_text(header, version):
+    template = parse_service_template(f"tosca_definitions_version: {header}\n" + TOPOLOGY)
+    assert template.tosca_version == version
