@@ -1,3 +1,4 @@
+import importlib
 import os
 import pathlib
 
@@ -7,6 +8,7 @@ from hypothesis import settings
 from toscaflow import builtin_catalog, parse_service_template
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 # Property tests without an example count of their own take it from the
 # profile: "small" by default, "fuzz" for a long manual run, e.g.
@@ -34,3 +36,13 @@ def load_fixture():
         text = (FIXTURES / name).read_text(encoding="utf-8")
         return parse_service_template(text, filename=name)
     return _load
+
+
+@pytest.fixture(scope="session")
+def bench():
+    """The benchmark's `workloads` and `worker` modules, imported from
+    `perfbench/` as its scripts import them."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        return (importlib.import_module("workloads"),
+                importlib.import_module("worker"))

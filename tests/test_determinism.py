@@ -9,7 +9,6 @@ The full set of seeds stays a manual check:
     python3 perfbench/run.py --workload blueprint_scale --seed S --seconds 1
 """
 
-import importlib
 import json
 import pathlib
 
@@ -17,16 +16,6 @@ import pytest
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="module")
-def bench():
-    """The benchmark's `workloads` and `worker` modules, imported from
-    `perfbench/` as its scripts import them."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        return (importlib.import_module("workloads"),
-                importlib.import_module("worker"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

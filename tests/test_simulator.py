@@ -96,6 +96,25 @@ def test_rle_all_singletons():
     assert rle_compress(payload) == bytes(b for v in payload for b in (1, v))
 
 
+def test_rle_runs_of_every_length_between_two_distinct_bytes():
+    for run in range(1, 601):
+        payload = b"\x01" + b"\x02" * run + b"\x03"
+        assert rle_compress(payload) == oracle_rle(payload), run
+
+
+@pytest.mark.parametrize("run", [1, 2, 254, 255, 256, 509, 510, 511, 600, 765, 766])
+def test_rle_a_single_run_and_runs_at_both_ends(run):
+    for payload in (b"\x02" * run, b"\x02" * run + b"\x03" + b"\x04" * run):
+        assert rle_compress(payload) == oracle_rle(payload)
+
+
+def test_rle_matches_its_oracle_on_the_blurred_image_stream_payloads(bench):
+    workloads, _ = bench
+    for tick, *_, payload in parse_schedule(workloads.image_stream(1).schedule):
+        blurred = blur_transform(grayscale_transform(payload))
+        assert rle_compress(blurred) == oracle_rle(blurred), tick
+
+
 # -- instantiate -----------------------------------------------------------------
 
 def test_image_pipeline_instantiation_shape(load_fixture):
@@ -442,6 +461,21 @@ def test_parse_schedule_hex_and_file(tmp_path):
         (0, "minio", "firstbucket", "img1", bytes.fromhex("deadbeef")),
         (2, "s3", "other", "img2", b"\xff\x00"),
     ]
+
+
+@pytest.mark.parametrize("field, hex_payload", [
+    ("DEADBEEF", b"\xde\xad\xbe\xef"),
+    ("cafe", b"\xca\xfe"),  # hex, though a file of that name exists
+    ("abc", None),  # odd length
+    ("0x00", None),
+    ("ab;", None),
+    ("\uff41\uff42", None),  # fullwidth "ab"
+])
+def test_a_schedule_payload_is_even_length_hex_or_a_path(tmp_path, field, hex_payload):
+    (tmp_path / field).write_bytes(b"file " + field.encode())
+    entries = parse_schedule(f"3 minio b k {field}\n", base_dir=str(tmp_path))
+    payload = b"file " + field.encode() if hex_payload is None else hex_payload
+    assert entries == [(3, "minio", "b", "k", payload)]
 
 
 @pytest.mark.parametrize("line", [
