@@ -82,8 +82,9 @@ _HALVE = bytes(b // 2 for b in range(256))
 # one window stay small however large the payload is
 _BLUR_WINDOW = 4096
 
-# a run of two to 255 equal bytes; singletons fall between the matches
-_RUN = re.compile(rb"(.)\1{1,254}", re.S)
+# the links of a run of two to 255 equal bytes (link i is zero when bytes i
+# and i + 1 are equal); a 255-byte run also takes the link to the next byte
+_RUN_LINKS = re.compile(rb"\x00\x00{0,253}\x00?")
 
 
 def grayscale_transform(payload: bytes) -> bytes:
@@ -120,22 +121,21 @@ def _blur_window(padded: bytes) -> bytes:
 
 def rle_compress(payload: bytes) -> bytes:
     """Run-length encode byte runs as (count, byte) pairs, count <= 255."""
-    out = bytearray()
+    tail = payload[1:]
+    links = (int.from_bytes(tail, "big")
+             ^ int.from_bytes(payload[:-1], "big")).to_bytes(len(tail), "big")
+    pairs = bytearray(2 * len(payload))  # a (1, byte) pair for every byte
+    pairs[::2] = b"\x01" * len(payload)
+    pairs[1::2] = payload
+    out = []
     start = 0
-    for run in _RUN.finditer(payload):
-        _append_singletons(out, payload[start:run.start()])
-        out += bytes((run.end() - run.start(), payload[run.start()]))
-        start = run.end()
-    _append_singletons(out, payload[start:])
-    return bytes(out)
-
-
-def _append_singletons(out: bytearray, chunk: bytes):
-    """Append a (1, byte) pair for every byte of `chunk`."""
-    base = len(out)
-    out += bytes(2 * len(chunk))
-    out[base::2] = b"\x01" * len(chunk)
-    out[base + 1::2] = chunk
+    for run in _RUN_LINKS.finditer(links):
+        at = run.start()
+        count = min(run.end() - at + 1, 255)
+        out += (pairs[2 * start:2 * at], bytes((count, payload[at])))
+        start = at + count
+    out.append(pairs[2 * start:])
+    return b"".join(out)
 
 
 BUILTIN_FUNCTIONS = {
@@ -520,15 +520,12 @@ def _parse_predicate(predicate):
 # injection schedules
 # --------------------------------------------------------------------------
 
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
-
-
 def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, bytes]]:
     """Parse an injection schedule.
 
     One injection per line: ``<tick> <provider> <bucket> <key> <payload>``
-    where payload is inline hex (even-length hex digits) or a file path,
-    resolved against `base_dir`.  Blank lines and ``#`` comments are skipped.
+    where payload is inline hex (an even number of ASCII hex digits) or else
+    a file path, resolved against `base_dir`.  Blank lines and ``#`` comments are skipped.
     """
     import os
 
@@ -549,10 +546,10 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
                                 f"{tick_text!r}") from None
         if tick < 0:
             raise ScheduleError(f"schedule line {lineno}: tick must be >= 0")
-        if len(payload_text) % 2 == 0 and payload_text \
-                and set(payload_text) <= _HEX_DIGITS:
+        try:
+            # fromhex also skips ASCII whitespace, which split() left none of
             payload = bytes.fromhex(payload_text)
-        else:
+        except ValueError:
             path = payload_text if base_dir is None \
                 else os.path.join(base_dir, payload_text)
             try:
