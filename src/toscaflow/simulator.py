@@ -524,8 +524,9 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
     """Parse an injection schedule.
 
     One injection per line: ``<tick> <provider> <bucket> <key> <payload>``
-    where payload is inline hex (an even number of ASCII hex digits) or else
-    a file path, resolved against `base_dir`.  Blank lines and ``#`` comments are skipped.
+    where tick is ASCII decimal digits and payload is inline hex (an even
+    number of ASCII hex digits) or else a file path, resolved against
+    `base_dir`.  Blank lines and ``#`` comments are skipped.
     """
     import os
 
@@ -539,11 +540,11 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
             raise ScheduleError(f"schedule line {lineno}: expected 5 fields, "
                                 f"got {len(parts)}")
         tick_text, provider, bucket, key, payload_text = parts
-        try:
-            tick = int(tick_text, 10)
-        except ValueError:
+        digits = tick_text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise ScheduleError(f"schedule line {lineno}: bad tick "
-                                f"{tick_text!r}") from None
+                                f"{tick_text!r}")
+        tick = int(tick_text)
         if tick < 0:
             raise ScheduleError(f"schedule line {lineno}: tick must be >= 0")
         try:

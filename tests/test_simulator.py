@@ -480,6 +480,10 @@ def test_a_schedule_payload_is_even_length_hex_or_a_path(tmp_path, field, hex_pa
 
 @pytest.mark.parametrize("line", [
     "x minio b k 00",
+    "+3 minio b k 00",
+    "1_0 minio b k 00",
+    "\u0663 minio b k 00",  # ARABIC-INDIC DIGIT THREE
+    "\uff13 minio b k 00",  # FULLWIDTH DIGIT THREE
     "-1 minio b k 00",
     "1 minio b k",
     "1 minio b k nosuchfile.bin",
@@ -491,6 +495,10 @@ def test_parse_schedule_rejects_malformed(line):
 
 @pytest.mark.parametrize("line, message", [
     ("x minio b k 00", "schedule line 1: bad tick 'x'"),
+    ("+3 minio b k 00", "schedule line 1: bad tick '+3'"),
+    ("1_0 minio b k 00", "schedule line 1: bad tick '1_0'"),
+    ("\u0663 minio b k 00", "schedule line 1: bad tick '\u0663'"),
+    ("\uff13 minio b k 00", "schedule line 1: bad tick '\uff13'"),
     ("-1 minio b k 00", "schedule line 1: tick must be >= 0"),
     ("1 minio b k", "schedule line 1: expected 5 fields, got 4"),
     ("1 minio b k nosuchfile.bin",
