@@ -201,14 +201,18 @@ def cmd_csar(args) -> int:
 def _unpack_conflict(dest, names):
     """Why the members `names` cannot all be written under `dest`, judged
     by what already exists there, or None: unpacking writes nothing
-    unless it can write every member."""
+    unless it can write every member.  A symbolic link under `dest` could
+    lead a write outside it, so none is followed; `dest` itself may be
+    one, since the user named it."""
     for rel in names:
         parts = rel.split("/")
-        for depth in range(len(parts)):
+        for depth in range(len(parts) + 1):
             path = os.path.join(dest, *parts[:depth])
-            if os.path.lexists(path) and not os.path.isdir(path):
+            if depth and os.path.islink(path):
+                return f"cannot unpack {rel!r}: {path!r} is a symbolic link"
+            if depth < len(parts) and os.path.lexists(path) \
+                    and not os.path.isdir(path):
                 return f"cannot unpack {rel!r}: {path!r} is not a directory"
-        path = os.path.join(dest, *parts)
         if os.path.isdir(path):
             return f"cannot unpack {rel!r}: {path!r} is a directory"
     return None

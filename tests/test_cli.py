@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -365,12 +366,8 @@ def test_csar_unpack_refuses_member_clash(tmp_path, capsys):
     assert not dest.exists()
 
 
-@pytest.mark.parametrize("in_the_way, error", [
-    ("z", "cannot unpack 'z/c.yml': '{dest}/z' is not a directory"),
-    ("z/c.yml/", "cannot unpack 'z/c.yml': '{dest}/z/c.yml' is a directory"),
-])
-def test_csar_unpack_writes_nothing_unless_it_can_write_every_member(
-        tmp_path, capsys, in_the_way, error):
+def _two_member_csar(tmp_path):
+    """A CSAR of `service.yaml` and `z/c.yml`, written under `tmp_path`."""
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as crafted:
         crafted.writestr("TOSCA-Metadata/TOSCA.meta",
@@ -379,6 +376,16 @@ def test_csar_unpack_writes_nothing_unless_it_can_write_every_member(
         crafted.writestr("z/c.yml", b"y")
     archive = tmp_path / "bundle.csar"
     archive.write_bytes(buffer.getvalue())
+    return archive
+
+
+@pytest.mark.parametrize("in_the_way, error", [
+    ("z", "cannot unpack 'z/c.yml': '{dest}/z' is not a directory"),
+    ("z/c.yml/", "cannot unpack 'z/c.yml': '{dest}/z/c.yml' is a directory"),
+])
+def test_csar_unpack_writes_nothing_unless_it_can_write_every_member(
+        tmp_path, capsys, in_the_way, error):
+    archive = _two_member_csar(tmp_path)
     dest = tmp_path / "out"
     if in_the_way.endswith("/"):
         (dest / in_the_way).mkdir(parents=True)
@@ -389,6 +396,45 @@ def test_csar_unpack_writes_nothing_unless_it_can_write_every_member(
     assert main(["csar", "unpack", str(archive), str(dest)]) == 2
     assert capsys.readouterr().err == f"error: {error.format(dest=dest)}\n"
     assert not (dest / "service.yaml").exists()
+
+
+def _symlink(target, link):
+    if not hasattr(os, "symlink"):
+        pytest.skip("no os.symlink on this platform")
+    try:
+        os.symlink(target, link)
+    except OSError as exc:  # e.g. Windows without the privilege to link
+        pytest.skip(f"cannot make a symbolic link: {exc}")
+
+
+@pytest.mark.parametrize("link, target, error", [
+    ("z", "outside", "cannot unpack 'z/c.yml': '{dest}/z' is a symbolic link"),
+    ("z/c.yml", "outside/c.yml",
+     "cannot unpack 'z/c.yml': '{dest}/z/c.yml' is a symbolic link"),
+])
+def test_csar_unpack_follows_no_symbolic_link_under_its_destination(
+        tmp_path, capsys, link, target, error):
+    archive = _two_member_csar(tmp_path)
+    (tmp_path / "outside").mkdir()
+    dest = tmp_path / "out"
+    (dest / link).parent.mkdir(parents=True)
+    _symlink(tmp_path / target, dest / link)
+
+    assert main(["csar", "unpack", str(archive), str(dest)]) == 2
+    assert capsys.readouterr().err == f"error: {error.format(dest=dest)}\n"
+    assert not (dest / "service.yaml").exists()
+    assert list((tmp_path / "outside").iterdir()) == []
+
+
+def test_csar_unpack_into_a_destination_that_is_a_symbolic_link(tmp_path, capsys):
+    archive = _two_member_csar(tmp_path)
+    (tmp_path / "real").mkdir()
+    dest = tmp_path / "out"
+    _symlink(tmp_path / "real", dest)
+
+    assert main(["csar", "unpack", str(archive), str(dest)]) == 0
+    assert (tmp_path / "real" / "z" / "c.yml").read_bytes() == b"y"
+    assert (tmp_path / "real" / "service.yaml").read_bytes() == b"x"
 
 
 def test_csar_unpack_refuses_an_archive_declaring_too_many_bytes(tmp_path, capsys):
