@@ -128,11 +128,12 @@ def rle_compress(payload: bytes) -> bytes:
     pairs[::2] = b"\x01" * len(payload)
     pairs[1::2] = payload
     out = []
-    start = 0
+    start = 0  # the first byte not yet encoded
     for run in _RUN_LINKS.finditer(links):
         at = run.start()
         count = min(run.end() - at + 1, 255)
-        out += (pairs[2 * start:2 * at], bytes((count, payload[at])))
+        pairs[2 * at] = count
+        out.append(pairs[2 * start:2 * at + 2])  # singletons, then the run
         start = at + count
     out.append(pairs[2 * start:])
     return b"".join(out)
