@@ -12,7 +12,11 @@ import json
 import os
 import sys
 
-from .errors import DependencyCycleError, ToscaflowError
+from .errors import (
+    DependencyCycleError,
+    ToscaflowError,
+    VerifierNonConvergenceError,
+)
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -90,7 +94,11 @@ def cmd_verify(args) -> int:
     template = _load_template(args.template)
     if template is None:
         return EXIT_USAGE
-    fixed_template, diagnostics = verify(template, fix=args.fix, seed=args.seed)
+    try:
+        fixed_template, diagnostics = verify(template, fix=args.fix, seed=args.seed)
+    except VerifierNonConvergenceError as exc:
+        print(f"cannot repair: {exc}")
+        return EXIT_FINDINGS
     any_fix = any(d.fix for d in diagnostics)
     _print_report(diagnostics, args.report, fixed=any_fix)
     if args.out:
@@ -168,9 +176,6 @@ def cmd_csar(args) -> int:
                 rel = os.path.relpath(full, source).replace(os.sep, "/")
                 with open(full, "rb") as handle:
                     files[rel] = handle.read()
-        if args.entry not in files:
-            return _fail(f"entry definitions {args.entry!r} not found in "
-                         f"{source!r}")
         try:
             data = pack_csar(args.entry, files)
         except ToscaflowError as exc:
@@ -254,11 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("archive", help="output .csar path")
     p_pack.add_argument("--entry", default="service.yaml",
                         help="entry definitions file inside the directory")
-    p_pack.set_defaults(func=cmd_csar, action="pack")
+    p_pack.set_defaults(func=cmd_csar)
     p_unpack = csar_sub.add_parser("unpack")
     p_unpack.add_argument("archive")
     p_unpack.add_argument("dest", help="directory to unpack into")
-    p_unpack.set_defaults(func=cmd_csar, action="unpack")
+    p_unpack.set_defaults(func=cmd_csar)
 
     return parser
 

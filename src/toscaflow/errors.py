@@ -93,7 +93,8 @@ class NotAPipelineError(ToscaflowError):
 
 
 class VerifierNonConvergenceError(ToscaflowError):
-    """Fix passes did not reach a fixpoint within the bound (a rule bug)."""
+    """Fix passes did not reach a fixpoint within the bound: a repair can
+    uncover a finding that the next pass repairs in turn."""
 
 
 # --- planning ---------------------------------------------------------------

@@ -3,9 +3,9 @@
 A Flow instantiates every pipeline node as a stage, wires one FIFO queue
 per connection edge, and drives everything off an integer virtual clock.
 Object stores are flat in-memory (provider, bucket) -> key -> bytes maps;
-FaaS calls are byte transforms looked up in a registry.  Event-driven
-stages fire every tick and drain whatever is pending; CRON-driven stages
-fire only on ticks matching their expression.  Within one tick stages fire
+FaaS calls are byte transforms looked up in a registry.  A stage fires
+only while an item waits for it, at once if event-driven, else on the next
+tick its cron matches, taking all that waits.  Within one tick stages fire
 in topological order of the connection graph, so an event-driven chain is
 traversed in a single tick; `instantiate` refuses a connection cycle.
 
@@ -14,8 +14,7 @@ list per (provider, bucket); a stage reading a bucket keeps an offset into
 that bucket's list, so a firing looks only at the events it has not taken.
 `run_until` jumps the clock over ticks at which nothing can fire: after
 each processed tick it moves straight to the next injection, or to the
-first tick at which a stage with input waiting fires (the current tick for
-an event-driven stage, the next cron match for a CRON-driven one).
+first tick at which, by the same rule, some stage fires.
 
 Determinism is a hard contract: no wall clock, no OS entropy.  Identical
 template plus identical injection schedule yields identical metrics and
@@ -189,8 +188,8 @@ class _Stage:
     A stage with a `source` (provider, bucket) takes the objects written
     there since it last fired; any other stage drains its input queues,
     which are wired before the stage is built.
-    `cron` None means event-driven: the stage fires every tick.  `handle`
-    does what the block's kind does with one item.
+    `cron` None means event-driven.  `handle` does what the block's kind
+    does with one item.
     """
 
     def __init__(self, flow, name, cron: CronExpr | None, handle, *,
@@ -213,8 +212,15 @@ class _Stage:
         self.emitted = 0
         self.errors = 0
 
-    def should_fire(self, tick: int) -> bool:
-        return self.cron is None or self.cron.matches(tick)
+    def due(self, now: int) -> int | None:
+        """The first tick from `now` on at which the stage fires, or None
+        while no item waits for it."""
+        if not (any(self.inputs) if self.events is None
+                else self.cursor < len(self.events)):
+            return None
+        if self.cron is None or self.cron.matches(now):
+            return now
+        return cron_next(self.cron, now)
 
     def fire(self, tick: int):
         items = self._drain_inputs() if self.source is None \
@@ -223,12 +229,6 @@ class _Stage:
             self.consumed += 1
             item.visit(self.name, tick)
             self.handle(self, item, tick)
-
-    def has_input(self) -> bool:
-        """Whether the stage would take an item if it fired now."""
-        if self.events is not None:
-            return self.cursor < len(self.events)
-        return any(self.inputs)
 
     def _drain_inputs(self):
         items = []
@@ -378,7 +378,7 @@ class Flow:
             self._store_write(provider, bucket, key, payload, now)
         for name in self._firing_order:
             stage = self.blocks[name]
-            if stage.should_fire(now):
+            if stage.due(now) == now:
                 stage.fire(now)
         self.clock = now + 1
         self.audit()
@@ -401,15 +401,15 @@ class Flow:
 
     def _next_event_tick(self, limit: int) -> int:
         """The first tick from the clock on at which an injection is due or
-        a stage with input waiting fires, or `limit` if that is sooner."""
+        a stage fires, or `limit` if that is sooner."""
         now = self.clock
         ahead = min(limit, min(self._injections, default=limit))
         for stage in self.blocks.values():
             if ahead <= now:
                 break
-            if stage.has_input():
-                ahead = min(ahead, now if stage.cron is None
-                            else cron_next(stage.cron, now))
+            due = stage.due(now)
+            if due is not None:
+                ahead = min(ahead, due)
         return ahead
 
     def audit(self):

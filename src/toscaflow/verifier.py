@@ -235,8 +235,9 @@ def _encrypt_decrypt_pairs(topo: Topology):
     names = sorted(topo.template.node_templates)
     encrypts = [n for n in names if topo.is_a(n, cat.ENCRYPT)]
     decrypts = [n for n in names if topo.is_a(n, cat.DECRYPT)]
-    reach = {e: _reachable_from(topo.successors, e) for e in encrypts}
-    pairs = [(e, d) for e in encrypts for d in decrypts if d in reach[e]]
+    decrypt_set = set(decrypts)
+    pairs = [(e, d) for e in encrypts
+             for d in sorted(_reachable_from(topo.successors, e) & decrypt_set)]
     return encrypts, decrypts, pairs
 
 

@@ -74,3 +74,27 @@ def diamond_cycle():
              reqs=[("host", nifi), ("connectToPipeline", "A")]),
         node("Dst", DST + "PubsMinIO", props={"name": "d", "BucketName": "out", **minio},
              reqs=[("host", nifi)]))
+
+
+def rekey_cascade(chains):
+    """Src -> E<i> -> D<i> -> Dst for i from 1 to `chains`.  E1 keys "e",
+    every D<i> keys "d" and every later E<i> takes D<i-1>'s passphrase, so
+    only (E1, D1) disagree; but each repair re-keys D<i> and so breaks the
+    next pair, and `chains` pairs take `chains` fix passes."""
+    stack, nifi = nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+    ciphers = []
+    for i in range(1, chains + 1):
+        key = "e" if i == 1 else {"get_property": [f"D{i - 1}", "passphrase"]}
+        ciphers += [
+            node(f"E{i}", cat.ENCRYPT, props={"name": "e", "passphrase": key},
+                 reqs=[("host", nifi), ("ConnectToPipeline", f"D{i}")]),
+            node(f"D{i}", cat.DECRYPT, props={"name": "d", "passphrase": "d"},
+                 reqs=[("host", nifi), ("ConnectToPipeline", "Dst")])]
+    return template(
+        *stack, *ciphers,
+        node("Src", SRC + "ConsMinIO", props={"name": "s", "BucketName": "in", **minio},
+             reqs=[("host", nifi)] + [("connectToPipeline", f"E{i}")
+                                      for i in range(1, chains + 1)]),
+        node("Dst", DST + "PubsMinIO", props={"name": "d", "BucketName": "out", **minio},
+             reqs=[("host", nifi)]))

@@ -68,6 +68,30 @@ def test_verify_seed_reproducible(fixture_path, tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_verify_fix_that_does_not_converge_prints_one_line(tmp_path, capsys):
+    path = tmp_path / "cascade.yaml"
+    path.write_text(serialize_template(b.rekey_cascade(4)), encoding="utf-8")
+    out_path = tmp_path / "fixed.yaml"
+    assert main(["verify", str(path), "--fix", "--out", str(out_path)]) == 1
+    assert capsys.readouterr() == (
+        "cannot repair: fixable diagnostics remain after 3 fix passes\n", "")
+    assert not out_path.exists()
+
+
+def test_plan_text_is_one_line_per_step_of_the_json_plan(fixture_path, capsys):
+    path = fixture_path("image_pipeline.yaml")
+    assert main(["plan", path, "--format", "json"]) == 0
+    steps = json.loads(capsys.readouterr().out)
+    assert main(["plan", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["\t".join([s["node"], s["op"]]
+                               + ([s["annotation"]] if s["annotation"] else []))
+                     for s in steps]
+    assert [line for line in lines if line.count("\t") == 2] == [
+        "InvokeLambda_1\tconfigure\tremote:InvokeImageFaaSFunction_0,PubGCS_0",
+        "ConsMinIO_0\tconfigure\tremote:InvokeLambda_0"]
+
+
 def test_plan_json_first_start_is_a_platform(fixture_path, capsys):
     code = main(["plan", fixture_path("s3_to_gcs.yaml"), "--format", "json"])
     assert code == 0
@@ -199,6 +223,28 @@ def test_csar_pack_unpack_round_trip(fixture_path, tmp_path, capsys):
     assert main(["csar", "unpack", str(archive), str(dest)]) == 0
     assert (dest / "service.yaml").read_bytes() == service
     assert (dest / "playbooks" / "create.yml").read_bytes() == b"- hosts: all\n"
+
+
+def test_csar_pack_of_a_source_that_is_not_a_directory(tmp_path, capsys):
+    source = tmp_path / "service.yaml"
+    source.write_bytes(b"tosca_definitions_version: tosca_simple_yaml_1_3\n")
+    archive = tmp_path / "bundle.csar"
+    assert main(["csar", "pack", str(source), str(archive)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {str(source)!r} is not a directory\n")
+    assert not archive.exists()
+
+
+def test_csar_pack_without_its_entry_definitions(tmp_path, capsys):
+    source = tmp_path / "bundle"
+    source.mkdir()
+    (source / "service.yaml").write_bytes(b"tosca_definitions_version: x\n")
+    archive = tmp_path / "bundle.csar"
+    assert main(["csar", "pack", str(source), str(archive),
+                 "--entry", "nope.yaml"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: entry definitions 'nope.yaml' not among the files to pack\n")
+    assert not archive.exists()
 
 
 def test_csar_unpack_non_zip_exits_2(tmp_path, capsys):

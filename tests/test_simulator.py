@@ -19,6 +19,7 @@ from toscaflow.planner import CONNECTS_TO, build_graph
 from toscaflow.topology import Topology, lexicographic_order
 from toscaflow.simulator import (
     Flow,
+    _Stage,
     blur_transform,
     grayscale_transform,
     instantiate,
@@ -791,6 +792,41 @@ def test_a_write_nothing_reads_does_not_stop_the_jump():
     assert processed == [500, 700]
     assert flow.clock == 10_001 and flow.events_this_tick == []
     assert [item.trail for item in flow.delivered_items] == [[("Src", 700), ("Dst", 700)]]
+
+
+def _minio_chains(count, cron):
+    """`count` chains Src<i> -> Dst<i> from bucket in<i> to bucket out<i>;
+    every Src is event-driven and every Dst is CRON-driven on `cron`."""
+    stack, nifi = b.nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+    nodes = []
+    for i in range(count):
+        nodes.append(b.node(f"Src{i}", b.SRC + "ConsMinIO",
+                            props={"name": "s", "BucketName": f"in{i}", **minio},
+                            reqs=[("host", nifi), ("connectToPipeline", f"Dst{i}")]))
+        nodes.append(b.node(f"Dst{i}", b.DST + "PubsMinIO",
+                            props=_scheduled({"name": "d", "BucketName": f"out{i}",
+                                              **minio}, cron),
+                            reqs=[("host", nifi)]))
+    return b.template(*stack, *nodes)
+
+
+def test_only_a_stage_with_an_item_waiting_fires(monkeypatch):
+    flow = instantiate(_minio_chains(1000, "*/4 * * * * ?"))
+    assert len(flow.blocks) == 2000
+    fired = []
+    fire = _Stage.fire
+    monkeypatch.setattr(_Stage, "fire", lambda stage, tick: (
+        fired.append((stage.name, tick)), fire(stage, tick)))
+    for tick in range(10):  # one object a tick into one chain
+        flow.schedule_injection(tick, "minio", "in7", f"k{tick}", b"\x01")
+    flow.run_until(100)
+    assert fired == [("Src7", 0), ("Dst7", 0), ("Src7", 1), ("Src7", 2), ("Src7", 3),
+                     ("Src7", 4), ("Dst7", 4), ("Src7", 5), ("Src7", 6), ("Src7", 7),
+                     ("Src7", 8), ("Dst7", 8), ("Src7", 9), ("Dst7", 12)]
+    # and every firing took an item
+    assert set(fired) == {visit for item in flow.delivered_items
+                          for visit in item.trail}
 
 
 # -- firing order -------------------------------------------------------------------

@@ -8,7 +8,12 @@ import topology_gen
 from bruteforce import diagnostics_as_set, rule_violations
 from toscaflow import catalog as cat
 from toscaflow import verifier
-from toscaflow.errors import HostCycleError, MissingHostError, NotAPipelineError
+from toscaflow.errors import (
+    HostCycleError,
+    MissingHostError,
+    NotAPipelineError,
+    VerifierNonConvergenceError,
+)
 from toscaflow.model import ServiceTemplate, TypeDefinition
 from toscaflow.parsing import serialize_template
 from toscaflow.simulator import instantiate
@@ -594,6 +599,17 @@ def test_passphrase_repair_rekeys_the_pairs_that_already_agreed(monkeypatch):
     passphrases = {fixed.node_templates[name].property_values["passphrase"]
                    for name in ("E1", "D1", "D2")}
     assert len(passphrases) == 1 and passphrases != {"a"}
+
+
+def test_a_repair_that_breaks_the_next_pair_does_not_converge():
+    """Each pass re-keys one pair and breaks the next: three pairs are
+    repaired in the three passes allowed, four are not."""
+    fixed, report = verify(b.rekey_cascade(3), fix=True, seed=1)
+    assert [d.nodes for d in report] == [["E1", "D1"], ["E2", "D2"], ["E3", "D3"]]
+    assert check_encryption(fixed) == []
+    with pytest.raises(VerifierNonConvergenceError,
+                       match="fixable diagnostics remain after 3 fix passes"):
+        verify(b.rekey_cascade(4), fix=True, seed=1)
 
 
 # -- reports pinned on rarely reached branches ------------------------------------
