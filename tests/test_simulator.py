@@ -794,6 +794,38 @@ def test_a_write_nothing_reads_does_not_stop_the_jump():
     assert [item.trail for item in flow.delivered_items] == [[("Src", 700), ("Dst", 700)]]
 
 
+def test_a_write_behind_its_reader_in_the_order_waits_for_the_next_tick():
+    """Cons fires before Tail, so the object Tail writes to the bucket Cons
+    reads is taken on the next processed tick, not the one it lands in."""
+    stack, nifi = b.nifi_stack()
+
+    def block(name, kind, bucket, downstream=None):
+        reqs = [("host", nifi)] + ([("connectToPipeline", downstream)]
+                                   if downstream else [])
+        return b.node(name, kind, reqs=reqs, props={
+            "name": name, "BucketName": bucket, "cred_file_path": "c",
+            "Region": "r", "schedulingStrategy": "EVENT_DRIVEN"})
+
+    template = b.template(
+        *stack, block("Cons", b.SRC + "ConsS3Bucket", "mid", "Pub"),
+        block("Pub", b.DST + "PubsS3Bucket", "out"),
+        block("Lead", b.SRC + "ConsS3Bucket", "in", "Tail"),
+        block("Tail", b.DST + "PubsS3Bucket", "mid"))
+    assert not [d for d in verify(template)[1] if d.severity == ERROR]
+    flow = instantiate(template)
+    assert flow._firing_order == ["Cons", "Lead", "Pub", "Tail"]
+    flow.schedule_injection(3, "s3", "in", "k", b"\x01")
+    assert _engine_record(flow, 10)["ticks"] == {
+        3: ["Lead consume 'k'", "Lead emit 'Tail'", "Tail deliver 'k'"],
+        4: ["Cons consume 'k'", "Cons emit 'Pub'", "Pub deliver 'k'"],
+    }
+    flow = instantiate(template)
+    flow.schedule_injection(3, "s3", "in", "k", b"\x01")
+    flow.run_until(10)
+    assert [item.trail for item in flow.delivered_items] == [
+        [("Lead", 3), ("Tail", 3)], [("Cons", 4), ("Pub", 4)]]
+
+
 def _minio_chains(count, cron):
     """`count` chains Src<i> -> Dst<i> from bucket in<i> to bucket out<i>;
     every Src is event-driven and every Dst is CRON-driven on `cron`."""
