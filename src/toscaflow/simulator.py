@@ -3,18 +3,29 @@
 A Flow instantiates every pipeline node as a stage, wires one FIFO queue
 per connection edge, and drives everything off an integer virtual clock.
 Object stores are flat in-memory (provider, bucket) -> key -> bytes maps;
-FaaS calls are byte transforms looked up in a registry.  A stage fires
-only while an item waits for it, at once if event-driven, else on the next
-tick its cron matches, taking all that waits.  Within one tick stages fire
-in topological order of the connection graph, so an event-driven chain is
-traversed in a single tick; `instantiate` refuses a connection cycle.
+FaaS calls are byte transforms looked up in a registry; a function that
+raises or returns anything but bytes diverts the item as an error.  A
+stage fires only while an item waits for it, at once if event-driven, else
+on the next tick its cron matches, taking all that waits.  Within one tick
+stages fire in topological order of the connection graph, so an
+event-driven chain is traversed in a single tick; `instantiate` refuses a
+connection cycle.
 
-Every store write is appended to the flow's event log and to one event
-list per (provider, bucket); a stage reading a bucket keeps an offset into
-that bucket's list, so a firing looks only at the events it has not taken.
-`run_until` jumps the clock over ticks at which nothing can fire: after
-each processed tick it moves straight to the next injection, or to the
-first tick at which, by the same rule, some stage fires.
+Each stage holds its outputs as (target, queue, target's firing index)
+triples, so emitting an item appends it to the queues themselves.  Every
+store write is appended to the flow's event log and to one event list per
+(provider, bucket); a stage reading a bucket keeps an offset into that
+bucket's list, so a firing looks only at the events it has not taken.
+
+The flow keeps the firing indices of the stages an item waits for: a stage
+joins that set when one of its queues stops being empty or an object lands
+in a bucket it reads, and leaves it when its turn ends with nothing
+waiting.  A tick visits only those stages, in increasing index; a stage
+that an item reaches from a stage after it in the order waits for the next
+processed tick.  `run_until` jumps the clock over ticks at which nothing
+can fire: after each processed tick it moves straight to the next
+injection, or to the first tick at which, by the same rule, some stage in
+the set fires.
 
 Determinism is a hard contract: no wall clock, no OS entropy.  Identical
 template plus identical injection schedule yields identical metrics and
@@ -24,8 +35,8 @@ store contents.
 from __future__ import annotations
 
 import re
-from collections import deque
 from functools import partial
+from heapq import heappop, heappush
 
 from . import catalog as cat
 from .cron import CronExpr, cron_next, parse_cron
@@ -174,20 +185,18 @@ class StoreEvent(Record, frozen=True):
 
     def __init__(self, seq: int, tick: int, provider: str, bucket: str, key: str,
                  payload: bytes):
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "tick", tick)
-        object.__setattr__(self, "provider", provider)
-        object.__setattr__(self, "bucket", bucket)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "payload", payload)
+        self.__dict__.update(seq=seq, tick=tick, provider=provider, bucket=bucket,
+                             key=key, payload=payload)
 
 
 class _Stage:
     """One block: on each firing it takes its items in and handles each one.
 
     A stage with a `source` (provider, bucket) takes the objects written
-    there since it last fired; any other stage drains its input queues,
-    which are wired before the stage is built.
+    there since it last fired; any other stage drains its input queues.
+    The queues and the firing order are fixed before the stage is built;
+    `outputs` holds a (target, queue, target's firing index) triple per
+    connection, in target order.
     `cron` None means event-driven.  `handle` does what the block's kind
     does with one item.
     """
@@ -204,10 +213,16 @@ class _Stage:
         self.function = function
         self.function_key = function_key
         self.clauses = clauses
-        self.events = None if source is None else flow._events_in(*source)
+        self.events = None
         self.cursor = 0  # offset of the first event in `events` not yet taken
+        index = flow._index  # a name on a cycle has none; instantiate refuses it
+        if source is not None:
+            self.events = flow._events_in(source)
+            flow._readers.setdefault(source, []).append(index.get(name))
         self.inputs = [flow.queues[(upstream, name)]
                        for upstream in flow.in_edges.get(name, ())]
+        self.outputs = [(target, flow.queues[(name, target)], index.get(target))
+                        for target in flow.out_edges.get(name, ())]
         self.consumed = 0
         self.emitted = 0
         self.errors = 0
@@ -225,31 +240,36 @@ class _Stage:
     def fire(self, tick: int):
         items = self._drain_inputs() if self.source is None \
             else self._take_new_objects()
+        self.consumed += len(items)
+        name, handle = self.name, self.handle
         for item in items:
-            self.consumed += 1
-            item.visit(self.name, tick)
-            self.handle(self, item, tick)
+            item.visit(name, tick)
+            handle(self, item, tick)
 
     def _drain_inputs(self):
         items = []
         for queue in self.inputs:
-            while queue:
-                items.append(queue.popleft())
+            items += queue
+            queue.clear()
         return items
 
-    def emit(self, item: FlowItem, targets=None):
+    def emit(self, item: FlowItem, outputs=None):
+        """Queue the item on the first of `outputs` (all of the stage's by
+        default) and a fork of it on each of the others."""
         flow = self.flow
-        outs = targets if targets is not None \
-            else flow.out_edges.get(self.name, [])
-        if not outs:
+        if outputs is None:
+            outputs = self.outputs
+        if not outputs:
             flow.dropped += 1
             return
-        copies = [item] + [item.fork() for _ in range(len(outs) - 1)]
-        flow.born += len(outs) - 1
-        for target, copy_item in zip(outs, copies):
-            flow.queues[(self.name, target)].append(copy_item)
-            self.emitted += 1
-            flow.events_this_tick.append((self.name, "emit", target))
+        flow.born += len(outputs) - 1
+        self.emitted += len(outputs)
+        events = flow.events_this_tick
+        for fork, (target, queue, index) in enumerate(outputs):
+            if not queue:
+                flow._wake(index)
+            queue.append(item.fork() if fork else item)
+            events.append((self.name, "emit", target))
 
     def divert_error(self, item: FlowItem, reason: str):
         self.errors += 1
@@ -280,23 +300,35 @@ def _consume(stage, item, tick):
 
 
 def _transform(stage, item, tick):
-    """Apply the stage's fixed function, or the registered one it names."""
-    transform = stage.function or stage.flow.functions.get(stage.function_key)
+    """Apply the stage's fixed function, or the registered one it names.
+    A function that raises or returns anything but bytes diverts the item."""
+    key = stage.function_key
+    transform = stage.function or stage.flow.functions.get(key)
     if transform is None:
-        stage.divert_error(item, f"no function registered as {stage.function_key!r}")
+        stage.divert_error(item, f"no function registered as {key!r}")
         return
-    item.payload = transform(item.payload)
+    try:
+        payload = transform(item.payload)
+    except Exception as exc:  # the registered function is the caller's code
+        stage.divert_error(item, f"function {key!r} raised "
+                                 f"{type(exc).__name__}: {exc}")
+        return
+    if not isinstance(payload, bytes):
+        stage.divert_error(item, f"function {key!r} returned "
+                                 f"{type(payload).__name__}, not bytes")
+        return
+    item.payload = payload
     stage.emit(item)
 
 
 def _route(stage, item, tick):
     """Forward to the targets of every clause the item's attributes match."""
-    targets = sorted({target for target, attribute, value in stage.clauses
-                      if item.attributes.get(attribute) == value})
+    targets = {target for target, attribute, value in stage.clauses
+               if item.attributes.get(attribute) == value}
     if not targets:
         stage.divert_error(item, "no route predicate matched")
         return
-    stage.emit(item, targets=targets)
+    stage.emit(item, [output for output in stage.outputs if output[0] in targets])
 
 
 def _deliver(stage, item, tick):
@@ -318,7 +350,7 @@ class Flow:
         self.template = template
         self.clock = 0
         self.blocks: dict[str, _Stage] = {}
-        self.queues: dict[tuple[str, str], deque] = {}
+        self.queues: dict[tuple[str, str], list] = {}
         self.in_edges: dict[str, list[str]] = {}
         self.out_edges: dict[str, list[str]] = {}
         self.stores: dict[tuple[str, str], dict[str, bytes]] = {}
@@ -331,20 +363,34 @@ class Flow:
         self.born = 0
         self.dropped = 0
         self._firing_order: list[str] = []
+        self._index: dict[str, int] = {}  # name -> its place in the firing order
+        self._stages: list[_Stage] = []  # in firing order
+        self._readers: dict[tuple[str, str], list[int]] = {}  # bucket -> stages
+        self._ready: set[int] = set()  # the stages an item waits for
+        self._heap: list[int] = []  # the turns left in this tick, rebuilt by each
         self._injections: dict[int, list] = {}  # tick -> puts, every tick >= clock
 
     # -- stores ------------------------------------------------------------
 
-    def _events_in(self, provider: str, bucket: str) -> list[StoreEvent]:
-        """The store events of one bucket, in write order."""
-        return self._bucket_events.setdefault((provider, bucket), [])
+    def _events_in(self, where: tuple[str, str]) -> list[StoreEvent]:
+        """The store events of one (provider, bucket), in write order."""
+        return self._bucket_events.setdefault(where, [])
 
     def _store_write(self, provider, bucket, key, payload, tick):
-        self.stores.setdefault((provider, bucket), {})[key] = payload
+        where = (provider, bucket)
+        self.stores.setdefault(where, {})[key] = payload
         event = StoreEvent(len(self.store_events), tick, provider, bucket,
                            key, payload)
         self.store_events.append(event)
-        self._events_in(provider, bucket).append(event)
+        self._events_in(where).append(event)
+        for index in self._readers.get(where, ()):
+            self._wake(index)
+
+    def _wake(self, index: int):
+        """An item now waits for the stage at `index` in the firing order."""
+        if index not in self._ready:
+            self._ready.add(index)
+            heappush(self._heap, index)
 
     def put_object(self, provider: str, bucket: str, key: str, payload: bytes):
         """Store an object now; bound consumers see it as a new-object event."""
@@ -376,10 +422,21 @@ class Flow:
         self.events_this_tick = []
         for provider, bucket, key, payload in self._injections.pop(now, ()):
             self._store_write(provider, bucket, key, payload, now)
-        for name in self._firing_order:
-            stage = self.blocks[name]
-            if stage.due(now) == now:
+        ready, stages = self._ready, self._stages
+        heap = self._heap = sorted(ready)
+        last = -1
+        while heap:
+            index = heappop(heap)
+            if index <= last:
+                continue  # woken by a stage after it: its turn is next tick
+            last = index
+            stage = stages[index]
+            due = stage.due(now)
+            if due == now:
                 stage.fire(now)
+                due = stage.due(now)
+            if due is None:
+                ready.discard(index)
         self.clock = now + 1
         self.audit()
         return self.events_this_tick
@@ -401,20 +458,20 @@ class Flow:
 
     def _next_event_tick(self, limit: int) -> int:
         """The first tick from the clock on at which an injection is due or
-        a stage fires, or `limit` if that is sooner."""
+        a stage fires, or `limit` if that is sooner.  Every stage in the
+        ready set has an item waiting, so each has a due tick."""
         now = self.clock
         ahead = min(limit, min(self._injections, default=limit))
-        for stage in self.blocks.values():
+        stages = self._stages
+        for index in self._ready:
             if ahead <= now:
                 break
-            due = stage.due(now)
-            if due is not None:
-                ahead = min(ahead, due)
+            ahead = min(ahead, stages[index].due(now))
         return ahead
 
     def audit(self):
         """Conservation: born items are delivered, queued, errored, or dropped."""
-        queued = sum(len(q) for q in self.queues.values())
+        queued = sum(map(len, self.queues.values()))
         accounted = (len(self.delivered_items) + queued + len(self.error_items)
                      + self.dropped)
         if self.born != accounted:
@@ -449,13 +506,15 @@ def instantiate(template: ServiceTemplate) -> Flow:
     flow.out_edges = topo.successors
     # the pairs are sorted, so every list of sources comes out sorted
     for source, target in topo.pairs:
-        flow.queues[(source, target)] = deque()
+        flow.queues[(source, target)] = []
         flow.in_edges.setdefault(target, []).append(source)
+    order = flow._firing_order = lexicographic_order(topo.pipelines, topo.successors)
+    flow._index = {name: index for index, name in enumerate(order)}
     for name in topo.pipelines:
         flow.blocks[name] = _build_stage(topo, flow, name)
-    flow._firing_order = lexicographic_order(topo.pipelines, topo.successors)
-    if len(flow._firing_order) != len(topo.pipelines):
+    if len(order) != len(topo.pipelines):
         raise DependencyCycleError(find_cycle(topo.pipelines, topo.successors))
+    flow._stages = [flow.blocks[name] for name in order]
     return flow
 
 

@@ -274,6 +274,25 @@ def test_unregistered_function_counts_errors():
     assert metrics["stores"].get("minio/out") is None
 
 
+@pytest.mark.parametrize("function, reason", [
+    (lambda payload: None, "returned NoneType, not bytes"),
+    (lambda payload: payload.hex(), "returned str, not bytes"),
+    (lambda payload: len(payload) / 0, "raised ZeroDivisionError: division by zero"),
+])
+def test_a_function_that_raises_or_returns_no_bytes_diverts_the_item(
+        load_fixture, function, reason):
+    flow = instantiate(load_fixture("image_pipeline.yaml"))
+    flow.functions["img-grayscale-nifi"] = function
+    flow.put_object("minio", "firstbucket", "a", b"\x01\x02")
+    metrics = flow.run_until(3)
+    assert [(item.blocks, item.attributes["error"]) for item in flow.error_items] \
+        == [(["ConsMinIO_0", "InvokeLambda_0"],
+             f"function 'img-grayscale-nifi' {reason}")]
+    assert metrics["per_block"]["InvokeLambda_0"]["errors"] == 1
+    assert flow.delivered_items == []
+    assert metrics["stores"] == {"minio/firstbucket": 1}
+
+
 def _connects_to(template):
     return {(e.source, e.target) for e in build_graph(template).edges
             if e.kind == CONNECTS_TO}
@@ -859,6 +878,23 @@ def test_only_a_stage_with_an_item_waiting_fires(monkeypatch):
     # and every firing took an item
     assert set(fired) == {visit for item in flow.delivered_items
                           for visit in item.trail}
+
+
+def test_a_tick_asks_only_the_stages_an_item_waits_for(monkeypatch):
+    flow = instantiate(_minio_chains(1000, "*/4 * * * * ?"))
+    asked = []
+    due = _Stage.due
+    monkeypatch.setattr(_Stage, "due", lambda stage, now: (
+        asked.append(stage.name), due(stage, now))[1])
+    for tick in range(10):  # one object a tick into one chain
+        flow.schedule_injection(tick, "minio", "in7", f"k{tick}", b"\x01")
+    flow.run_until(100)
+    # Src7 before and after each of its ten firings (20); Dst7 before and
+    # after each of its four (8), once on each of the seven ticks 1-3, 5-7
+    # and 9 it waits through, and once at clocks 10 and 12 as `run_until`
+    # looks ahead (2 + 7 = 9, 17 in all); none of the other 1,998 stages
+    assert sorted(set(asked)) == ["Dst7", "Src7"]
+    assert (asked.count("Src7"), asked.count("Dst7")) == (20, 17)
 
 
 # -- firing order -------------------------------------------------------------------
