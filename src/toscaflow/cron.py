@@ -24,10 +24,7 @@ class CronExpr(Record, frozen=True):
 
     def __init__(self, text: str, seconds: frozenset[int], minutes: frozenset[int],
                  hours: frozenset[int]):
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "seconds", seconds)
-        object.__setattr__(self, "minutes", minutes)
-        object.__setattr__(self, "hours", hours)
+        self.__dict__.update(text=text, seconds=seconds, minutes=minutes, hours=hours)
 
     def matches(self, tick: int) -> bool:
         second_of_day = tick % SECONDS_PER_DAY

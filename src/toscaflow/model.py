@@ -58,7 +58,7 @@ class Record:
     shows the fields.  `location` is not a field, so it takes part in
     neither; `replace` keeps it.  `class R(Record, frozen=True)` makes
     records that hash by their fields and refuse assignment, so their
-    `__init__` sets each field with `object.__setattr__`.
+    `__init__` sets every field in one `self.__dict__.update(...)`.
     """
 
     def __init_subclass__(cls, frozen=False):

@@ -27,9 +27,7 @@ class DependencyEdge(Record, frozen=True):
     _fields = ("source", "target", "kind")
 
     def __init__(self, source: str, target: str, kind: str):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "kind", kind)
+        self.__dict__.update(source=source, target=target, kind=kind)
 
 
 class DependencyGraph(Record):
@@ -43,9 +41,7 @@ class PlanStep(Record, frozen=True):
     _fields = ("node", "op", "annotation")
 
     def __init__(self, node: str, op: str, annotation: str | None = None):
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "annotation", annotation)
+        self.__dict__.update(node=node, op=op, annotation=annotation)
 
     def to_dict(self):
         return {"node": self.node, "op": self.op, "annotation": self.annotation}
