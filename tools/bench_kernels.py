@@ -1,4 +1,4 @@
-"""Time toscaflow's byte kernels on the image_stream benchmark inputs.
+"""Time toscaflow's byte kernels and its simulator engine on benchmark inputs.
 
 Run from the root of a checkout; --src times another source tree:
 
@@ -10,10 +10,21 @@ seed 1 and gives each kernel the bytes it gets in that pipeline:
 parse_schedule the schedule text, grayscale_transform the injected
 payloads, blur_transform their grayscale, and encrypt_bytes and
 rle_compress the blurred ones.  A pass calls the kernel once on each of
-its inputs; each kernel's best and median of REPEAT passes, all in this
-one process, go into BENCH_kernels.json under --label.  The other labels
-in that file are kept, so two source trees measured on one host sit side
-by side.  This is a measurement, not a test: it checks no output.
+its inputs.
+
+The engine rows time `Flow.run_until` alone, on a flow built before the
+pass: the store_relay seed 1 job's flow through its horizon, and the
+trickle probe, which feeds TRICKLE_OBJECTS objects of 64 bytes, one per
+tick, into C000_Src of the blueprint_scale seed 1 template repaired by
+`verify(fix=True)` and runs to tick TRICKLE_END, so one six-block chain
+does all the work however many chains the template has.  The probe runs
+at each of TRICKLE_CHAINS, set as `workloads.BLUEPRINT_CHAINS` in this
+process; building the 512-chain template takes several seconds.
+
+Each row's best and median of REPEAT passes, all in this one process, go
+into BENCH_kernels.json under --label.  The other labels in that file are
+kept, so two source trees measured on one host sit side by side.  This is
+a measurement, not a test: it checks no output.
 """
 
 from __future__ import annotations
@@ -31,19 +42,58 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_kernels.json")
 SEED = 1
 REPEAT = 15
+TRICKLE_CHAINS = (32, 512)
+TRICKLE_OBJECTS = 200
+TRICKLE_END = 260
 
 
-def _time(kernel, inputs, repeat):
-    """The times of `repeat` passes in milliseconds, with a full collection
-    before each pass so no earlier pass's garbage is freed inside one."""
+def _time(run, prepare, repeat):
+    """The times of `repeat` calls of `run(prepare())` in milliseconds,
+    `prepare` untimed, with a full collection before each call so no
+    earlier pass's garbage is freed inside one."""
     times = []
     for _ in range(repeat):
+        argument = prepare()
         gc.collect()
         start = time.perf_counter()
-        for data in inputs:
-            kernel(data)
+        run(argument)
         times.append((time.perf_counter() - start) * 1000)
     return times
+
+
+def _row(name, times, **facts):
+    print(f"{name:24} best {min(times):8.3f} ms  "
+          f"median {statistics.median(times):8.3f} ms")
+    return {**facts, "best_ms": round(min(times), 3),
+            "median_ms": round(statistics.median(times), 3)}
+
+
+def _engine(toscaflow, workloads, worker):
+    """The engine rows as (name, make a flow, the tick to run it to), each
+    input built only when its row comes, so no other row's is alive."""
+    relay = workloads.store_relay(SEED)
+    # a horizon before tick 0 leaves the job's flow built but not run
+    yield ("store_relay run_until",
+           lambda: worker.run_job(relay.csar(), SEED, -1).flow, relay.horizon)
+    chains = workloads.BLUEPRINT_CHAINS
+    for count in TRICKLE_CHAINS:
+        workloads.BLUEPRINT_CHAINS = count
+        try:
+            blueprint = workloads.blueprint_scale(SEED).blueprint
+        finally:
+            workloads.BLUEPRINT_CHAINS = chains
+        fixed = toscaflow.verify(toscaflow.parse_service_template(blueprint),
+                                 fix=True, seed=SEED)[0]
+
+        def trickle():
+            flow = toscaflow.instantiate(fixed)
+            provider, bucket = flow.blocks["C000_Src"].source
+            for tick in range(TRICKLE_OBJECTS):
+                flow.schedule_injection(tick, provider, bucket, f"obj-{tick:03d}",
+                                        bytes([tick % 251]) * 64)
+            return flow
+
+        yield f"trickle {count} chains", trickle, TRICKLE_END
 
 
 def main(argv=None) -> int:
@@ -60,6 +110,7 @@ def main(argv=None) -> int:
     from toscaflow.crypto import encrypt_bytes
     from toscaflow.simulator import (blur_transform, grayscale_transform,
                                      parse_schedule, rle_compress)
+    import worker
     import workloads
 
     if not toscaflow.__file__.startswith(src + os.sep):
@@ -81,13 +132,17 @@ def main(argv=None) -> int:
     }
     results = {}
     for name, (kernel, inputs) in kernels.items():
-        times = _time(kernel, inputs, REPEAT)
-        results[name] = {"calls": len(inputs),
-                         "input_len": sum(len(data) for data in inputs),
-                         "best_ms": round(min(times), 3),
-                         "median_ms": round(statistics.median(times), 3)}
-        print(f"{name:20} best {min(times):8.3f} ms  "
-              f"median {statistics.median(times):8.3f} ms")
+        def run(inputs, kernel=kernel):
+            for data in inputs:
+                kernel(data)
+        results[name] = _row(name, _time(run, lambda inputs=inputs: inputs, REPEAT),
+                             calls=len(inputs),
+                             input_len=sum(len(data) for data in inputs))
+    engine = {}
+    for name, make_flow, t_end in _engine(toscaflow, workloads, worker):
+        times = _time(lambda flow, t_end=t_end: flow.run_until(t_end), make_flow,
+                      REPEAT)
+        engine[name] = _row(name, times, t_end=t_end)
 
     record = {"workload": "image_stream", "seed": SEED, "repeat": REPEAT,
               "runs": {}}
@@ -99,6 +154,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "kernels": results,
+        "engine": engine,
     }
     with open(OUT, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
