@@ -17,15 +17,15 @@ store write is appended to the flow's event log and to one event list per
 (provider, bucket); a stage reading a bucket keeps an offset into that
 bucket's list, so a firing looks only at the events it has not taken.
 
-The flow keeps the firing indices of the stages an item waits for: a stage
-joins that set when one of its queues stops being empty or an object lands
-in a bucket it reads, and leaves it when its turn ends with nothing
-waiting.  A tick visits only those stages, in increasing index; a stage
-that an item reaches from a stage after it in the order waits for the next
-processed tick.  `run_until` jumps the clock over ticks at which nothing
-can fire: after each processed tick it moves straight to the next
-injection, or to the first tick at which, by the same rule, some stage in
-the set fires.
+One agenda, a heap, drives the clock.  It holds (tick, firing index) for
+each stage an item waits for and (tick, -1, seq, put) for each scheduled
+put.  A stage goes on it once, when an item starts to wait for it (one of
+its queues stops being empty or an object lands in a bucket it reads), for
+`start` if it is event-driven, else for its cron's next match from
+`start`; `start` is the clock, or the next tick if the stage is at or
+before the one firing now in the order.  A tick pops the entries for its
+tick: the puts in schedule order, then the stages in firing order.
+`run_until` jumps the clock straight to the agenda's first tick.
 
 Determinism is a hard contract: no wall clock, no OS entropy.  Identical
 template plus identical injection schedule yields identical metrics and
@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from functools import partial
 from heapq import heappop, heappush
+from itertools import count
 
 from . import catalog as cat
 from .cron import CronExpr, cron_next, parse_cron
@@ -223,19 +224,10 @@ class _Stage:
                        for upstream in flow.in_edges.get(name, ())]
         self.outputs = [(target, flow.queues[(name, target)], index.get(target))
                         for target in flow.out_edges.get(name, ())]
+        self.on_agenda = False  # whether the flow's agenda holds its turn
         self.consumed = 0
         self.emitted = 0
         self.errors = 0
-
-    def due(self, now: int) -> int | None:
-        """The first tick from `now` on at which the stage fires, or None
-        while no item waits for it."""
-        if not (any(self.inputs) if self.events is None
-                else self.cursor < len(self.events)):
-            return None
-        if self.cron is None or self.cron.matches(now):
-            return now
-        return cron_next(self.cron, now)
 
     def fire(self, tick: int):
         items = self._drain_inputs() if self.source is None \
@@ -366,9 +358,9 @@ class Flow:
         self._index: dict[str, int] = {}  # name -> its place in the firing order
         self._stages: list[_Stage] = []  # in firing order
         self._readers: dict[tuple[str, str], list[int]] = {}  # bucket -> stages
-        self._ready: set[int] = set()  # the stages an item waits for
-        self._heap: list[int] = []  # the turns left in this tick, rebuilt by each
-        self._injections: dict[int, list] = {}  # tick -> puts, every tick >= clock
+        self._agenda: list[tuple] = []  # (tick, index) and (tick, -1, seq, put)
+        self._puts = count()  # the seq of each scheduled put
+        self._firing = -1  # the index of the stage firing now
 
     # -- stores ------------------------------------------------------------
 
@@ -388,9 +380,14 @@ class Flow:
 
     def _wake(self, index: int):
         """An item now waits for the stage at `index` in the firing order."""
-        if index not in self._ready:
-            self._ready.add(index)
-            heappush(self._heap, index)
+        stage = self._stages[index]
+        if not stage.on_agenda:
+            stage.on_agenda = True
+            # a stage at or before the one firing now has had this tick's turn
+            start = self.clock + (index <= self._firing)
+            cron = stage.cron
+            heappush(self._agenda,
+                     (start if cron is None else cron_next(cron, start), index))
 
     def put_object(self, provider: str, bucket: str, key: str, payload: bytes):
         """Store an object now; bound consumers see it as a new-object event."""
@@ -402,8 +399,8 @@ class Flow:
         if tick < self.clock:
             raise ScheduleError(f"tick {tick} is already in the past "
                                 f"(clock is at {self.clock})")
-        self._injections.setdefault(tick, []).append(
-            (provider, bucket, key, bytes(payload)))
+        heappush(self._agenda, (tick, -1, next(self._puts),
+                                (provider, bucket, key, bytes(payload))))
 
     # -- functions -----------------------------------------------------------
 
@@ -420,23 +417,18 @@ class Flow:
         """Process the current tick, advance the clock, return tick events."""
         now = self.clock
         self.events_this_tick = []
-        for provider, bucket, key, payload in self._injections.pop(now, ()):
-            self._store_write(provider, bucket, key, payload, now)
-        ready, stages = self._ready, self._stages
-        heap = self._heap = sorted(ready)
-        last = -1
-        while heap:
-            index = heappop(heap)
-            if index <= last:
-                continue  # woken by a stage after it: its turn is next tick
-            last = index
-            stage = stages[index]
-            due = stage.due(now)
-            if due == now:
+        agenda, stages = self._agenda, self._stages
+        while agenda and agenda[0][0] == now:
+            entry = heappop(agenda)
+            index = entry[1]
+            if index < 0:
+                self._store_write(*entry[3], now)
+            else:
+                stage = stages[index]
+                stage.on_agenda = False
+                self._firing = index
                 stage.fire(now)
-                due = stage.due(now)
-            if due is None:
-                ready.discard(index)
+        self._firing = -1
         self.clock = now + 1
         self.audit()
         return self.events_this_tick
@@ -447,27 +439,15 @@ class Flow:
         Ticks at which nothing can happen are skipped, not processed: the
         result is the same as calling `tick` until the clock passes t_end.
         """
+        agenda = self._agenda
         while self.clock <= t_end:
-            ahead = self._next_event_tick(t_end + 1)
+            ahead = agenda[0][0] if agenda else t_end + 1
             if ahead > self.clock:
-                self.clock = ahead
+                self.clock = min(ahead, t_end + 1)
                 self.events_this_tick = []  # as after a tick without events
             else:
                 self.tick()
         return self.metrics()
-
-    def _next_event_tick(self, limit: int) -> int:
-        """The first tick from the clock on at which an injection is due or
-        a stage fires, or `limit` if that is sooner.  Every stage in the
-        ready set has an item waiting, so each has a due tick."""
-        now = self.clock
-        ahead = min(limit, min(self._injections, default=limit))
-        stages = self._stages
-        for index in self._ready:
-            if ahead <= now:
-                break
-            ahead = min(ahead, stages[index].due(now))
-        return ahead
 
     def audit(self):
         """Conservation: born items are delivered, queued, errored, or dropped."""

@@ -813,6 +813,29 @@ def test_a_write_nothing_reads_does_not_stop_the_jump():
     assert [item.trail for item in flow.delivered_items] == [[("Src", 700), ("Dst", 700)]]
 
 
+def test_a_put_scheduled_for_the_tick_that_runs_lands_in_it(load_fixture):
+    """A function schedules a put for the tick it runs in: the put is
+    written right after its stage's turn, and nothing is left to process."""
+    flow = instantiate(load_fixture("image_pipeline.yaml"))
+
+    def grayscale_and_schedule(payload):
+        flow.schedule_injection(flow.clock, "s3", "late", "k", b"\x07")
+        return grayscale_transform(payload)
+
+    flow.functions["img-grayscale-nifi"] = grayscale_and_schedule
+    processed = []
+    tick = flow.tick
+    flow.tick = lambda: processed.append(flow.clock) or tick()
+    flow.schedule_injection(5, "minio", "firstbucket", "img", b"\x02\x04")
+    flow.run_until(50)
+    assert processed == [5]
+    assert flow.stores[("s3", "late")] == {"k": b"\x07"}
+    assert [(event.tick, event.provider, event.bucket, event.key)
+            for event in flow.store_events] == [
+        (5, "minio", "firstbucket", "img"), (5, "s3", "late", "k"),
+        (5, "gcs", "radongcs", "img"), (5, "azure", "blurredcontainer", "img")]
+
+
 def test_a_write_behind_its_reader_in_the_order_waits_for_the_next_tick():
     """Cons fires before Tail, so the object Tail writes to the bucket Cons
     reads is taken on the next processed tick, not the one it lands in."""
@@ -882,19 +905,23 @@ def test_only_a_stage_with_an_item_waiting_fires(monkeypatch):
 
 def test_a_tick_asks_only_the_stages_an_item_waits_for(monkeypatch):
     flow = instantiate(_minio_chains(1000, "*/4 * * * * ?"))
-    asked = []
-    due = _Stage.due
-    monkeypatch.setattr(_Stage, "due", lambda stage, now: (
-        asked.append(stage.name), due(stage, now))[1])
+    listed = []
+    wake = Flow._wake
+
+    def counting_wake(flow, index):
+        before = len(flow._agenda)
+        wake(flow, index)
+        assert len(flow._agenda) == before + 1  # the stage was off the agenda
+        listed.append(flow._stages[index].name)
+
+    monkeypatch.setattr(Flow, "_wake", counting_wake)
     for tick in range(10):  # one object a tick into one chain
         flow.schedule_injection(tick, "minio", "in7", f"k{tick}", b"\x01")
     flow.run_until(100)
-    # Src7 before and after each of its ten firings (20); Dst7 before and
-    # after each of its four (8), once on each of the seven ticks 1-3, 5-7
-    # and 9 it waits through, and once at clocks 10 and 12 as `run_until`
-    # looks ahead (2 + 7 = 9, 17 in all); none of the other 1,998 stages
-    assert sorted(set(asked)) == ["Dst7", "Src7"]
-    assert (asked.count("Src7"), asked.count("Dst7")) == (20, 17)
+    # Src7 once for each of its ten objects; Dst7 once each time its queue
+    # stops being empty, at ticks 0, 1, 5 and 9; none of the other 1,998
+    assert sorted(set(listed)) == ["Dst7", "Src7"]
+    assert (listed.count("Src7"), listed.count("Dst7")) == (10, 4)
 
 
 # -- firing order -------------------------------------------------------------------
