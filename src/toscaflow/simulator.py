@@ -395,7 +395,8 @@ class Flow:
 
     def schedule_injection(self, tick: int, provider: str, bucket: str,
                            key: str, payload: bytes):
-        """Queue a put_object to happen at the start of `tick`."""
+        """Queue a put_object to happen at the start of `tick`, or, for the
+        tick that is running, right after the turn of the stage firing."""
         if tick < self.clock:
             raise ScheduleError(f"tick {tick} is already in the past "
                                 f"(clock is at {self.clock})")

@@ -13,13 +13,16 @@ rle_compress the blurred ones.  A pass calls the kernel once on each of
 its inputs.
 
 The engine rows time `Flow.run_until` alone, on a flow built before the
-pass: the store_relay seed 1 job's flow through its horizon, and the
-trickle probe, which feeds TRICKLE_OBJECTS objects of 64 bytes, one per
-tick, into C000_Src of the blueprint_scale seed 1 template repaired by
-`verify(fix=True)` and runs to tick TRICKLE_END, so one six-block chain
-does all the work however many chains the template has.  The probe runs
-at each of TRICKLE_CHAINS, set as `workloads.BLUEPRINT_CHAINS` in this
-process; building the 512-chain template takes several seconds.
+pass: the store_relay seed 1 job's flow through its horizon; the same flow
+with a long schedule, one 16-byte object a tick for LONG_TICKS ticks into
+the bucket its first hop reads, run for a further horizon past the last
+one; and the trickle probe, which feeds TRICKLE_OBJECTS objects of 64
+bytes, one per tick, into C000_Src of the blueprint_scale seed 1 template
+repaired by `verify(fix=True)` and runs to tick TRICKLE_END, so one
+six-block chain does all the work however many chains the template has.
+The probe runs at each of TRICKLE_CHAINS, set as
+`workloads.BLUEPRINT_CHAINS` in this process; building the 512-chain
+template takes several seconds.
 
 Each row's best and median of REPEAT passes, all in this one process, go
 into BENCH_kernels.json under --label.  The other labels in that file are
@@ -45,6 +48,7 @@ REPEAT = 15
 TRICKLE_CHAINS = (32, 512)
 TRICKLE_OBJECTS = 200
 TRICKLE_END = 260
+LONG_TICKS = 16_000
 
 
 def _time(run, prepare, repeat):
@@ -75,6 +79,17 @@ def _engine(toscaflow, workloads, worker):
     # a horizon before tick 0 leaves the job's flow built but not run
     yield ("store_relay run_until",
            lambda: worker.run_job(relay.csar(), SEED, -1).flow, relay.horizon)
+
+    def long_schedule():
+        flow = worker.run_job(relay.csar(), SEED, -1).flow
+        provider, bucket = flow.blocks["H0_Cons"].source
+        for tick in range(LONG_TICKS):
+            flow.schedule_injection(tick, provider, bucket, f"long-{tick:05d}",
+                                    bytes([tick % 251]) * 16)
+        return flow
+
+    yield ("long schedule", long_schedule, LONG_TICKS + relay.horizon)
+
     chains = workloads.BLUEPRINT_CHAINS
     for count in TRICKLE_CHAINS:
         workloads.BLUEPRINT_CHAINS = count
