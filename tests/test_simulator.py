@@ -686,6 +686,134 @@ def test_copy_into_its_own_bucket_copies_once_per_firing():
     assert flow.born == len(flow.delivered_items) == 2
 
 
+# -- a batch of items in one firing --------------------------------------------------
+
+def _fan_out(middle, middle_cron=None):
+    """Src -> `middle` -> DstA, DstB from bucket in; both publishers fire at
+    second 30, so what the middle block emits at tick 0 stays queued."""
+    stack, nifi = b.nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+
+    def publisher(name, bucket):
+        return b.node(name, b.DST + "PubsMinIO", reqs=[("host", nifi)], props=_scheduled(
+            {"name": name, "BucketName": bucket, **minio}, "30 * * * * ?"))
+
+    name, kind, props = middle
+    return b.template(
+        *stack,
+        b.node("Src", b.SRC + "ConsMinIO", props={"name": "s", "BucketName": "in", **minio},
+               reqs=[("host", nifi), ("connectToPipeline", name)]),
+        b.node(name, kind, props=_scheduled(dict(props, name=name), middle_cron),
+               reqs=[("host", nifi), ("ConnectToPipeline", "DstA"),
+                     ("ConnectToPipeline", "DstB")]),
+        publisher("DstA", "out-a"), publisher("DstB", "out-b"))
+
+
+_INVOKE = ("Fn", b.PRC + "InvokeLambda",
+           {"cred_file_path": "c", "function_name": "fn", "region": "r"})
+
+
+def _queued(flow, target, source="Fn"):
+    return [(item.attributes["key"], item.payload, item.trail)
+            for item in flow.queues[(source, target)]]
+
+
+def test_one_firing_keeps_each_items_events_in_place():
+    """Three objects in one tick: the function raises for the middle one,
+    whose error comes between the other two items' emits."""
+    template = _fan_out(_INVOKE)
+    assert not [d for d in verify(template)[1] if d.severity == ERROR]
+    flow = instantiate(template)
+
+    def shout(payload):
+        if payload == b"b":
+            raise ValueError("no b")
+        return payload.upper()
+
+    flow.register_function("fn", shout)
+    for key in "abc":
+        flow.put_object("minio", "in", key, key.encode())
+    assert flow.tick() == [
+        ("Src", "consume", "a"), ("Src", "emit", "Fn"),
+        ("Src", "consume", "b"), ("Src", "emit", "Fn"),
+        ("Src", "consume", "c"), ("Src", "emit", "Fn"),
+        ("Fn", "emit", "DstA"), ("Fn", "emit", "DstB"),
+        ("Fn", "error", "function 'fn' raised ValueError: no b"),
+        ("Fn", "emit", "DstA"), ("Fn", "emit", "DstB"),
+    ]
+    trail = [("Src", 0), ("Fn", 0)]
+    assert flow.queues[("Src", "Fn")] == []
+    assert _queued(flow, "DstA") == _queued(flow, "DstB") == [
+        ("a", b"A", trail), ("c", b"C", trail)]
+    assert [(item.attributes["key"], item.payload, item.trail, item.attributes["error"])
+            for item in flow.error_items] == [
+        ("b", b"b", trail, "function 'fn' raised ValueError: no b")]
+    assert (flow.born, flow.dropped) == (5, 0)  # three objects and two forks
+    flow.run_until(30)
+    assert flow.stores[("minio", "out-a")] == flow.stores[("minio", "out-b")] \
+        == {"a": b"A", "c": b"C"}
+    assert flow.metrics()["per_block"]["Fn"] == {"consumed": 3, "emitted": 4,
+                                                 "errors": 1}
+
+
+def test_the_forks_of_one_batch_are_independent_items():
+    """Fn fires at second 10 on everything Src queued at tick 0: DstA gets
+    the very items Src queued, DstB a fork of each, in write order."""
+    flow = instantiate(_fan_out(_INVOKE, middle_cron="10 * * * * ?"))
+    flow.register_function("fn", lambda payload: payload)
+    keys = ["k3", "k1", "k2", "k0"]
+    for key in keys:
+        flow.put_object("minio", "in", key, key.encode())
+    flow.tick()
+    originals = list(flow.queues[("Src", "Fn")])
+    flow.run_until(10)
+    firsts, forks = flow.queues[("Fn", "DstA")], flow.queues[("Fn", "DstB")]
+    assert list(map(id, firsts)) == list(map(id, originals)) and len(firsts) == 4
+    assert [item.attributes["key"] for item in forks] == keys
+    assert len({id(item) for item in forks + firsts}) == 8
+    assert len({id(item.trail) for item in forks + firsts}) == 8
+    assert len({id(item.attributes) for item in forks + firsts}) == 8
+    assert [(item.payload, item.attributes, item.trail) for item in forks] \
+        == [(item.payload, item.attributes, item.trail) for item in firsts]
+    forks[1].trail.append(("elsewhere", 11))
+    forks[1].attributes["mark"] = "fork"
+    assert firsts[1].trail == [("Src", 0), ("Fn", 10)] and "mark" not in firsts[1].attributes
+    assert forks[2].trail == [("Src", 0), ("Fn", 10)] and "mark" not in forks[2].attributes
+    assert (flow.born, flow.dropped) == (8, 0)
+
+
+def test_a_router_sends_each_item_of_a_batch_to_its_own_targets():
+    flow = instantiate(_fan_out(("Router", b.PRC + "RouteToRemote", {
+        "route_predicate": "DstA:key=a;DstB:key=b;DstA:key=ab;DstB:key=ab;"
+                           "DstB:key=ba;DstA:key=ba"})))
+    keys = ["a", "ab", "x", "b", "ba"]
+    for key in keys:
+        flow.put_object("minio", "in", key, key.encode())
+    consumed = [event for key in keys
+                for event in [("Src", "consume", key), ("Src", "emit", "Router")]]
+    assert flow.tick() == consumed + [
+        ("Router", "emit", "DstA"),
+        ("Router", "emit", "DstA"), ("Router", "emit", "DstB"),
+        ("Router", "error", "no route predicate matched"),
+        ("Router", "emit", "DstB"),
+        ("Router", "emit", "DstA"), ("Router", "emit", "DstB"),
+    ]
+    to_a, to_b = flow.queues[("Router", "DstA")], flow.queues[("Router", "DstB")]
+    assert [item.attributes["key"] for item in to_a] == ["a", "ab", "ba"]
+    assert [item.attributes["key"] for item in to_b] == ["ab", "b", "ba"]
+    # an item's first target gets the item itself, every other one a fork
+    assert to_b[0] is not to_a[1] and to_b[2] is not to_a[2]
+    assert to_b[0].trail is not to_a[1].trail
+    assert [(item.attributes["key"], item.attributes["error"])
+            for item in flow.error_items] == [("x", "no route predicate matched")]
+    assert (flow.born, flow.dropped) == (7, 0)  # five objects and two forks
+    assert flow.metrics()["per_block"]["Router"] == {"consumed": 5, "emitted": 6,
+                                                     "errors": 1}
+    flow.run_until(30)
+    assert flow.stores[("minio", "out-a")] == {"a": b"a", "ab": b"ab", "ba": b"ba"}
+    assert flow.stores[("minio", "out-b")] == {"ab": b"ab", "b": b"b", "ba": b"ba"}
+
+
 # -- skipping ticks at which nothing can happen -------------------------------------
 
 _CRONS = ["* * * * * ?", "*/7 * * * * ?", "0,30 * * * * ?", "15 * * * * ?",
