@@ -11,11 +11,13 @@ stages fire in topological order of the connection graph, so an
 event-driven chain is traversed in a single tick; `instantiate` refuses a
 connection cycle.
 
-Each stage holds its outputs as (target, queue, target's firing index)
-triples, so emitting an item appends it to the queues themselves.  Every
-store write is appended to the flow's event log and to one event list per
-(provider, bucket); a stage reading a bucket keeps an offset into that
-bucket's list, so a firing looks only at the events it has not taken.
+A firing hands the stage's whole batch to one handler, which walks it in
+item order, appends each item's events, and passes on what it forwards in
+one emit (a `+=` per output queue, forks after the first) or, for a
+publisher, one store write.  Each write goes to the flow's event log and
+to one event list per (provider, bucket); a stage reading a bucket keeps
+an offset into that list, so a firing looks only at the events it has not
+taken.
 
 One agenda, a heap, drives the clock.  It holds (tick, firing index) for
 each stage an item waits for and (tick, -1, seq, put) for each scheduled
@@ -34,10 +36,11 @@ store contents.
 
 from __future__ import annotations
 
+import os
 import re
 from functools import partial
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, groupby
 
 from . import catalog as cat
 from .cron import CronExpr, cron_next, parse_cron
@@ -168,11 +171,6 @@ class FlowItem(Record):
         self.attributes = {} if attributes is None else attributes
         self.trail = [] if trail is None else trail
 
-    def visit(self, block: str, tick: int):
-        if self.trail and tick < self.trail[-1][1]:
-            raise RuntimeError("trail ticks must be non-decreasing")
-        self.trail.append((block, tick))
-
     def fork(self) -> "FlowItem":
         return FlowItem(self.payload, dict(self.attributes), list(self.trail))
 
@@ -191,7 +189,8 @@ class StoreEvent(Record, frozen=True):
 
 
 class _Stage:
-    """One block: on each firing it takes its items in and handles each one.
+    """One block: on each firing it takes its items in and handles its
+    batch, item by item in order.
 
     A stage with a `source` (provider, bucket) takes the objects written
     there since it last fired; any other stage drains its input queues.
@@ -199,7 +198,7 @@ class _Stage:
     `outputs` holds a (target, queue, target's firing index) triple per
     connection, in target order.
     `cron` None means event-driven.  `handle` does what the block's kind
-    does with one item.
+    does with the batch.
     """
 
     def __init__(self, flow, name, cron: CronExpr | None, handle, *,
@@ -218,50 +217,50 @@ class _Stage:
         self.cursor = 0  # offset of the first event in `events` not yet taken
         index = flow._index  # a name on a cycle has none; instantiate refuses it
         if source is not None:
-            self.events = flow._events_in(source)
+            self.events = flow._bucket_events.setdefault(source, [])
             flow._readers.setdefault(source, []).append(index.get(name))
         self.inputs = [flow.queues[(upstream, name)]
                        for upstream in flow.in_edges.get(name, ())]
         self.outputs = [(target, flow.queues[(name, target)], index.get(target))
                         for target in flow.out_edges.get(name, ())]
+        self.emit_events = [(name, "emit", target) for target, _, _ in self.outputs]
         self.on_agenda = False  # whether the flow's agenda holds its turn
         self.consumed = 0
         self.emitted = 0
         self.errors = 0
 
     def fire(self, tick: int):
-        items = self._drain_inputs() if self.source is None \
-            else self._take_new_objects()
-        self.consumed += len(items)
-        name, handle = self.name, self.handle
-        for item in items:
-            item.visit(name, tick)
-            handle(self, item, tick)
-
-    def _drain_inputs(self):
-        items = []
-        for queue in self.inputs:
-            items += queue
-            queue.clear()
-        return items
-
-    def emit(self, item: FlowItem, outputs=None):
-        """Queue the item on the first of `outputs` (all of the stage's by
-        default) and a fork of it on each of the others."""
-        flow = self.flow
-        if outputs is None:
-            outputs = self.outputs
-        if not outputs:
-            flow.dropped += 1
+        if self.source is not None:
+            items = self._take_new_objects()
+        else:  # drain the input queues
+            items = []
+            for queue in self.inputs:
+                items += queue
+                queue.clear()
+        if not items:
             return
-        flow.born += len(outputs) - 1
-        self.emitted += len(outputs)
-        events = flow.events_this_tick
-        for fork, (target, queue, index) in enumerate(outputs):
+        self.consumed += len(items)
+        visit = (self.name, tick)
+        for item in items:
+            trail = item.trail
+            if trail and tick < trail[-1][1]:
+                raise RuntimeError("trail ticks must be non-decreasing")
+            trail.append(visit)
+        self.handle(self, items, tick)
+
+    def emit(self, items: list[FlowItem], outputs):
+        """Queue the items on the first of `outputs` and a fork of each on
+        every other one, in item order."""
+        flow = self.flow
+        if not outputs:
+            flow.dropped += len(items)
+            return
+        flow.born += (len(outputs) - 1) * len(items)
+        self.emitted += len(outputs) * len(items)
+        for fork, (_, queue, index) in enumerate(outputs):
             if not queue:
                 flow._wake(index)
-            queue.append(item.fork() if fork else item)
-            events.append((self.name, "emit", target))
+            queue += map(FlowItem.fork, items) if fork else items
 
     def divert_error(self, item: FlowItem, reason: str):
         self.errors += 1
@@ -270,69 +269,84 @@ class _Stage:
         self.flow.events_this_tick.append((self.name, "error", reason))
 
     def _take_new_objects(self):
-        """An item for each source event since the last one taken, in write
-        order, each born here.  Every event is written at or before the
-        current tick, at which the stage fires.  The scan ends before the
-        handlers run, so a copy into its own bucket copies each object once
-        per firing."""
+        """An item born for each source event since the last one taken, in
+        write order.  The scan ends before the handler runs, so a copy into
+        its own bucket copies each object once per firing."""
         provider, bucket = self.source
-        items = [FlowItem(payload=event.payload,
-                          attributes={"source_provider": provider,
-                                      "source_bucket": bucket,
-                                      "key": event.key})
+        items = [FlowItem(event.payload, {"source_provider": provider,
+                                          "source_bucket": bucket, "key": event.key})
                  for event in self.events[self.cursor:]]
         self.cursor += len(items)
         self.flow.born += len(items)
         return items
 
 
-def _consume(stage, item, tick):
-    stage.flow.events_this_tick.append((stage.name, "consume", item.attributes["key"]))
-    stage.emit(item)
+def _consume(stage, items, tick):
+    events, emits, name = stage.flow.events_this_tick, stage.emit_events, stage.name
+    for item in items:
+        events.append((name, "consume", item.attributes["key"]))
+        events += emits
+    stage.emit(items, stage.outputs)
 
 
-def _transform(stage, item, tick):
-    """Apply the stage's fixed function, or the registered one it names.
-    A function that raises or returns anything but bytes diverts the item."""
+def _transform(stage, items, tick):
+    """Apply the stage's fixed function, or the registered one it names, to
+    each item; one that raises or returns anything but bytes diverts it."""
     key = stage.function_key
     transform = stage.function or stage.flow.functions.get(key)
-    if transform is None:
-        stage.divert_error(item, f"no function registered as {key!r}")
-        return
-    try:
-        payload = transform(item.payload)
-    except Exception as exc:  # the registered function is the caller's code
-        stage.divert_error(item, f"function {key!r} raised "
-                                 f"{type(exc).__name__}: {exc}")
-        return
-    if not isinstance(payload, bytes):
-        stage.divert_error(item, f"function {key!r} returned "
-                                 f"{type(payload).__name__}, not bytes")
-        return
-    item.payload = payload
-    stage.emit(item)
+    events, emits = stage.flow.events_this_tick, stage.emit_events
+    forwarded = []
+    for item in items:
+        if transform is None:
+            stage.divert_error(item, f"no function registered as {key!r}")
+            continue
+        try:
+            payload = transform(item.payload)
+        except Exception as exc:  # the registered function is the caller's code
+            stage.divert_error(item, f"function {key!r} raised "
+                                     f"{type(exc).__name__}: {exc}")
+            continue
+        if not isinstance(payload, bytes):
+            stage.divert_error(item, f"function {key!r} returned "
+                                     f"{type(payload).__name__}, not bytes")
+            continue
+        item.payload = payload
+        forwarded.append(item)
+        events += emits
+    if forwarded:
+        stage.emit(forwarded, stage.outputs)
 
 
-def _route(stage, item, tick):
-    """Forward to the targets of every clause the item's attributes match."""
-    targets = {target for target, attribute, value in stage.clauses
-               if item.attributes.get(attribute) == value}
-    if not targets:
-        stage.divert_error(item, "no route predicate matched")
-        return
-    stage.emit(item, [output for output in stage.outputs if output[0] in targets])
+def _route(stage, items, tick):
+    """Forward each item to the targets of every clause its attributes
+    match.  Each run of items with the same targets goes out in one emit,
+    so every queue gets its items in item order."""
+    events, name = stage.flow.events_this_tick, stage.name
+    routed = []  # (the item's outputs, the item)
+    for item in items:
+        targets = {target for target, attribute, value in stage.clauses
+                   if item.attributes.get(attribute) == value}
+        if not targets:
+            stage.divert_error(item, "no route predicate matched")
+            continue
+        outputs = [output for output in stage.outputs if output[0] in targets]
+        events += [(name, "emit", target) for target, _, _ in outputs]
+        routed.append((outputs, item))
+    for outputs, run in groupby(routed, lambda routed: routed[0]):
+        stage.emit([item for _, item in run], outputs)
 
 
-def _deliver(stage, item, tick):
-    """Write the item to the destination store.  A copy keeps the source key
-    as it is; a publisher names a keyless item after the items born so far."""
+def _deliver(stage, items, tick):
+    """Write the items to the destination store.  A copy keeps each source
+    key, even an empty one; a publisher names a keyless item after `born`."""
     flow = stage.flow
-    key = item.attributes["key"] if stage.source is not None \
-        else item.attributes.get("key") or f"item-{flow.born}"
-    flow._store_write(*stage.destination, key, item.payload, tick)
-    stage.emitted += 1
-    flow.delivered_items.append(item)
-    flow.events_this_tick.append((stage.name, "deliver", key))
+    unnamed = "" if stage.source is not None else f"item-{flow.born}"
+    keys = [item.attributes.get("key") or unnamed for item in items]
+    flow._store_write(*stage.destination,
+                      zip(keys, [item.payload for item in items]), tick)
+    stage.emitted += len(items)
+    flow.delivered_items += items
+    flow.events_this_tick += [(stage.name, "deliver", key) for key in keys]
 
 
 class Flow:
@@ -347,7 +361,7 @@ class Flow:
         self.out_edges: dict[str, list[str]] = {}
         self.stores: dict[tuple[str, str], dict[str, bytes]] = {}
         self.store_events: list[StoreEvent] = []
-        self._bucket_events: dict[tuple[str, str], list[StoreEvent]] = {}
+        self._bucket_events: dict = {}  # (provider, bucket) -> its store events
         self.functions: dict = dict(BUILTIN_FUNCTIONS)
         self.delivered_items: list[FlowItem] = []
         self.error_items: list[FlowItem] = []
@@ -364,17 +378,16 @@ class Flow:
 
     # -- stores ------------------------------------------------------------
 
-    def _events_in(self, where: tuple[str, str]) -> list[StoreEvent]:
-        """The store events of one (provider, bucket), in write order."""
-        return self._bucket_events.setdefault(where, [])
-
-    def _store_write(self, provider, bucket, key, payload, tick):
+    def _store_write(self, provider, bucket, pairs, tick):
+        """Write each (key, payload) of `pairs` to one bucket, in order."""
         where = (provider, bucket)
-        self.stores.setdefault(where, {})[key] = payload
-        event = StoreEvent(len(self.store_events), tick, provider, bucket,
-                           key, payload)
-        self.store_events.append(event)
-        self._events_in(where).append(event)
+        objects = self.stores.setdefault(where, {})
+        log, events = self.store_events, self._bucket_events.setdefault(where, [])
+        for key, payload in pairs:
+            objects[key] = payload
+            event = StoreEvent(len(log), tick, provider, bucket, key, payload)
+            log.append(event)
+            events.append(event)
         for index in self._readers.get(where, ()):
             self._wake(index)
 
@@ -391,7 +404,7 @@ class Flow:
 
     def put_object(self, provider: str, bucket: str, key: str, payload: bytes):
         """Store an object now; bound consumers see it as a new-object event."""
-        self._store_write(provider, bucket, key, bytes(payload), self.clock)
+        self._store_write(provider, bucket, [(key, bytes(payload))], self.clock)
 
     def schedule_injection(self, tick: int, provider: str, bucket: str,
                            key: str, payload: bytes):
@@ -401,7 +414,7 @@ class Flow:
             raise ScheduleError(f"tick {tick} is already in the past "
                                 f"(clock is at {self.clock})")
         heappush(self._agenda, (tick, -1, next(self._puts),
-                                (provider, bucket, key, bytes(payload))))
+                                (provider, bucket, [(key, bytes(payload))])))
 
     # -- functions -----------------------------------------------------------
 
@@ -421,8 +434,7 @@ class Flow:
         agenda, stages = self._agenda, self._stages
         while agenda and agenda[0][0] == now:
             entry = heappop(agenda)
-            index = entry[1]
-            if index < 0:
+            if (index := entry[1]) < 0:
                 self._store_write(*entry[3], now)
             else:
                 stage = stages[index]
@@ -460,15 +472,12 @@ class Flow:
                 f"conservation violated: born={self.born} accounted={accounted}")
 
     def metrics(self) -> dict:
-        per_block = {
-            name: {"consumed": stage.consumed, "emitted": stage.emitted,
-                   "errors": stage.errors}
-            for name, stage in sorted(self.blocks.items())
-        }
+        per_block = {name: {"consumed": stage.consumed, "emitted": stage.emitted,
+                            "errors": stage.errors}
+                     for name, stage in sorted(self.blocks.items())}
         stores = {f"{provider}/{bucket}": len(objects)
                   for (provider, bucket), objects in sorted(self.stores.items())}
-        return {"per_block": per_block, "stores": stores,
-                "final_tick": self.clock - 1}
+        return {"per_block": per_block, "stores": stores, "final_tick": self.clock - 1}
 
     @property
     def error_count(self) -> int:
@@ -522,7 +531,7 @@ def _build_stage(topo, flow, name) -> _Stage:
         return stage(_transform, function=partial(
             operation, passphrase=cipher_key(prop("passphrase"))))
     if key_prop := first_of(cat.INVOKER_KEYS, ancestry):
-        # looked up per item: functions may be registered after instantiate
+        # looked up per firing: functions may be registered after instantiate
         return stage(_transform, function_key=str(prop(key_prop) or ""))
     if cat.PROCESS_PREFIX + "RouteToRemote" in ancestry:
         available = flow.out_edges.get(name, ())  # wired before the stages
@@ -538,22 +547,15 @@ def _build_stage(topo, flow, name) -> _Stage:
 
 
 def _parse_predicate(predicate):
-    """(target, attribute, value) clauses of a route predicate.
-
-    The predicate language is a placeholder: semicolon-separated
-    ``target:attribute=value`` clauses matched against item attributes;
-    malformed clauses are ignored.
-    """
+    """(target, attribute, value) clauses of a route predicate: a placeholder
+    language of semicolon-separated ``target:attribute=value`` clauses,
+    matched against item attributes; malformed clauses are ignored."""
     clauses = []
     for raw in str(predicate or "").split(";"):
-        raw = raw.strip()
-        if not raw or ":" not in raw:
-            continue
-        target, condition = raw.split(":", 1)
-        if "=" not in condition:
-            continue
-        attribute, value = condition.split("=", 1)
-        clauses.append((target.strip(), attribute.strip(), value.strip()))
+        target, colon, condition = raw.partition(":")
+        attribute, equals, value = condition.partition("=")
+        if colon and equals:
+            clauses.append((target.strip(), attribute.strip(), value.strip()))
     return clauses
 
 
@@ -569,8 +571,6 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
     number of ASCII hex digits) or else a file path, resolved against
     `base_dir`.  Blank lines and ``#`` comments are skipped.
     """
-    import os
-
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -583,8 +583,7 @@ def parse_schedule(text: str, base_dir=None) -> list[tuple[int, str, str, str, b
         tick_text, provider, bucket, key, payload_text = parts
         digits = tick_text.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
-            raise ScheduleError(f"schedule line {lineno}: bad tick "
-                                f"{tick_text!r}")
+            raise ScheduleError(f"schedule line {lineno}: bad tick {tick_text!r}")
         tick = int(tick_text)
         if tick < 0:
             raise ScheduleError(f"schedule line {lineno}: tick must be >= 0")

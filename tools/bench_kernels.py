@@ -16,7 +16,9 @@ The engine rows time `Flow.run_until` alone, on a flow built before the
 pass: the store_relay seed 1 job's flow through its horizon; the same flow
 with a long schedule, one 16-byte object a tick for LONG_TICKS ticks into
 the bucket its first hop reads, run for a further horizon past the last
-one; and the trickle probe, which feeds TRICKLE_OBJECTS objects of 64
+one; the same flow with a burst, BURST_OBJECTS objects of 16 bytes written
+at tick 0 into that bucket, so each firing carries the whole burst, run
+through the horizon; and the trickle probe, which feeds TRICKLE_OBJECTS objects of 64
 bytes, one per tick, into C000_Src of the blueprint_scale seed 1 template
 repaired by `verify(fix=True)` and runs to tick TRICKLE_END, so one
 six-block chain does all the work however many chains the template has.
@@ -49,6 +51,7 @@ TRICKLE_CHAINS = (32, 512)
 TRICKLE_OBJECTS = 200
 TRICKLE_END = 260
 LONG_TICKS = 16_000
+BURST_OBJECTS = 2_000
 
 
 def _time(run, prepare, repeat):
@@ -89,6 +92,15 @@ def _engine(toscaflow, workloads, worker):
         return flow
 
     yield ("long schedule", long_schedule, LONG_TICKS + relay.horizon)
+
+    def burst():
+        flow = worker.run_job(relay.csar(), SEED, -1).flow
+        provider, bucket = flow.blocks["H0_Cons"].source
+        for n in range(BURST_OBJECTS):
+            flow.put_object(provider, bucket, f"burst-{n:04d}", bytes([n % 251]) * 16)
+        return flow
+
+    yield "burst", burst, relay.horizon
 
     chains = workloads.BLUEPRINT_CHAINS
     for count in TRICKLE_CHAINS:
