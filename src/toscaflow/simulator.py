@@ -237,7 +237,7 @@ class _Stage:
             for queue in self.inputs:
                 items += queue
                 queue.clear()
-        if not items:
+        if not items:  # a batch of none would still wake the outputs
             return
         self.consumed += len(items)
         visit = (self.name, tick)
@@ -332,7 +332,7 @@ def _route(stage, items, tick):
         outputs = [output for output in stage.outputs if output[0] in targets]
         events += [(name, "emit", target) for target, _, _ in outputs]
         routed.append((outputs, item))
-    for outputs, run in groupby(routed, lambda routed: routed[0]):
+    for outputs, run in groupby(routed, lambda pair: pair[0]):
         stage.emit([item for _, item in run], outputs)
 
 

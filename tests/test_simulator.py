@@ -782,6 +782,29 @@ def test_the_forks_of_one_batch_are_independent_items():
     assert (flow.born, flow.dropped) == (8, 0)
 
 
+def test_a_firing_that_takes_nothing_passes_nothing_on():
+    """B's item wakes consumer A through a queue A never drains, so A fires
+    with no new object: it must neither wake Pub nor create Pub's bucket."""
+    stack, nifi = b.nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+
+    def block(name, kind, bucket, downstream=None):
+        reqs = [("host", nifi)] + ([("connectToPipeline", downstream)]
+                                   if downstream else [])
+        return b.node(name, kind, props={"name": name, "BucketName": bucket, **minio},
+                      reqs=reqs)
+
+    flow = instantiate(b.template(
+        *stack, block("B", b.SRC + "ConsMinIO", "x", "A"),
+        block("A", b.SRC + "ConsMinIO", "y", "Pub"), block("Pub", b.DST + "PubsMinIO", "out")))
+    flow.put_object("minio", "x", "k", b"\x01")
+    assert flow.tick() == [("B", "consume", "k"), ("B", "emit", "A")]
+    metrics = flow.run_until(5)
+    assert metrics["stores"] == {"minio/x": 1}
+    assert metrics["per_block"]["Pub"] == {"consumed": 0, "emitted": 0, "errors": 0}
+    assert flow._agenda == []
+
+
 def test_a_router_sends_each_item_of_a_batch_to_its_own_targets():
     flow = instantiate(_fan_out(("Router", b.PRC + "RouteToRemote", {
         "route_predicate": "DstA:key=a;DstB:key=b;DstA:key=ab;DstB:key=ab;"
