@@ -18,10 +18,11 @@ with a long schedule, one 16-byte object a tick for LONG_TICKS ticks into
 the bucket its first hop reads, run for a further horizon past the last
 one; the same flow with a burst, BURST_OBJECTS objects of 16 bytes written
 at tick 0 into that bucket, so each firing carries the whole burst, run
-through the horizon; and the trickle probe, which feeds TRICKLE_OBJECTS objects of 64
-bytes, one per tick, into C000_Src of the blueprint_scale seed 1 template
-repaired by `verify(fix=True)` and runs to tick TRICKLE_END, so one
-six-block chain does all the work however many chains the template has.
+through the horizon; and the trickle probe, which feeds TRICKLE_OBJECTS
+objects of 64 bytes, one per tick, into C000_Src of the blueprint_scale
+seed 1 template repaired by `verify(fix=True)` and runs to tick
+TRICKLE_END, so one six-block chain does all the work however many chains
+the template has.
 The probe runs at each of TRICKLE_CHAINS, set as
 `workloads.BLUEPRINT_CHAINS` in this process; building the 512-chain
 template takes several seconds.
