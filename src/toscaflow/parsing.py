@@ -113,15 +113,59 @@ def _suits_libyaml(text) -> bool:
     return 2 * (longest + 1) + text.count("[") + text.count("{") <= _LIBYAML_MAX_DEPTH
 
 
+_STR_TAG = "tag:yaml.org,2002:str"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_MAP_TAG = "tag:yaml.org,2002:map"
+
+
+class _Resolver(yaml.resolver.Resolver):
+    """PyYAML's resolver with no path resolvers, as toscaflow registers
+    none, put before a stock loader's own: a collection takes the default
+    tag, a quoted scalar `!!str`, and a plain scalar the tag the stock
+    resolver gives its value, which is all that tag depends on, so it is
+    looked up once per value in a document.  With no path resolvers the
+    path hooks do nothing."""
+
+    def __init__(self, stream):
+        super().__init__(stream)  # the stock loader's
+        self._plain_tags = {}
+
+    def resolve(self, kind, value, implicit):
+        if kind is not yaml.ScalarNode:
+            return _MAP_TAG if kind is yaml.MappingNode else _SEQ_TAG
+        if not implicit[0]:
+            return _STR_TAG
+        tag = self._plain_tags.get(value)
+        if tag is None:
+            tag = self._plain_tags[value] = super().resolve(kind, value, implicit)
+        return tag
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+
+class _PureLoader(_Resolver, yaml.SafeLoader):
+    """`yaml.SafeLoader` resolving through `_Resolver`."""
+
+
+_LibyamlLoader = None
+if yaml.__with_libyaml__:
+    class _LibyamlLoader(_Resolver, yaml.CSafeLoader):
+        """`yaml.CSafeLoader` resolving through `_Resolver`."""
+
+
 def _compose(text, filename):
-    fast_loader = getattr(yaml, "CSafeLoader", None)
-    if fast_loader is not None and _suits_libyaml(text):
+    # asked at each call, so hiding `CSafeLoader` takes the pure path
+    if getattr(yaml, "CSafeLoader", None) is not None and _suits_libyaml(text):
         try:
-            return yaml.compose(text, Loader=fast_loader)
+            return yaml.compose(text, Loader=_LibyamlLoader)
         except (yaml.YAMLError, UnicodeEncodeError):  # a lone surrogate
             pass  # composed again below, so the pure loader words the error
     try:
-        loader = yaml.SafeLoader(text)
+        loader = _PureLoader(text)
         try:
             return loader.get_single_node()
         except RecursionError as exc:
@@ -149,9 +193,6 @@ def _outermost_open(marks):
 def _too_deep(mark, filename) -> TemplateSyntaxError:
     return TemplateSyntaxError(
         "nested too deep", SourceLocation(filename, mark.line + 1, mark.column + 1))
-
-
-_STR_TAG = "tag:yaml.org,2002:str"
 
 
 def _construct(node, filename):
@@ -184,7 +225,8 @@ def _items(node, what, filename, duplicate_error=SchemaError):
     seen = {}
     out = []
     for key_node, value_node in _require_mapping(node, what, filename).value:
-        key = _construct(key_node, filename)
+        key = key_node.value if key_node.tag == _STR_TAG \
+            and isinstance(key_node, yaml.ScalarNode) else _construct(key_node, filename)
         if not isinstance(key, str):
             raise SchemaError(f"mapping key {key!r} is not a string",
                               _loc(key_node, filename))
@@ -472,14 +514,15 @@ def _parse_node_templates(templates_node, filename, defs, partial):
             and _construct(templates_node, filename) is None:
         return {}
     out = {}
+    types = {}  # each type resolved so far, by name
     for name, body_node, name_node in _items(templates_node, "node_templates", filename,
                                              duplicate_error=DuplicateTemplateNameError):
         out[name] = _parse_node_template(name, body_node, _loc(name_node, filename),
-                                         filename, defs, partial)
+                                         filename, defs, partial, types)
     return out
 
 
-def _parse_node_template(name, body_node, location, filename, defs, partial):
+def _parse_node_template(name, body_node, location, filename, defs, partial, types):
     type_name = None
     property_values = {}
     artifacts = {}
@@ -500,10 +543,12 @@ def _parse_node_template(name, body_node, location, filename, defs, partial):
     if type_name is None:
         raise SchemaError(f"node template {name!r} has no type", location)
 
-    try:
-        resolved = resolve_type(type_name, defs)
-    except UnknownTypeError as exc:
-        raise SchemaError(f"node template {name!r}: {exc}", location) from exc
+    resolved = types.get(type_name)
+    if resolved is None:
+        try:
+            resolved = types[type_name] = resolve_type(type_name, defs)
+        except UnknownTypeError as exc:
+            raise SchemaError(f"node template {name!r}: {exc}", location) from exc
 
     for prop_name in property_values:
         if prop_name not in resolved.properties:
@@ -611,10 +656,8 @@ _REPRESENTER = yaml.representer.SafeRepresenter()
 _SCALAR_REPRESENTERS = {kind: _REPRESENTER.yaml_representers[kind]
                         for kind in (type(None), bool, int, float)}
 # collections share their start and end events
-_MAP_START = yaml.MappingStartEvent(None, "tag:yaml.org,2002:map", True,
-                                    flow_style=False)
-_SEQ_START = yaml.SequenceStartEvent(None, "tag:yaml.org,2002:seq", True,
-                                     flow_style=False)
+_MAP_START = yaml.MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
+_SEQ_START = yaml.SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
 _MAP_END = yaml.MappingEndEvent()
 _SEQ_END = yaml.SequenceEndEvent()
 

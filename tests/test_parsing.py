@@ -658,3 +658,42 @@ def test_an_unconstructible_version_header_is_reported_first(parse, rest):
 def test_a_scalar_version_header_reads_as_its_text(header, version):
     template = parse_service_template(f"tosca_definitions_version: {header}\n" + TOPOLOGY)
     assert template.tosca_version == version
+
+
+# one resolution per distinct type in a parse: a table of the types
+# resolved so far, which must not move any error to another node
+NIFI = "{type: radon.nodes.nifi.Nifi, properties: {component_version: '1'%s}}\n"
+
+
+@pytest.mark.parametrize("first, later, message, location", [
+    ("{type: acme.Missing}\n", "{type: acme.Missing}\n",
+     "node template 'B': unknown type 'acme.Missing'", "4:5"),
+    (NIFI % "", "{type: radon.nodes.nifi.Nifi}\n",
+     "node template 'A' misses required property 'component_version'", "5:5"),
+    (NIFI % "", NIFI % ", nope: 1",
+     "node template 'A' assigns unknown property 'nope'", "5:5"),
+])
+def test_a_type_seen_before_reports_each_node_at_that_node(first, later, message,
+                                                           location):
+    text = V + TOPOLOGY + "    B: " + first + "    A: " + later  # not sorted
+    with pytest.raises(SchemaError) as excinfo:
+        parse_service_template(text, filename="p.yaml")
+    assert excinfo.value.args[0] == message
+    assert str(excinfo.value.location) == f"p.yaml:{location}"
+
+
+def test_each_distinct_type_is_resolved_once_per_parse(monkeypatch, fixture_path):
+    resolved = []
+
+    def resolve_type(name, defs):
+        resolved.append(name)
+        return real(name, defs)
+
+    real = parsing.resolve_type
+    monkeypatch.setattr(parsing, "resolve_type", resolve_type)
+    text = pathlib.Path(fixture_path("s3_to_gcs.yaml")).read_text(encoding="utf-8")
+    template = parse_service_template(text)
+    types = [node.type for node in template.node_templates.values()]
+    assert sorted(resolved) == sorted(set(types)) and len(types) > len(resolved)
+    parse_service_template(text)  # a second parse resolves them again
+    assert len(resolved) == 2 * len(set(types))

@@ -1,4 +1,4 @@
-"""Time toscaflow's byte kernels and its simulator engine on benchmark inputs.
+"""Time toscaflow's parser, byte kernels and simulator engine on benchmark inputs.
 
 Run from the root of a checkout; --src times another source tree:
 
@@ -11,6 +11,13 @@ parse_schedule the schedule text, grayscale_transform the injected
 payloads, blur_transform their grayscale, and encrypt_bytes and
 rle_compress the blurred ones.  A pass calls the kernel once on each of
 its inputs.
+
+The parse rows time the two halves of `parse_service_template` on the
+two texts the blueprint_scale seed 1 job parses: the CSAR's entry
+definitions, and the serialization of that template repaired by
+`verify(fix=True)`.  `compose` is the YAML node tree alone; `model build`
+is the rest of `parse_service_template`, handed a tree composed before
+the pass.
 
 The engine rows time `Flow.run_until` alone, on a flow built before the
 pass: the store_relay seed 1 job's flow through its horizon; the same flow
@@ -74,6 +81,32 @@ def _row(name, times, **facts):
           f"median {statistics.median(times):8.3f} ms")
     return {**facts, "best_ms": round(min(times), 3),
             "median_ms": round(statistics.median(times), 3)}
+
+
+def _parse(toscaflow, workloads):
+    """The parse rows as (name, run, prepare): `_time`'s arguments."""
+    from toscaflow import parsing
+    archive = toscaflow.unpack_csar(workloads.blueprint_scale(SEED).csar())
+    entry = archive.entry_definitions
+    entry_text = archive.files[entry].decode("utf-8")
+    fixed = toscaflow.verify(toscaflow.parse_service_template(entry_text, entry),
+                             fix=True, seed=SEED)[0]
+    compose = parsing._compose
+    for label, text, filename in (
+            ("entry", entry_text, entry),
+            ("repaired", toscaflow.serialize_template(fixed), "fixed.yaml")):
+        yield (f"compose {label}", lambda text, filename=filename: compose(text, filename),
+               lambda text=text: text)
+
+        def build(node, text=text, filename=filename):
+            parsing._compose = lambda text, filename: node
+            try:
+                toscaflow.parse_service_template(text, filename)
+            finally:
+                parsing._compose = compose
+
+        yield (f"model build {label}", build,
+               lambda text=text, filename=filename: compose(text, filename))
 
 
 def _engine(toscaflow, workloads, worker):
@@ -166,6 +199,8 @@ def main(argv=None) -> int:
         results[name] = _row(name, _time(run, lambda inputs=inputs: inputs, REPEAT),
                              calls=len(inputs),
                              input_len=sum(len(data) for data in inputs))
+    parse = {name: _row(name, _time(run, prepare, REPEAT))
+             for name, run, prepare in _parse(toscaflow, workloads)}
     engine = {}
     for name, make_flow, t_end in _engine(toscaflow, workloads, worker):
         times = _time(lambda flow, t_end=t_end: flow.run_until(t_end), make_flow,
@@ -182,6 +217,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "kernels": results,
+        "parse": parse,
         "engine": engine,
     }
     with open(OUT, "w", encoding="utf-8") as handle:
