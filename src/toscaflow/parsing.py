@@ -152,8 +152,8 @@ class _PureLoader(_Resolver, yaml.SafeLoader):
 
 
 _LibyamlLoader = None
-if yaml.__with_libyaml__:
-    class _LibyamlLoader(_Resolver, yaml.CSafeLoader):
+if yaml.__with_libyaml__:  # `yaml.cyaml`'s, which hiding `yaml.CSafeLoader` leaves
+    class _LibyamlLoader(_Resolver, yaml.cyaml.CSafeLoader):
         """`yaml.CSafeLoader` resolving through `_Resolver`."""
 
 

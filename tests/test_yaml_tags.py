@@ -6,6 +6,10 @@ and skips the path hooks.  These tests hold every node's tag to the stock
 loader's, on libyaml and on the pure path.
 """
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 import yaml
 
@@ -101,3 +105,18 @@ def test_the_libyaml_loader_is_built_only_while_pyyaml_has_libyaml(monkeypatch):
         _compose(text, "f.yaml")
     _pure_only(monkeypatch)
     assert _tags(_compose(text, "f.yaml")) == expected
+
+
+def test_parsing_imports_and_composes_with_libyaml_hidden_before_it():
+    """As on a host whose PyYAML lacks libyaml, a process that hides it
+    first still imports `parsing` and composes on the pure path."""
+    source_root = str(pathlib.Path(parsing.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, yaml; sys.path.insert(0, sys.argv[1]); "
+         "del yaml.CSafeLoader, yaml.CSafeDumper\n"
+         "from toscaflow.parsing import _compose\n"
+         "print(_compose('a: [1, yes]\\n', 'f.yaml').value[0][1].value[1].tag)",
+         source_root], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "tag:yaml.org,2002:bool\n", "")
