@@ -119,12 +119,10 @@ _MAP_TAG = "tag:yaml.org,2002:map"
 
 
 class _Resolver(yaml.resolver.Resolver):
-    """PyYAML's resolver with no path resolvers, as toscaflow registers
-    none, put before a stock loader's own: a collection takes the default
-    tag, a quoted scalar `!!str`, and a plain scalar the tag the stock
-    resolver gives its value, which is all that tag depends on, so it is
-    looked up once per value in a document.  With no path resolvers the
-    path hooks do nothing."""
+    """A resolver put before a stock loader's own.  toscaflow registers no
+    path resolver, so a collection takes the default tag, a quoted scalar
+    `!!str`, and a plain scalar's tag depends on its value alone and is
+    resolved once per value in a document; the path hooks do nothing."""
 
     def __init__(self, stream):
         super().__init__(stream)  # the stock loader's
@@ -152,7 +150,7 @@ class _PureLoader(_Resolver, yaml.SafeLoader):
 
 
 _LibyamlLoader = None
-if yaml.__with_libyaml__:  # `yaml.cyaml`'s, which hiding `yaml.CSafeLoader` leaves
+if yaml.__with_libyaml__:  # yaml.cyaml's, so hiding yaml.CSafeLoader first is safe
     class _LibyamlLoader(_Resolver, yaml.cyaml.CSafeLoader):
         """`yaml.CSafeLoader` resolving through `_Resolver`."""
 
