@@ -11,22 +11,22 @@ stages fire in topological order of the connection graph, so an
 event-driven chain is traversed in a single tick; `instantiate` refuses a
 connection cycle.
 
-A firing hands the stage's whole batch to one handler, which walks it in
-item order, appends each item's events, and passes on what it forwards in
-one emit (a `+=` per output queue, forks after the first) or, for a
-publisher, one store write.  Each write goes to the flow's event log and
-to one event list per (provider, bucket); a stage reading a bucket keeps
-an offset into that list, so a firing looks only at the events it has not
-taken.
+Every firing drains the stage's queues: one per connection into it and,
+first, the inbox of a stage that reads a bucket, to which each store write
+adds a new item per object (born, in `born`, when a firing takes it).  A
+firing hands the whole batch to one handler, which walks it in item order,
+appends each item's events, and passes on what it forwards in one emit (a
+`+=` per output queue, forks after the first) or, for a publisher, one
+store write, which also goes to the flow's event log.
 
 One agenda, a heap, drives the clock.  It holds (tick, firing index) for
 each stage an item waits for and (tick, -1, seq, put) for each scheduled
 put.  A stage goes on it once, when an item starts to wait for it (one of
-its queues stops being empty or an object lands in a bucket it reads), for
-`start` if it is event-driven, else for its cron's next match from
-`start`; `start` is the clock, or the next tick if the stage is at or
-before the one firing now in the order.  A tick pops the entries for its
-tick: the puts in schedule order, then the stages in firing order.
+its queues stops being empty), for `start` if it is event-driven, else for
+its cron's next match from `start`; `start` is the clock, or the next tick
+if the stage is at or before the one firing now in the order.  A tick pops
+the entries for its tick: the puts in schedule order, then the stages in
+firing order.
 `run_until` jumps the clock straight to the agenda's first tick.
 
 Determinism is a hard contract: no wall clock, no OS entropy.  Identical
@@ -189,11 +189,11 @@ class StoreEvent(Record, frozen=True):
 
 
 class _Stage:
-    """One block: on each firing it takes its items in and handles its
-    batch, item by item in order.
+    """One block: on each firing it drains its input queues and handles
+    the batch, item by item in order.
 
-    A stage with a `source` (provider, bucket) takes the objects written
-    there since it last fired; any other stage drains its input queues.
+    A stage with a `source` (provider, bucket) has its `inbox` first in
+    `inputs`: the store fills it with an item per object written there.
     The queues and the firing order are fixed before the stage is built;
     `outputs` holds a (target, queue, target's firing index) triple per
     connection, in target order.
@@ -213,14 +213,13 @@ class _Stage:
         self.function = function
         self.function_key = function_key
         self.clauses = clauses
-        self.events = None
-        self.cursor = 0  # offset of the first event in `events` not yet taken
+        self.inbox = []  # items not yet born; only a reader's is ever filled
         index = flow._index  # a name on a cycle has none; instantiate refuses it
-        if source is not None:
-            self.events = flow._bucket_events.setdefault(source, [])
-            flow._readers.setdefault(source, []).append(index.get(name))
         self.inputs = [flow.queues[(upstream, name)]
                        for upstream in flow.in_edges.get(name, ())]
+        if source is not None:
+            self.inputs.insert(0, self.inbox)
+            flow._readers.setdefault(source, []).append((self.inbox, index.get(name)))
         self.outputs = [(target, flow.queues[(name, target)], index.get(target))
                         for target in flow.out_edges.get(name, ())]
         self.emit_events = [(name, "emit", target) for target, _, _ in self.outputs]
@@ -230,15 +229,13 @@ class _Stage:
         self.errors = 0
 
     def fire(self, tick: int):
-        if self.source is not None:
-            items = self._take_new_objects()
-        else:  # drain the input queues
-            items = []
-            for queue in self.inputs:
-                items += queue
-                queue.clear()
-        if not items:  # a batch of none would still wake the outputs
-            return
+        """Drain the inputs before the handler runs, so a copy into its own
+        bucket copies each object once per firing."""
+        self.flow.born += len(self.inbox)
+        items = []
+        for queue in self.inputs:
+            items += queue
+            queue.clear()
         self.consumed += len(items)
         visit = (self.name, tick)
         for item in items:
@@ -267,18 +264,6 @@ class _Stage:
         item.attributes["error"] = reason
         self.flow.error_items.append(item)
         self.flow.events_this_tick.append((self.name, "error", reason))
-
-    def _take_new_objects(self):
-        """An item born for each source event since the last one taken, in
-        write order.  The scan ends before the handler runs, so a copy into
-        its own bucket copies each object once per firing."""
-        provider, bucket = self.source
-        items = [FlowItem(event.payload, {"source_provider": provider,
-                                          "source_bucket": bucket, "key": event.key})
-                 for event in self.events[self.cursor:]]
-        self.cursor += len(items)
-        self.flow.born += len(items)
-        return items
 
 
 def _consume(stage, items, tick):
@@ -361,7 +346,6 @@ class Flow:
         self.out_edges: dict[str, list[str]] = {}
         self.stores: dict[tuple[str, str], dict[str, bytes]] = {}
         self.store_events: list[StoreEvent] = []
-        self._bucket_events: dict = {}  # (provider, bucket) -> its store events
         self.functions: dict = dict(BUILTIN_FUNCTIONS)
         self.delivered_items: list[FlowItem] = []
         self.error_items: list[FlowItem] = []
@@ -371,7 +355,7 @@ class Flow:
         self._firing_order: list[str] = []
         self._index: dict[str, int] = {}  # name -> its place in the firing order
         self._stages: list[_Stage] = []  # in firing order
-        self._readers: dict[tuple[str, str], list[int]] = {}  # bucket -> stages
+        self._readers: dict[tuple, list] = {}  # bucket -> (inbox, firing index)
         self._agenda: list[tuple] = []  # (tick, index) and (tick, -1, seq, put)
         self._puts = count()  # the seq of each scheduled put
         self._firing = -1  # the index of the stage firing now
@@ -379,17 +363,19 @@ class Flow:
     # -- stores ------------------------------------------------------------
 
     def _store_write(self, provider, bucket, pairs, tick):
-        """Write each (key, payload) of `pairs` to one bucket, in order."""
+        """Write each (key, payload) of `pairs` to one bucket, in order, and
+        queue an item for each on every reader's inbox."""
         where = (provider, bucket)
         objects = self.stores.setdefault(where, {})
-        log, events = self.store_events, self._bucket_events.setdefault(where, [])
+        log, readers = self.store_events, self._readers.get(where, ())
         for key, payload in pairs:
             objects[key] = payload
-            event = StoreEvent(len(log), tick, provider, bucket, key, payload)
-            log.append(event)
-            events.append(event)
-        for index in self._readers.get(where, ()):
-            self._wake(index)
+            log.append(StoreEvent(len(log), tick, provider, bucket, key, payload))
+            for inbox, index in readers:
+                if not inbox:
+                    self._wake(index)
+                inbox.append(FlowItem(payload, {"source_provider": provider,
+                                                "source_bucket": bucket, "key": key}))
 
     def _wake(self, index: int):
         """An item now waits for the stage at `index` in the firing order."""
@@ -403,7 +389,7 @@ class Flow:
                      (start if cron is None else cron_next(cron, start), index))
 
     def put_object(self, provider: str, bucket: str, key: str, payload: bytes):
-        """Store an object now; bound consumers see it as a new-object event."""
+        """Store an object now; each stage reading the bucket gets an item for it."""
         self._store_write(provider, bucket, [(key, bytes(payload))], self.clock)
 
     def schedule_injection(self, tick: int, provider: str, bucket: str,

@@ -782,9 +782,10 @@ def test_the_forks_of_one_batch_are_independent_items():
     assert (flow.born, flow.dropped) == (8, 0)
 
 
-def test_a_firing_that_takes_nothing_passes_nothing_on():
-    """B's item wakes consumer A through a queue A never drains, so A fires
-    with no new object: it must neither wake Pub nor create Pub's bucket."""
+def test_a_reader_with_a_connection_into_it_drains_that_queue_too(monkeypatch):
+    """Consumer A reads bucket y and also gets B's items by a connection (a
+    shape verify reports as R1): every firing drains its inbox first and
+    then its queue, so nothing is stranded and no firing takes nothing."""
     stack, nifi = b.nifi_stack()
     minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
 
@@ -797,12 +798,87 @@ def test_a_firing_that_takes_nothing_passes_nothing_on():
     flow = instantiate(b.template(
         *stack, block("B", b.SRC + "ConsMinIO", "x", "A"),
         block("A", b.SRC + "ConsMinIO", "y", "Pub"), block("Pub", b.DST + "PubsMinIO", "out")))
+    fired = []
+    fire = _Stage.fire
+    monkeypatch.setattr(_Stage, "fire", lambda stage, tick: (
+        fired.append((stage.name, tick, sum(map(len, stage.inputs)))), fire(stage, tick)))
     flow.put_object("minio", "x", "k", b"\x01")
-    assert flow.tick() == [("B", "consume", "k"), ("B", "emit", "A")]
-    metrics = flow.run_until(5)
-    assert metrics["stores"] == {"minio/x": 1}
-    assert metrics["per_block"]["Pub"] == {"consumed": 0, "emitted": 0, "errors": 0}
+    flow.schedule_injection(2, "minio", "x", "k2", b"\x02")
+    flow.schedule_injection(2, "minio", "y", "j", b"\x03")
+    events = {}
+    while flow.clock <= 5:
+        now = flow.clock
+        if tick_events := flow.tick():
+            events[now] = tick_events
+        flow.audit()
+        assert not any(flow.queues.values())
+        assert not any(stage.inbox for stage in flow.blocks.values())
+    assert events == {
+        0: [("B", "consume", "k"), ("B", "emit", "A"),
+            ("A", "consume", "k"), ("A", "emit", "Pub"), ("Pub", "deliver", "k")],
+        2: [("B", "consume", "k2"), ("B", "emit", "A"),
+            ("A", "consume", "j"), ("A", "emit", "Pub"),
+            ("A", "consume", "k2"), ("A", "emit", "Pub"),
+            ("Pub", "deliver", "j"), ("Pub", "deliver", "k2")],
+    }
+    assert fired == [("B", 0, 1), ("A", 0, 1), ("Pub", 0, 1),
+                     ("B", 2, 1), ("A", 2, 2), ("Pub", 2, 2)]
+    assert flow.stores[("minio", "out")] == {"k": b"\x01", "j": b"\x03", "k2": b"\x02"}
+    assert [item.trail for item in flow.delivered_items] == [
+        [("B", 0), ("A", 0), ("Pub", 0)], [("A", 2), ("Pub", 2)],
+        [("B", 2), ("A", 2), ("Pub", 2)]]
     assert flow._agenda == []
+
+
+def test_two_readers_of_one_bucket_each_take_every_object_as_their_own_item():
+    """Ev is event-driven and Cr fires at seconds 0 and 30; each takes
+    every object written to `in` once, in write order, as its own item,
+    and an object is counted in `born` only when a reader takes it."""
+    stack, nifi = b.nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+
+    def chain(reader, cron, publisher, bucket):
+        return [b.node(reader, b.SRC + "ConsMinIO", reqs=[
+                    ("host", nifi), ("connectToPipeline", publisher)],
+                    props=_scheduled({"name": reader, "BucketName": "in", **minio}, cron)),
+                b.node(publisher, b.DST + "PubsMinIO", reqs=[("host", nifi)],
+                       props={"name": publisher, "BucketName": bucket, **minio})]
+
+    template = b.template(*stack, *chain("Ev", None, "PubE", "out-e"),
+                          *chain("Cr", "0,30 * * * * ?", "PubC", "out-c"))
+    assert not [d for d in verify(template)[1] if d.severity == ERROR]
+    flow = instantiate(template)
+    writes = [(0, "a"), (0, "b"), (12, "c"), (30, "d"), (30, "a"), (45, "e")]
+    for tick, key in writes[2:]:
+        flow.schedule_injection(tick, "minio", "in", key, key.encode() * 2)
+    for _, key in writes[:2]:
+        flow.put_object("minio", "in", key, key.encode() * 2)
+    assert flow.born == 0  # both readers' items wait to be taken
+    consumed = {"Ev": [], "Cr": []}
+    born = {}
+    while flow.clock <= 60:
+        now = flow.clock
+        for stage, kind, key in flow.tick():
+            if kind == "consume":
+                consumed[stage].append((now, key))
+        flow.audit()
+        born[now] = flow.born
+    assert consumed == {"Ev": writes,
+                        "Cr": [(0, "a"), (0, "b")] + [(30, key) for _, key in writes[2:5]]
+                        + [(60, "e")]}
+    # Ev takes c at tick 12, but Cr's item for it is not born before tick 30
+    assert [born[tick] for tick in (0, 11, 12, 29, 30, 45, 59, 60)] == \
+        [4, 4, 5, 5, 10, 11, 11, 12]
+    assert flow.stores[("minio", "out-e")] == flow.stores[("minio", "out-c")] == \
+        {key: key.encode() * 2 for key in "abcde"}
+    by_reader = {"Ev": {}, "Cr": {}}
+    for item in flow.delivered_items:
+        by_reader[item.trail[0][0]][item.attributes["key"]] = item
+    ev, cr = by_reader["Ev"]["c"], by_reader["Cr"]["c"]
+    assert ev is not cr and ev.payload == cr.payload == b"cc"
+    ev.attributes["mark"] = "Ev's"
+    assert cr.attributes == {"source_provider": "minio", "source_bucket": "in",
+                             "key": "c"}
 
 
 def test_a_router_sends_each_item_of_a_batch_to_its_own_targets():

@@ -35,9 +35,11 @@ The probe runs at each of TRICKLE_CHAINS, set as
 template takes several seconds.
 
 Each row's best and median of REPEAT passes, all in this one process, go
-into BENCH_kernels.json under --label.  The other labels in that file are
-kept, so two source trees measured on one host sit side by side.  This is
-a measurement, not a test: it checks no output.
+into BENCH_kernels.json under --label, next to the collections the cyclic
+collector ran inside those passes: one count per generation, summed over
+the passes.  The other labels in that file are kept, so two source trees
+measured on one host sit side by side.  This is a measurement, not a test:
+it checks no output.
 """
 
 from __future__ import annotations
@@ -63,24 +65,32 @@ BURST_OBJECTS = 2_000
 
 
 def _time(run, prepare, repeat):
-    """The times of `repeat` calls of `run(prepare())` in milliseconds,
-    `prepare` untimed, with a full collection before each call so no
-    earlier pass's garbage is freed inside one."""
+    """The times of `repeat` calls of `run(prepare())` in milliseconds and
+    the collections of each generation that ran inside them, from
+    `gc.get_stats()`.  `prepare` is untimed, and a full collection before
+    each call, not counted, frees every earlier pass's garbage."""
     times = []
+    collections = [0] * len(gc.get_stats())
     for _ in range(repeat):
         argument = prepare()
         gc.collect()
+        before = gc.get_stats()
         start = time.perf_counter()
         run(argument)
         times.append((time.perf_counter() - start) * 1000)
-    return times
+        for generation, (was, now) in enumerate(zip(before, gc.get_stats())):
+            collections[generation] += now["collections"] - was["collections"]
+    return times, collections
 
 
-def _row(name, times, **facts):
+def _row(name, timed, **facts):
+    times, collections = timed
     print(f"{name:24} best {min(times):8.3f} ms  "
-          f"median {statistics.median(times):8.3f} ms")
+          f"median {statistics.median(times):8.3f} ms  "
+          f"collections {'/'.join(map(str, collections))}")
     return {**facts, "best_ms": round(min(times), 3),
-            "median_ms": round(statistics.median(times), 3)}
+            "median_ms": round(statistics.median(times), 3),
+            "collections": collections}
 
 
 def _parse(toscaflow, workloads):
@@ -203,9 +213,9 @@ def main(argv=None) -> int:
              for name, run, prepare in _parse(toscaflow, workloads)}
     engine = {}
     for name, make_flow, t_end in _engine(toscaflow, workloads, worker):
-        times = _time(lambda flow, t_end=t_end: flow.run_until(t_end), make_flow,
+        timed = _time(lambda flow, t_end=t_end: flow.run_until(t_end), make_flow,
                       REPEAT)
-        engine[name] = _row(name, times, t_end=t_end)
+        engine[name] = _row(name, timed, t_end=t_end)
 
     record = {"workload": "image_stream", "seed": SEED, "repeat": REPEAT,
               "runs": {}}
