@@ -328,7 +328,7 @@ def _deliver(stage, items, tick):
     unnamed = "" if stage.source is not None else f"item-{flow.born}"
     keys = [item.attributes.get("key") or unnamed for item in items]
     flow._store_write(*stage.destination,
-                      zip(keys, [item.payload for item in items]), tick)
+                      list(zip(keys, [item.payload for item in items])), tick)
     stage.emitted += len(items)
     flow.delivered_items += items
     flow.events_this_tick += [(stage.name, "deliver", key) for key in keys]
@@ -363,19 +363,20 @@ class Flow:
     # -- stores ------------------------------------------------------------
 
     def _store_write(self, provider, bucket, pairs, tick):
-        """Write each (key, payload) of `pairs` to one bucket, in order, and
-        queue an item for each on every reader's inbox."""
+        """Write each (key, payload) of the list `pairs` to one bucket, in
+        order, and queue an item for each on every reader's inbox."""
         where = (provider, bucket)
         objects = self.stores.setdefault(where, {})
-        log, readers = self.store_events, self._readers.get(where, ())
+        log = self.store_events
         for key, payload in pairs:
             objects[key] = payload
             log.append(StoreEvent(len(log), tick, provider, bucket, key, payload))
-            for inbox, index in readers:
-                if not inbox:
-                    self._wake(index)
-                inbox.append(FlowItem(payload, {"source_provider": provider,
-                                                "source_bucket": bucket, "key": key}))
+        for inbox, index in self._readers.get(where, ()):
+            if not inbox:
+                self._wake(index)
+            inbox += [FlowItem(payload, {"source_provider": provider,
+                                         "source_bucket": bucket, "key": key})
+                      for key, payload in pairs]
 
     def _wake(self, index: int):
         """An item now waits for the stage at `index` in the firing order."""
