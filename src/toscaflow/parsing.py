@@ -89,6 +89,8 @@ def _marked_error(exc: yaml.MarkedYAMLError, filename) -> TemplateSyntaxError:
 _LIBYAML_MAX_DEPTH = 2000
 
 _TAG_START = r"(?:^|[\s\[\]{},:\ufeff])!"  # compiled by `re` on first use
+# an empty value before a flow collection's ',', '}' or ']', maybe after comments
+_EMPTY_FLOW_VALUE = r":\s*(?:[,}\]]|#[^\n]*\n(?:\s*#[^\n]*\n)*\s*[,}\]])"
 
 
 def _suits_libyaml(text) -> bool:
@@ -96,9 +98,10 @@ def _suits_libyaml(text) -> bool:
 
     It marks the end of text with no final line break on the line after,
     counts a byte order mark past the start as a column, resolves an
-    empty scalar tagged `!` to '' where the pure loader gives None, and
-    accepts tabs the pure loader rejects (`a: b\\tc`), so such text goes
-    pure; most text has no '!', which is quicker to test.
+    empty scalar tagged `!` to '' where the pure loader gives None,
+    accepts tabs the pure loader rejects (`a: b\\tc`), and starts a value
+    left empty in a flow collection past its ':' (`{k: }`), so such text
+    goes pure; most text has no '!', which is quicker to test.
 
     Its nesting must stay well inside the C stack.  A block collection is
     indented deeper than its parent, save a sequence inside a mapping, so
@@ -107,7 +110,8 @@ def _suits_libyaml(text) -> bool:
     than YAML's, so the bound stays an upper one.
     """
     if (not text.endswith("\n") or text.find("\ufeff", 1) != -1 or "\t" in text
-            or ("!" in text and re.search(_TAG_START, text))):
+            or ("!" in text and re.search(_TAG_START, text))
+            or re.search(_EMPTY_FLOW_VALUE, text)):
         return False
     longest = max(map(len, text.split("\n")))
     return 2 * (longest + 1) + text.count("[") + text.count("{") <= _LIBYAML_MAX_DEPTH

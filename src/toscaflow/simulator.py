@@ -1,7 +1,7 @@
 """Deterministic desk-scale execution of a verified topology.
 
-A Flow instantiates every pipeline node as a stage, wires one FIFO queue
-per connection edge, and drives everything off an integer virtual clock.
+`instantiate` builds a stage per pipeline node, then wires one FIFO queue
+per connection edge; a Flow drives them off an integer virtual clock.
 Object stores are flat in-memory (provider, bucket) -> key -> bytes maps;
 FaaS calls are byte transforms looked up in a registry; a function that
 raises or returns anything but bytes diverts the item as an error.  A
@@ -194,9 +194,10 @@ class _Stage:
 
     A stage with a `source` (provider, bucket) has its `inbox` first in
     `inputs`: the store fills it with an item per object written there.
-    The queues and the firing order are fixed before the stage is built;
-    `outputs` holds a (target, queue, target's firing index) triple per
-    connection, in target order.
+    `instantiate` sets its `index` in the firing order and wires it: a
+    queue per connection into it joins `inputs` in source order, and
+    `outputs` holds a (target name, queue, target stage) triple per
+    connection out of it, in target order.
     `cron` None means event-driven.  `handle` does what the block's kind
     does with the batch.
     """
@@ -214,15 +215,9 @@ class _Stage:
         self.function_key = function_key
         self.clauses = clauses
         self.inbox = []  # items not yet born; only a reader's is ever filled
-        index = flow._index  # a name on a cycle has none; instantiate refuses it
-        self.inputs = [flow.queues[(upstream, name)]
-                       for upstream in flow.in_edges.get(name, ())]
-        if source is not None:
-            self.inputs.insert(0, self.inbox)
-            flow._readers.setdefault(source, []).append((self.inbox, index.get(name)))
-        self.outputs = [(target, flow.queues[(name, target)], index.get(target))
-                        for target in flow.out_edges.get(name, ())]
-        self.emit_events = [(name, "emit", target) for target, _, _ in self.outputs]
+        self.inputs = [] if source is None else [self.inbox]
+        self.outputs = []
+        self.emit_events = []  # a (name, "emit", target) per output
         self.on_agenda = False  # whether the flow's agenda holds its turn
         self.consumed = 0
         self.emitted = 0
@@ -254,9 +249,9 @@ class _Stage:
             return
         flow.born += (len(outputs) - 1) * len(items)
         self.emitted += len(outputs) * len(items)
-        for fork, (_, queue, index) in enumerate(outputs):
+        for fork, (_, queue, target) in enumerate(outputs):
             if not queue:
-                flow._wake(index)
+                flow._wake(target)
             queue += map(FlowItem.fork, items) if fork else items
 
     def divert_error(self, item: FlowItem, reason: str):
@@ -342,8 +337,6 @@ class Flow:
         self.clock = 0
         self.blocks: dict[str, _Stage] = {}
         self.queues: dict[tuple[str, str], list] = {}
-        self.in_edges: dict[str, list[str]] = {}
-        self.out_edges: dict[str, list[str]] = {}
         self.stores: dict[tuple[str, str], dict[str, bytes]] = {}
         self.store_events: list[StoreEvent] = []
         self.functions: dict = dict(BUILTIN_FUNCTIONS)
@@ -352,10 +345,8 @@ class Flow:
         self.events_this_tick: list = []
         self.born = 0
         self.dropped = 0
-        self._firing_order: list[str] = []
-        self._index: dict[str, int] = {}  # name -> its place in the firing order
         self._stages: list[_Stage] = []  # in firing order
-        self._readers: dict[tuple, list] = {}  # bucket -> (inbox, firing index)
+        self._readers: dict[tuple, list[_Stage]] = {}  # bucket -> its readers
         self._agenda: list[tuple] = []  # (tick, index) and (tick, -1, seq, put)
         self._puts = count()  # the seq of each scheduled put
         self._firing = -1  # the index of the stage firing now
@@ -371,23 +362,22 @@ class Flow:
         for key, payload in pairs:
             objects[key] = payload
             log.append(StoreEvent(len(log), tick, provider, bucket, key, payload))
-        for inbox, index in self._readers.get(where, ()):
-            if not inbox:
-                self._wake(index)
-            inbox += [FlowItem(payload, {"source_provider": provider,
-                                         "source_bucket": bucket, "key": key})
-                      for key, payload in pairs]
+        for stage in self._readers.get(where, ()):
+            if not stage.inbox:
+                self._wake(stage)
+            stage.inbox += [FlowItem(payload, {"source_provider": provider,
+                                               "source_bucket": bucket, "key": key})
+                            for key, payload in pairs]
 
-    def _wake(self, index: int):
-        """An item now waits for the stage at `index` in the firing order."""
-        stage = self._stages[index]
+    def _wake(self, stage: _Stage):
+        """An item now waits for `stage`."""
         if not stage.on_agenda:
             stage.on_agenda = True
             # a stage at or before the one firing now has had this tick's turn
-            start = self.clock + (index <= self._firing)
+            start = self.clock + (stage.index <= self._firing)
             cron = stage.cron
             heappush(self._agenda,
-                     (start if cron is None else cron_next(cron, start), index))
+                     (start if cron is None else cron_next(cron, start), stage.index))
 
     def put_object(self, provider: str, bucket: str, key: str, payload: bytes):
         """Store an object now; each stage reading the bucket gets an item for it."""
@@ -480,18 +470,23 @@ def instantiate(template: ServiceTemplate) -> Flow:
     """
     topo = Topology(template)
     flow = Flow(template)
-    flow.out_edges = topo.successors
-    # the pairs are sorted, so every list of sources comes out sorted
-    for source, target in topo.pairs:
-        flow.queues[(source, target)] = []
-        flow.in_edges.setdefault(target, []).append(source)
-    order = flow._firing_order = lexicographic_order(topo.pipelines, topo.successors)
-    flow._index = {name: index for index, name in enumerate(order)}
-    for name in topo.pipelines:
-        flow.blocks[name] = _build_stage(topo, flow, name)
+    blocks = flow.blocks
+    for name in topo.pipelines:  # a block's own error wins over a cycle
+        blocks[name] = _build_stage(topo, flow, name)
+    order = lexicographic_order(topo.pipelines, topo.successors)
     if len(order) != len(topo.pipelines):
         raise DependencyCycleError(find_cycle(topo.pipelines, topo.successors))
-    flow._stages = [flow.blocks[name] for name in order]
+    flow._stages = [blocks[name] for name in order]
+    for index, stage in enumerate(flow._stages):
+        stage.index = index
+        if stage.source is not None:
+            flow._readers.setdefault(stage.source, []).append(stage)
+    # the pairs are sorted, so inputs come in source order, outputs in target order
+    for source, target in topo.pairs:
+        queue = flow.queues[(source, target)] = []
+        blocks[target].inputs.append(queue)
+        blocks[source].outputs.append((target, queue, blocks[target]))
+        blocks[source].emit_events.append((source, "emit", target))
     return flow
 
 
@@ -521,10 +516,9 @@ def _build_stage(topo, flow, name) -> _Stage:
         # looked up per firing: functions may be registered after instantiate
         return stage(_transform, function_key=str(prop(key_prop) or ""))
     if cat.PROCESS_PREFIX + "RouteToRemote" in ancestry:
-        available = flow.out_edges.get(name, ())  # wired before the stages
         return stage(_route, clauses=[
             clause for clause in _parse_predicate(prop("route_predicate"))
-            if clause[0] in available])
+            if clause[0] in topo.successors[name]])
     if copy := first_of(_STANDALONE_COPIES, ancestry):
         return stage(_deliver, source=bucket(copy[0]), destination=bucket(copy[1]))
 

@@ -144,6 +144,22 @@ def test_shell_command_is_unsupported():
         instantiate(b.template(*stack, aws, task))
 
 
+def test_an_unsupported_block_wins_over_a_connection_cycle(load_fixture):
+    """Every stage is built before a cycle is refused, so a block with no
+    behaviour raises its own error even after the blocks on the cycle."""
+    template = load_fixture("cyclic.yaml")
+    for node in (b.node("AWS", cat.AWS_PLATFORM),
+                 b.node("Shell", b.STA + "AWSShellCommand",
+                        props={"name": "t", "command": "ls", "cred_file_path": "c"},
+                        reqs=[("host", "AWS")])):
+        template.node_templates[node.name] = node
+    assert Topology(template).pipelines == ["Exec_A", "Exec_B", "Shell"]
+    with pytest.raises(UnsupportedTypeError) as error:
+        instantiate(template)
+    assert str(error.value) == ("pipeline node 'Shell' of type "
+                                f"'{b.STA}AWSShellCommand' has no simulation behaviour")
+
+
 def test_pipeline_without_scheduling_properties_is_unsupported_not_a_cron_error():
     # neither schedulingStrategy nor schedulingPeriodCRON: R6 reads no cron
     # here, and neither may the simulator
@@ -1082,7 +1098,7 @@ def test_a_write_behind_its_reader_in_the_order_waits_for_the_next_tick():
         block("Tail", b.DST + "PubsS3Bucket", "mid"))
     assert not [d for d in verify(template)[1] if d.severity == ERROR]
     flow = instantiate(template)
-    assert flow._firing_order == ["Cons", "Lead", "Pub", "Tail"]
+    assert [stage.name for stage in flow._stages] == ["Cons", "Lead", "Pub", "Tail"]
     flow.schedule_injection(3, "s3", "in", "k", b"\x01")
     assert _engine_record(flow, 10)["ticks"] == {
         3: ["Lead consume 'k'", "Lead emit 'Tail'", "Tail deliver 'k'"],
@@ -1093,6 +1109,40 @@ def test_a_write_behind_its_reader_in_the_order_waits_for_the_next_tick():
     flow.run_until(10)
     assert [item.trail for item in flow.delivered_items] == [
         [("Lead", 3), ("Tail", 3)], [("Cons", 4), ("Pub", 4)]]
+
+
+def test_a_stage_drains_its_queues_in_source_order_not_firing_order():
+    """B fires before A, which waits behind Z, yet in the tick both hand
+    items to T, T delivers A's item before B's: its queues drain in the
+    order of their sources' names."""
+    stack, nifi = b.nifi_stack()
+    minio = {"cred_file_path": "c", "MinIO_Endpoint": "e"}
+
+    def block(name, kind, props, downstream=None):
+        # a process block spells its connection requirement with a capital
+        connect = "ConnectToPipeline" if kind.startswith(b.PRC) else "connectToPipeline"
+        reqs = [("host", nifi)] + ([(connect, downstream)] if downstream else [])
+        return b.node(name, kind, reqs=reqs,
+                      props=_scheduled(dict(props, name=name.lower()), None))
+
+    template = b.template(
+        *stack, block("Z", b.SRC + "ConsMinIO", {"BucketName": "z", **minio}, "A"),
+        block("A", b.PRC + "InvokeLambda", {"cred_file_path": "c", "region": "r",
+                                             "function_name": "fn"}, "T"),
+        block("B", b.SRC + "ConsMinIO", {"BucketName": "b", **minio}, "T"),
+        block("T", b.DST + "PubsMinIO", {"BucketName": "out", **minio}))
+    assert not [d for d in verify(template)[1] if d.severity == ERROR]
+    flow = instantiate(template)
+    flow.register_function("fn", bytes.upper)
+    flow.schedule_injection(2, "minio", "b", "kb", b"b")
+    flow.schedule_injection(2, "minio", "z", "kz", b"z")
+    record = _engine_record(flow, 5)
+    assert record["ticks"] == {2: [
+        "B consume 'kb'", "B emit 'T'", "Z consume 'kz'", "Z emit 'A'",
+        "A emit 'T'", "T deliver 'kz'", "T deliver 'kb'"]}
+    assert record["delivered"] == ["Z@2 A@2 T@2", "B@2 T@2"]
+    assert [(item.attributes["key"], item.payload)
+            for item in flow.delivered_items] == [("kz", b"Z"), ("kb", b"b")]
 
 
 def _minio_chains(count, cron):
@@ -1135,11 +1185,11 @@ def test_a_tick_asks_only_the_stages_an_item_waits_for(monkeypatch):
     listed = []
     wake = Flow._wake
 
-    def counting_wake(flow, index):
+    def counting_wake(flow, stage):
         before = len(flow._agenda)
-        wake(flow, index)
+        wake(flow, stage)
         assert len(flow._agenda) == before + 1  # the stage was off the agenda
-        listed.append(flow._stages[index].name)
+        listed.append(stage.name)
 
     monkeypatch.setattr(Flow, "_wake", counting_wake)
     for tick in range(10):  # one object a tick into one chain
@@ -1203,5 +1253,5 @@ def test_instantiate_fires_in_the_resorting_order(load_fixture):
             out_edges[source].append(target)
         assert topo.successors == out_edges
         flow = instantiate(template)
-        assert flow._firing_order \
+        assert [stage.name for stage in flow._stages] \
             == _firing_order_by_resorting(topo.pipelines, out_edges)

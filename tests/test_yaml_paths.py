@@ -114,6 +114,11 @@ def test_libyaml_composes_the_corpus_as_the_pure_loader(name):
     "a: b\tc\n",                      # libyaml takes tabs the pure loader rejects
     "a: b \t\n",
     "a: [b,\tc]\n",
+    "{k: }\n",                        # libyaml starts an empty value a column late
+    "{k: , j: 1}\n",
+    "[a, {k: }]\n",
+    "k: {a: }\n",
+    "{k: # c\n  # d\n}\n",            # and a line late after a comment
 ], ids=repr)
 def test_libyaml_and_pure_agree_on_hard_inputs(text):
     assert _outcome(text) == _pure_outcome(text)

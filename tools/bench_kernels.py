@@ -19,7 +19,10 @@ definitions, and the serialization of that template repaired by
 is the rest of `parse_service_template`, handed a tree composed before
 the pass.
 
-The engine rows time `Flow.run_until` alone, on a flow built before the
+The engine rows time `instantiate` and `Flow.run_until` apart.  The
+`instantiate` rows build a flow from the blueprint_scale seed 1 template
+repaired by `verify(fix=True)`, at each rung of the trickle probe below.
+The other rows time `Flow.run_until` alone, on a flow built before the
 pass: the store_relay seed 1 job's flow through its horizon; the same flow
 with a long schedule, one 16-byte object a tick for LONG_TICKS ticks into
 the bucket its first hop reads, run for a further horizon past the last
@@ -120,12 +123,16 @@ def _parse(toscaflow, workloads):
 
 
 def _engine(toscaflow, workloads, worker):
-    """The engine rows as (name, make a flow, the tick to run it to), each
-    input built only when its row comes, so no other row's is alive."""
+    """The engine rows as (name, run, prepare, the row's facts): `_time`'s
+    arguments first, each input built only when its row comes, so no other
+    row's is alive."""
+    def run_until(name, make_flow, t_end):
+        return name, lambda flow: flow.run_until(t_end), make_flow, {"t_end": t_end}
+
     relay = workloads.store_relay(SEED)
     # a horizon before tick 0 leaves the job's flow built but not run
-    yield ("store_relay run_until",
-           lambda: worker.run_job(relay.csar(), SEED, -1).flow, relay.horizon)
+    yield run_until("store_relay run_until",
+                    lambda: worker.run_job(relay.csar(), SEED, -1).flow, relay.horizon)
 
     def long_schedule():
         flow = worker.run_job(relay.csar(), SEED, -1).flow
@@ -135,7 +142,7 @@ def _engine(toscaflow, workloads, worker):
                                     bytes([tick % 251]) * 16)
         return flow
 
-    yield ("long schedule", long_schedule, LONG_TICKS + relay.horizon)
+    yield run_until("long schedule", long_schedule, LONG_TICKS + relay.horizon)
 
     def burst():
         flow = worker.run_job(relay.csar(), SEED, -1).flow
@@ -144,7 +151,7 @@ def _engine(toscaflow, workloads, worker):
             flow.put_object(provider, bucket, f"burst-{n:04d}", bytes([n % 251]) * 16)
         return flow
 
-    yield "burst", burst, relay.horizon
+    yield run_until("burst", burst, relay.horizon)
 
     chains = workloads.BLUEPRINT_CHAINS
     for count in TRICKLE_CHAINS:
@@ -155,6 +162,8 @@ def _engine(toscaflow, workloads, worker):
             workloads.BLUEPRINT_CHAINS = chains
         fixed = toscaflow.verify(toscaflow.parse_service_template(blueprint),
                                  fix=True, seed=SEED)[0]
+        yield (f"instantiate {count} chains", toscaflow.instantiate,
+               lambda fixed=fixed: fixed, {"nodes": len(fixed.node_templates)})
 
         def trickle():
             flow = toscaflow.instantiate(fixed)
@@ -164,7 +173,7 @@ def _engine(toscaflow, workloads, worker):
                                         bytes([tick % 251]) * 64)
             return flow
 
-        yield f"trickle {count} chains", trickle, TRICKLE_END
+        yield run_until(f"trickle {count} chains", trickle, TRICKLE_END)
 
 
 def main(argv=None) -> int:
@@ -211,11 +220,8 @@ def main(argv=None) -> int:
                              input_len=sum(len(data) for data in inputs))
     parse = {name: _row(name, _time(run, prepare, REPEAT))
              for name, run, prepare in _parse(toscaflow, workloads)}
-    engine = {}
-    for name, make_flow, t_end in _engine(toscaflow, workloads, worker):
-        timed = _time(lambda flow, t_end=t_end: flow.run_until(t_end), make_flow,
-                      REPEAT)
-        engine[name] = _row(name, timed, t_end=t_end)
+    engine = {name: _row(name, _time(run, prepare, REPEAT), **facts)
+              for name, run, prepare, facts in _engine(toscaflow, workloads, worker)}
 
     record = {"workload": "image_stream", "seed": SEED, "repeat": REPEAT,
               "runs": {}}
