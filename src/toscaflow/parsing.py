@@ -12,6 +12,7 @@ sorted, stable key order, so serialize(parse(serialize(t))) == serialize(t).
 from __future__ import annotations
 
 import functools
+import gc
 import re
 import warnings
 
@@ -463,38 +464,49 @@ def parse_service_template(text: str, filename: str = "<string>") -> ServiceTemp
     targets must name existing templates.  Types resolve in the template's
     `combined_definitions`: the built-in catalog overlaid with the
     document's inline type sections.
+
+    The cyclic garbage collector is paused while the template is built,
+    and switched back on at the end only if it was on.  The pause holds
+    for the whole process, not only this thread.
     """
-    version, sections, topology_node = _top_level(text, "service template", filename,
-                                                  "topology_template")
-    if version is None:
-        raise SchemaError(f"missing {TOSCA_VERSION_KEY}",
-                          SourceLocation(filename, 1, 1))
-    if topology_node is None:
-        raise SchemaError("missing topology_template",
-                          SourceLocation(filename, 1, 1))
-    user_types = _parse_type_sections(sections, filename)
+    collecting = gc.isenabled()
+    gc.disable()  # the build allocates much and frees next to nothing
+    try:
+        version, sections, topology_node = _top_level(
+            text, "service template", filename, "topology_template")
+        if version is None:
+            raise SchemaError(f"missing {TOSCA_VERSION_KEY}",
+                              SourceLocation(filename, 1, 1))
+        if topology_node is None:
+            raise SchemaError("missing topology_template",
+                              SourceLocation(filename, 1, 1))
+        user_types = _parse_type_sections(sections, filename)
 
-    templates_node = None
-    for key, value_node, key_node in _items(topology_node, "topology_template", filename):
-        if key == "node_templates":
-            templates_node = value_node
-        else:
-            warnings.warn(f"{_loc(key_node, filename)}: ignoring topology_template "
-                          f"key {key!r}", stacklevel=2)
-    if templates_node is None:
-        raise SchemaError("topology_template has no node_templates",
-                          _loc(topology_node, filename))
+        templates_node = None
+        for key, value_node, key_node in _items(topology_node, "topology_template",
+                                                filename):
+            if key == "node_templates":
+                templates_node = value_node
+            else:
+                warnings.warn(f"{_loc(key_node, filename)}: ignoring topology_template "
+                              f"key {key!r}", stacklevel=2)
+        if templates_node is None:
+            raise SchemaError("topology_template has no node_templates",
+                              _loc(topology_node, filename))
 
-    node_templates = _parse_node_templates(
-        templates_node, filename,
-        ServiceTemplate(user_types=user_types).combined_definitions(), partial=False)
-    for node in node_templates.values():
-        for assignment in node.requirement_assignments:
-            if assignment.target not in node_templates:
-                raise SchemaError(
-                    f"node {node.name!r} requirement {assignment.name!r} targets "
-                    f"unknown template {assignment.target!r}", node.location)
-    return ServiceTemplate(version, user_types, node_templates)
+        node_templates = _parse_node_templates(
+            templates_node, filename,
+            ServiceTemplate(user_types=user_types).combined_definitions(), partial=False)
+        for node in node_templates.values():
+            for assignment in node.requirement_assignments:
+                if assignment.target not in node_templates:
+                    raise SchemaError(
+                        f"node {node.name!r} requirement {assignment.name!r} targets "
+                        f"unknown template {assignment.target!r}", node.location)
+        return ServiceTemplate(version, user_types, node_templates)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_node_templates_fragment(text: str,

@@ -54,6 +54,7 @@ class Topology:
         self._resolved = {}
         self._by_node = {}
         self._evaluated = {}
+        self._chains = {}  # node -> (a host chain found, the node's index in it)
         self._nifi = {}
 
     # -- types ---------------------------------------------------------------
@@ -180,26 +181,29 @@ class Topology:
     # -- hosting -------------------------------------------------------------
 
     def host_chain(self, node_name) -> list[str]:
-        """The node followed by its transitive hosts; see `host_chain`."""
+        """The node followed by its transitive hosts; see `host_chain`.
+
+        Each chain found is kept, so a later walk ends at the first node
+        of it that it reaches; a walk that raises keeps nothing.
+        """
         templates = self.template.node_templates
         if node_name not in templates:
             raise MissingHostError(f"no node template named {node_name!r}")
         chain = [node_name]
-        current = node_name
-        while True:
+        while (current := chain[-1]) not in self._chains:
             resolved = self.resolved_node(current)
             if resolved is None:
                 raise MissingHostError(f"type of {current!r} does not resolve")
             host_req = next((r for r in resolved.requirements if r.name == "host"),
                             None)
             if host_req is None:
-                return chain
+                break
             assignment = next((a for a in templates[current].requirement_assignments
                                if a.name == "host"), None)
             if assignment is None:
                 if host_req.occurrences[0] >= 1:
                     raise MissingHostError(f"{current!r} has no host assignment")
-                return chain
+                break
             target = assignment.target
             if target not in templates:
                 raise MissingHostError(f"{current!r} is hosted on unknown template "
@@ -208,7 +212,13 @@ class Topology:
                 raise HostCycleError(
                     "host cycle: " + " -> ".join(chain + [target]))
             chain.append(target)
-            current = target
+        else:  # a chain found before goes on from `current`
+            found, at = self._chains[chain.pop()]
+            chain += found[at:]
+        found = tuple(chain)
+        for at, name in enumerate(found):
+            self._chains.setdefault(name, (found, at))
+        return chain
 
     def nearest_nifi(self, node_name) -> str:
         """The first NiFi template above `node_name` in its host chain."""

@@ -34,7 +34,7 @@ import random
 from . import catalog as cat
 from .cron import is_valid_cron
 from .crypto import cipher_key
-from .errors import VerifierNonConvergenceError
+from .errors import HostCycleError, MissingHostError, VerifierNonConvergenceError
 from .model import UNBOUNDED, Record, RequirementAssignment, ServiceTemplate
 from .topology import CONNECTION_KIND, Topology, first_of
 
@@ -85,87 +85,104 @@ def check_requirements(template: ServiceTemplate) -> list[Diagnostic]:
     return _located(_check_requirements, Topology(template))
 
 
-def _check_requirements(topo: Topology):
+def _check_requirements(topo: Topology, changed=None):
+    """R1 and R5 on every node, or on the nodes named in `changed` only."""
     t = topo.template
-    for name in sorted(t.node_templates):
+    requirements = {}  # node type -> `_requirement_groups` of it
+    faults = {}  # (source type, requirement, target type, override) -> faults
+    for name in sorted(t.node_templates if changed is None else changed):
         node = t.node_templates[name]
         resolved = topo.resolved_node(name)
         if resolved is None:
             yield Diagnostic(R1_REQ_MATCH, ERROR, [name],
                              f"type {node.type!r} does not resolve")
             continue
-        by_name = {r.name: r for r in resolved.requirements}
+        if node.type not in requirements:
+            requirements[node.type] = _requirement_groups(topo, resolved)
+        by_name, connect_reqs, other_reqs = requirements[node.type]
         counts = {}
         for assignment in node.requirement_assignments:
             counts[assignment.name] = counts.get(assignment.name, 0) + 1
             req = by_name.get(assignment.name)
+            target = assignment.target
             if req is None:
                 yield Diagnostic(
                     R1_REQ_MATCH, ERROR, [name],
                     f"{name!r} assigns requirement {assignment.name!r} that "
                     f"type {node.type!r} does not declare")
-            elif assignment.target not in t.node_templates:
+            elif target not in t.node_templates:
                 yield Diagnostic(
                     R1_REQ_MATCH, ERROR, [name],
                     f"{name!r} requirement {assignment.name!r} targets missing "
-                    f"template {assignment.target!r}")
+                    f"template {target!r}")
             else:
-                yield from _check_assignment(topo, name, node, req, assignment)
-        yield from _check_occurrences(topo, name, resolved, counts)
+                target_type = t.node_templates[target].type
+                key = (node.type, req.name, target_type, assignment.relationship)
+                if key not in faults:
+                    faults[key] = _assignment_faults(topo, node.type, req, target_type,
+                                                     assignment.relationship)
+                for rule, message in faults[key]:
+                    yield Diagnostic(rule, ERROR, [name, target], message(name, target))
+        yield from _check_occurrences(name, connect_reqs, other_reqs, counts)
 
 
-def _check_assignment(topo: Topology, name, node, req, assignment):
-    target = assignment.target
-    target_node = topo.template.node_templates[target]
-    target_resolved = topo.resolved_node(target)
+def _requirement_groups(topo: Topology, resolved):
+    """A type's requirements by name, its pipeline connection requirements
+    and the others, each in declaration order."""
+    connect_reqs, other_reqs = [], []
+    for req in resolved.requirements:
+        (connect_reqs if topo.connects(req) else other_reqs).append(req)
+    return {r.name: r for r in resolved.requirements}, connect_reqs, other_reqs
+
+
+def _assignment_faults(topo: Topology, source_type, req, target_type, relationship):
+    """The (rule, message) findings of a `source_type` node that fills `req`
+    with a `target_type` node under the `relationship` override, where a
+    message is a function of the two node names.  They depend on these
+    alone, so a view judges each such signature once."""
+    target_resolved = topo.resolved_type(target_type)
     if target_resolved is None:
-        yield Diagnostic(
-            R1_REQ_MATCH, ERROR, [name, target],
-            f"target {target!r} has unresolvable type {target_node.type!r}")
-        return
+        return [(R1_REQ_MATCH, lambda name, target:
+                 f"target {target!r} has unresolvable type {target_type!r}")]
+    faults = []
 
     # declared node type conformance; hosting violations get their own rule
     if req.node_type and topo.resolved_type(req.node_type) is not None:
         if req.node_type not in target_resolved.ancestry:
             rule = R5_HOSTING if req.name == "host" else R1_REQ_MATCH
-            yield Diagnostic(
-                rule, ERROR, [name, target],
-                f"{name!r} requires {req.name!r} on a "
-                f"{req.node_type!r} node, but {target!r} is a "
-                f"{target_node.type!r}")
+            faults.append((rule, lambda name, target:
+                           f"{name!r} requires {req.name!r} on a "
+                           f"{req.node_type!r} node, but {target!r} is a "
+                           f"{target_type!r}"))
 
     # the target must offer a capability of the demanded type that accepts us
     if req.capability_type and topo.resolved_type(req.capability_type) is not None:
         matching = [c for c in target_resolved.capabilities.values()
                     if topo.subtype(c.capability_type, req.capability_type)]
         if not matching:
-            yield Diagnostic(
-                R1_REQ_MATCH, ERROR, [name, target],
-                f"{target!r} has no capability of type "
-                f"{req.capability_type!r} demanded by {name!r}")
+            faults.append((R1_REQ_MATCH, lambda name, target:
+                           f"{target!r} has no capability of type "
+                           f"{req.capability_type!r} demanded by {name!r}"))
         elif not any(
                 not c.valid_source_types
-                or any(topo.subtype(node.type, s) for s in c.valid_source_types)
+                or any(topo.subtype(source_type, s) for s in c.valid_source_types)
                 for c in matching):
-            yield Diagnostic(
-                R1_REQ_MATCH, ERROR, [name, target],
-                f"{node.type!r} is not a valid source type for the "
-                f"{req.capability_type!r} capability of {target!r}")
+            faults.append((R1_REQ_MATCH, lambda name, target:
+                           f"{source_type!r} is not a valid source type for the "
+                           f"{req.capability_type!r} capability of {target!r}"))
 
     # an explicit relationship override must refine the declared one
-    if assignment.relationship is not None and req.relationship_type:
-        if not topo.subtype(assignment.relationship, req.relationship_type):
-            yield Diagnostic(
-                R1_REQ_MATCH, ERROR, [name, target],
-                f"relationship {assignment.relationship!r} on {name!r} is not "
-                f"a subtype of declared {req.relationship_type!r}")
+    if relationship is not None and req.relationship_type:
+        if not topo.subtype(relationship, req.relationship_type):
+            faults.append((R1_REQ_MATCH, lambda name, target:
+                           f"relationship {relationship!r} on {name!r} is not "
+                           f"a subtype of declared {req.relationship_type!r}"))
+    return faults
 
 
-def _check_occurrences(topo: Topology, name, resolved, counts):
-    connect_reqs = [r for r in resolved.requirements if topo.connects(r)]
-    for req in resolved.requirements:
-        if req not in connect_reqs:
-            yield from _check_bounds(name, req, counts, req.occurrences[0])
+def _check_occurrences(name, connect_reqs, other_reqs, counts):
+    for req in other_reqs:
+        yield from _check_bounds(name, req, counts, req.occurrences[0])
     if connect_reqs and sum(counts.get(r.name, 0) for r in connect_reqs) \
             < max(r.occurrences[0] for r in connect_reqs):
         yield Diagnostic(R1_REQ_MATCH, ERROR, [name],
@@ -191,8 +208,13 @@ def check_locality(template: ServiceTemplate) -> list[Diagnostic]:
     return _located(_check_locality, Topology(template))
 
 
-def _check_locality(topo: Topology):
+def _check_locality(topo: Topology, changed=None):
+    """R2 and R3 on every pair, or on the pairs where `changed` names a
+    node of either block's host chain."""
+    touched = None if changed is None else _hosted_on(topo, changed)
     for (a, b), edges in topo.pairs.items():
+        if touched is not None and a not in touched and b not in touched:
+            continue
         locality = topo.locality(a, b)
         if locality is None:
             continue
@@ -212,6 +234,20 @@ def _check_locality(topo: Topology):
                     R2_LOCALITY, ERROR if rewrite is None else FIXABLE, [a, b],
                     f"connection {a!r} -> {b!r} uses a {bucket.value} "
                     f"relationship but the blocks are {locality.value}")
+
+
+def _hosted_on(topo: Topology, changed) -> set:
+    """The pipelines whose host chain holds a node named in `changed`, or
+    is broken."""
+    touched = set()
+    for name in topo.pipelines:
+        try:
+            if changed.isdisjoint(topo.host_chain(name)):
+                continue
+        except (MissingHostError, HostCycleError):
+            pass
+        touched.add(name)
+    return touched
 
 
 def _reachable_from(adjacency, start):
@@ -377,16 +413,18 @@ def _fix_encryption(nodes: dict, pairs, mismatches, rng: random.Random) -> dict:
     return {(e, d): fixes[e] for e, d in mismatches}
 
 
-def _run_checks(topo: Topology) -> list[Diagnostic]:
-    return [diag for check in (_check_requirements, _check_locality,
-                               _check_encryption, _check_scheduling)
-            for diag in _located(check, topo)]
+def _run_checks(topo: Topology, changed=None) -> list[Diagnostic]:
+    """Every rule's findings; with `changed`, those of R1/R5 and R2/R3
+    only where its nodes take part (see `verify`)."""
+    return (_located(_check_requirements, topo, changed)
+            + _located(_check_locality, topo, changed)
+            + _located(_check_encryption, topo) + _located(_check_scheduling, topo))
 
 
-def _located(check, topo: Topology) -> list[Diagnostic]:
+def _located(check, topo: Topology, *scope) -> list[Diagnostic]:
     """The findings of `check`, each given the location of its first node."""
     nodes = topo.template.node_templates
-    found = list(check(topo))
+    found = list(check(topo, *scope))
     for diag in found:
         diag.location = nodes[diag.nodes[0]].location
     return found
@@ -400,13 +438,21 @@ def verify(template: ServiceTemplate, fix: bool = False,
     and the accumulated diagnostics; repaired findings carry a `fix`
     description.  The input template is never mutated, and the result
     shares with it every node that no repair changed.
+
+    A pass after a repair runs R1/R5 only on the nodes the repair
+    replaced, and R2/R3 only on the pairs where one of them is in either
+    block's host chain.  That is exact: a repair never adds, removes or
+    retypes a node, every other finding was reported by the pass before,
+    and every fixable finding's repair replaces its node.  R4 and R6 run
+    in full, since `get_property` carries one node's value to another.
     """
     work = template
     rng = random.Random(seed)
     reported: dict = {}
+    changed = None  # the first pass checks everything
     for attempt in range(MAX_FIX_PASSES + 1):
         topo = Topology(work)  # a fresh view: each pass repairs the template
-        diagnostics = _run_checks(topo)
+        diagnostics = _run_checks(topo, changed)
         for diag in diagnostics:
             reported.setdefault(diag.key(), diag)
         fixables = [d for d in diagnostics if d.severity == FIXABLE]
@@ -417,6 +463,8 @@ def verify(template: ServiceTemplate, fix: bool = False,
                 f"fixable diagnostics remain after {MAX_FIX_PASSES} fix passes")
         nodes = dict(work.node_templates)
         _apply_fixes(topo, nodes, fixables, rng, reported)
+        changed = {name for name, node in nodes.items()
+                   if node is not work.node_templates[name]}
         work = work.replace(node_templates=nodes)
     return work, list(reported.values())
 

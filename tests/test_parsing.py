@@ -1,3 +1,4 @@
+import gc
 import inspect
 import pathlib
 
@@ -697,3 +698,29 @@ def test_each_distinct_type_is_resolved_once_per_parse(monkeypatch, fixture_path
     assert sorted(resolved) == sorted(set(types)) and len(types) > len(resolved)
     parse_service_template(text)  # a second parse resolves them again
     assert len(resolved) == 2 * len(set(types))
+
+
+@pytest.mark.parametrize("text, error", [
+    (V + TOPOLOGY + "    X: {type: tosca.nodes.Compute}\n", None),
+    (V + "description: no topology\n", SchemaError),
+    (V + TOPOLOGY + "    X: [\n", TemplateSyntaxError),
+])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_parse_pauses_the_collector_and_leaves_it_as_it_found_it(monkeypatch, text,
+                                                                    error, collecting):
+    seen = []  # whether the collector ran while the text was composed
+    compose = parsing._compose
+    monkeypatch.setattr(parsing, "_compose",
+                        lambda *args: seen.append(gc.isenabled()) or compose(*args))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if error is None:
+            parse_service_template(text)
+        else:
+            with pytest.raises(error):
+                parse_service_template(text)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]

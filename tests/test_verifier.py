@@ -14,7 +14,7 @@ from toscaflow.errors import (
     NotAPipelineError,
     VerifierNonConvergenceError,
 )
-from toscaflow.model import ServiceTemplate, TypeDefinition
+from toscaflow.model import RequirementAssignment, ServiceTemplate, TypeDefinition
 from toscaflow.parsing import serialize_template
 from toscaflow.simulator import instantiate
 from toscaflow.topology import Locality, Topology, colocated, host_chain
@@ -52,6 +52,30 @@ def test_host_chain_cycle():
     vm = b.node("VM", cat.COMPUTE, reqs=[("host", "VM")])
     with pytest.raises(HostCycleError):
         host_chain("VM", b.template(vm))
+
+
+def test_host_chain_returns_a_fresh_list_on_each_call(load_fixture):
+    topo = Topology(load_fixture("s3_to_gcs.yaml"))
+    whole = ["ConsumeS3Bucket", "Nifi_Platform", "EC2_VM", "AWSPlatform"]
+    first = topo.host_chain("ConsumeS3Bucket")
+    first.append("scribble")
+    again = topo.host_chain("ConsumeS3Bucket")
+    assert again == whole and again is not first
+    again.clear()
+    assert topo.host_chain("Nifi_Platform") == whole[1:]  # a suffix of the kept chain
+    assert topo.host_chain("ConsumeS3Bucket") == whole
+
+
+def test_a_host_cycle_keeps_the_message_of_each_start():
+    # A sits on B, and B and C on each other; D sits on A
+    a, bee, c, d = (b.node(name, cat.COMPUTE, reqs=[("host", host)])
+                    for name, host in (("A", "B"), ("B", "C"), ("C", "B"), ("D", "A")))
+    topo = Topology(b.template(a, bee, c, d))
+    for start, message in [("A", "A -> B -> C -> B"), ("C", "C -> B -> C"),
+                           ("D", "D -> A -> B -> C -> B"), ("A", "A -> B -> C -> B")]:
+        with pytest.raises(HostCycleError) as excinfo:
+            topo.host_chain(start)
+        assert str(excinfo.value) == f"host cycle: {message}"
 
 
 def test_colocated_local_and_remote(load_fixture):
@@ -155,6 +179,73 @@ def test_standalone_must_sit_on_aws_platform():
     diags = check_requirements(b.template(*stack, copy_node))
     assert any(d.rule == R5_HOSTING and set(d.nodes) == {"Copy", "Nifi_0"}
                for d in diags)
+
+
+_TWO_ON_A_VM = """\
+tosca_definitions_version: tosca_simple_yaml_1_3
+topology_template:
+  node_templates:
+    VM:
+      type: tosca.nodes.Compute
+    P1:
+      type: radon.nodes.datapipeline.process.ExecutePython
+      properties: {name: p1, script_path: s.py}
+      requirements:
+        - host: VM
+    P2:
+      type: radon.nodes.datapipeline.process.ExecutePython
+      properties: {name: p2, script_path: s.py}
+      requirements:
+        - host: VM
+"""
+
+
+def test_one_bad_assignment_on_two_nodes_of_a_type_is_two_located_findings(monkeypatch):
+    from toscaflow.parsing import parse_service_template
+
+    judged = []
+    faults = verifier._assignment_faults
+    monkeypatch.setattr(verifier, "_assignment_faults",
+                        lambda *key: judged.append(key[1:]) or faults(*key))
+    template = parse_service_template(_TWO_ON_A_VM, filename="two.yaml")
+    hosting = [d for d in check_requirements(template) if d.rule == R5_HOSTING]
+    assert [(d.nodes, d.message, str(d.location)) for d in hosting] == [
+        (["P1", "VM"], f"'P1' requires 'host' on a {cat.NIFI!r} node, but 'VM' is "
+                       f"a {cat.COMPUTE!r}", "two.yaml:6:5"),
+        (["P2", "VM"], f"'P2' requires 'host' on a {cat.NIFI!r} node, but 'VM' is "
+                       f"a {cat.COMPUTE!r}", "two.yaml:11:5")]
+    assert len(judged) == 1  # one signature, judged once
+
+
+def test_each_relationship_override_is_judged_on_its_own():
+    stack, nifi, source, dest = _stacked_pipeline_pair()
+    overrides = {"S1": cat.CONNECTS_TO, "S2": cat.HOSTED_ON,
+                 "S3": cat.CONNECT_NIFI_LOCAL, "S4": cat.CONNECTS_TO}
+    sources = [source.replace(name=name, requirement_assignments=[
+        source.requirement_assignments[0], RequirementAssignment(
+            "connectToPipeline", "Dst", relationship)])
+               for name, relationship in overrides.items()]
+    found = [(d.nodes, d.message) for d in check_requirements(
+        b.template(*stack, *sources, dest))]
+    assert found == [
+        ([name, "Dst"], f"relationship {overrides[name]!r} on {name!r} is not a "
+                        f"subtype of declared {cat.CONNECT_NIFI_LOCAL!r}")
+        for name in ("S1", "S2", "S4")]
+
+
+def test_the_pass_after_a_repair_runs_r1_on_the_repaired_node_alone(load_fixture,
+                                                                     monkeypatch):
+    checked = []  # every node R1 runs on, pass by pass
+    occurrences = verifier._check_occurrences
+    monkeypatch.setattr(verifier, "_check_occurrences",
+                        lambda name, *rest: checked.append(name) or occurrences(name, *rest))
+    template = load_fixture("duplicate_connection.yaml")
+    fixed, diagnostics = verify(template, fix=True)
+    assert [d.rule for d in diagnostics] == [R3_DUPLICATE_CONN]
+    assert [name for name in fixed.node_templates
+            if fixed.node_templates[name] is not template.node_templates[name]] \
+        == ["ConsS3Bucket"]
+    assert checked == sorted(template.node_templates) + ["ConsS3Bucket"]
 
 
 # -- R2 / R3 ---------------------------------------------------------------------
@@ -737,6 +828,51 @@ def test_duplicate_repair_without_a_legal_rewrite_keeps_the_first_kind():
          "message": _WRONG_KIND.format("Dst"), "fix": None}]
     assert _assigned(fixed) == [("host", "Nifi", None),
                                 ("connectToPipelineRemote", "Dst", None)]
+
+
+def test_a_kind_repair_that_overfills_a_requirement_is_found_on_the_next_pass():
+    template = _one_nifi(cat.CONNECT_NIFI_LOCAL, "[1, 1]",
+                         ("connectToPipelineRemote", "Dst"), ("connectToPipeline", "Dst2"))
+    assert _report(template, fix=True) == [
+        {"rule": R2_LOCALITY, "severity": FIXABLE, "nodes": ["Src", "Dst"],
+         "message": _WRONG_KIND.format("Dst"),
+         "fix": f"rewrote the connection to {cat.CONNECT_NIFI_LOCAL!r}"},
+        {"rule": R1_REQ_MATCH, "severity": ERROR, "nodes": ["Src"],
+         "message": "'Src' fills requirement 'connectToPipeline' 2 times, maximum is 1",
+         "fix": None}]
+
+
+def _blueprint(bench):
+    from toscaflow.parsing import parse_service_template
+
+    return parse_service_template(bench[0].blueprint_scale(1).blueprint, "b.yaml")
+
+
+@pytest.mark.parametrize("make", [
+    lambda load, bench: load("duplicate_connection.yaml"),
+    lambda load, bench: load("encrypt_mismatch.yaml"),
+    lambda load, bench: b.rekey_cascade(3),
+    lambda load, bench: _one_nifi(cat.CONNECT_NIFI_LOCAL, "[1, 1]",
+                                  ("connectToPipelineRemote", "Dst"),
+                                  ("connectToPipeline", "Dst2")),
+    lambda load, bench: _one_nifi(cat.CONNECT_NIFI_REMOTE, "[1, UNBOUNDED]",
+                                  ("connectToPipelineRemote", "Dst"),
+                                  ("connectToPipeline", "Dst")),
+    lambda load, bench: _blueprint(bench),
+], ids=["duplicate", "passphrases", "cascade", "overfill", "no-rewrite", "blueprint"])
+def test_the_passes_after_a_repair_find_what_full_passes_find(make, load_fixture, bench,
+                                                              monkeypatch):
+    def outcome():
+        fixed, diagnostics = verify(template, fix=True, seed=3)
+        return ([(d.to_dict(), d.location) for d in diagnostics],
+                serialize_template(fixed))
+
+    template = make(load_fixture, bench)
+    scoped = outcome()
+    run_checks = verifier._run_checks
+    monkeypatch.setattr(verifier, "_run_checks", lambda topo, changed=None: run_checks(topo))
+    assert scoped == outcome()
+    assert any(d["fix"] for d, _ in scoped[0])
 
 
 def test_kind_repair_overrides_a_relationship_r1_accepts():

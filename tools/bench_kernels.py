@@ -19,9 +19,11 @@ definitions, and the serialization of that template repaired by
 is the rest of `parse_service_template`, handed a tree composed before
 the pass.
 
-The engine rows time `instantiate` and `Flow.run_until` apart.  The
-`instantiate` rows build a flow from the blueprint_scale seed 1 template
-repaired by `verify(fix=True)`, at each rung of the trickle probe below.
+The engine rows time each stage of a job after the parse on its own.
+At each rung of the trickle probe below, the
+`verify fix` rows repair the blueprint_scale seed 1 template with
+`verify(fix=True)`, and the `verify clean`, `plan` and `instantiate` rows
+verify, plan and build a flow from the repaired template.
 The other rows time `Flow.run_until` alone, on a flow built before the
 pass: the store_relay seed 1 job's flow through its horizon; the same flow
 with a long schedule, one 16-byte object a tick for LONG_TICKS ticks into
@@ -160,10 +162,15 @@ def _engine(toscaflow, workloads, worker):
             blueprint = workloads.blueprint_scale(SEED).blueprint
         finally:
             workloads.BLUEPRINT_CHAINS = chains
-        fixed = toscaflow.verify(toscaflow.parse_service_template(blueprint),
-                                 fix=True, seed=SEED)[0]
-        yield (f"instantiate {count} chains", toscaflow.instantiate,
-               lambda fixed=fixed: fixed, {"nodes": len(fixed.node_templates)})
+        template = toscaflow.parse_service_template(blueprint)
+        fixed = toscaflow.verify(template, fix=True, seed=SEED)[0]
+        nodes = {"nodes": len(fixed.node_templates)}
+        yield (f"verify fix {count} chains",
+               lambda template: toscaflow.verify(template, fix=True, seed=SEED),
+               lambda template=template: template, nodes)
+        for name, stage in (("verify clean", toscaflow.verify), ("plan", toscaflow.plan),
+                            ("instantiate", toscaflow.instantiate)):
+            yield f"{name} {count} chains", stage, lambda fixed=fixed: fixed, nodes
 
         def trickle():
             flow = toscaflow.instantiate(fixed)
