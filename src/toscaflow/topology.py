@@ -54,7 +54,7 @@ class Topology:
         self._resolved = {}
         self._by_node = {}
         self._evaluated = {}
-        self._chains = {}  # node -> (a host chain found, the node's index in it)
+        self._chains = {}  # node -> a host chain found that holds it
         self._nifi = {}
 
     # -- types ---------------------------------------------------------------
@@ -213,11 +213,11 @@ class Topology:
                     "host cycle: " + " -> ".join(chain + [target]))
             chain.append(target)
         else:  # a chain found before goes on from `current`
-            found, at = self._chains[chain.pop()]
-            chain += found[at:]
+            found = self._chains[chain.pop()]
+            chain += found[found.index(current):]
         found = tuple(chain)
-        for at, name in enumerate(found):
-            self._chains.setdefault(name, (found, at))
+        for name in found:
+            self._chains.setdefault(name, found)
         return chain
 
     def nearest_nifi(self, node_name) -> str:
