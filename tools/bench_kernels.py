@@ -20,10 +20,10 @@ is the rest of `parse_service_template`, handed a tree composed before
 the pass.
 
 The engine rows time each stage of a job after the parse on its own.
-At each rung of the trickle probe below, the
-`verify fix` rows repair the blueprint_scale seed 1 template with
-`verify(fix=True)`, and the `verify clean`, `plan` and `instantiate` rows
-verify, plan and build a flow from the repaired template.
+At each rung of the trickle probe below, the `verify fix` rows repair the
+blueprint_scale seed 1 template with `verify(fix=True)`, and the
+`verify clean`, `plan` and `instantiate` rows verify, plan and build a
+flow from the repaired template.
 The other rows time `Flow.run_until` alone, on a flow built before the
 pass: the store_relay seed 1 job's flow through its horizon; the same flow
 with a long schedule, one 16-byte object a tick for LONG_TICKS ticks into
