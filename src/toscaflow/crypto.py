@@ -9,6 +9,8 @@ keystream, so decryption is the identical operation.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 FNV_OFFSET_BASIS = 14695981039346656037
 FNV_PRIME = 1099511628211
 
@@ -16,6 +18,14 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 _PERIOD = 256
+
+# The low byte of x' depends only on the low byte b of x: b' = 45 * b + 79
+# (mod 256), the constants' low bytes.  As 45 % 4 == 1 and 79 is odd, the
+# Hull-Dobell theorem makes that map one cycle through all 256 values, so
+# every keystream is this cycle entered at its first byte.  It is stored
+# twice over, so a period from any entry is one slice.
+_CYCLE = bytes(accumulate(range(2 * _PERIOD - 1),
+                          lambda b, _: (b * _LCG_MULT + _LCG_INC) & 0xFF, initial=0))
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -36,14 +46,10 @@ def cipher_key(passphrase) -> str:
 
 
 def _keystream(passphrase: str, length: int) -> bytes:
-    # The low byte of x' depends only on the low byte of x, so the stream
-    # repeats every 256 bytes: compute one period and tile it.
-    state = fnv1a_64(passphrase.encode("utf-8"))
-    period = bytearray(min(length, _PERIOD))
-    for i in range(len(period)):
-        state = (state * _LCG_MULT + _LCG_INC) & _MASK64
-        period[i] = state & 0xFF
-    return bytes(period * (length // _PERIOD + 1))[:length]
+    first = (fnv1a_64(passphrase.encode("utf-8")) * _LCG_MULT + _LCG_INC) & 0xFF
+    entry = _CYCLE.index(first)
+    period = _CYCLE[entry:entry + _PERIOD]
+    return (period * (length // _PERIOD + 1))[:length]
 
 
 def encrypt_bytes(payload: bytes, passphrase: str) -> bytes:

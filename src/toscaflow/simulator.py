@@ -91,10 +91,8 @@ _STANDALONE_COPIES = {
 # and must give identical bytes; the tests compare them with per-byte oracles.
 
 _HALVE = bytes(b // 2 for b in range(256))
-
-# blur works on windows of this many output bytes, so the lane integers of
-# one window stay small however large the payload is
-_BLUR_WINDOW = 4096
+_DIV3 = bytes(b // 3 for b in range(256))
+_MOD3 = bytes(b % 3 for b in range(256))
 
 # the links of a run of two to 255 equal bytes (link i is zero when bytes i
 # and i + 1 are equal); a 255-byte run also takes the link to the next byte
@@ -107,30 +105,26 @@ def grayscale_transform(payload: bytes) -> bytes:
 
 
 def blur_transform(payload: bytes) -> bytes:
-    """Stand-in blur: mean over a centered window of 3, edges clamped."""
+    """Stand-in blur: mean over a centered window of 3, edges clamped.
+
+    With a = 3 * (a // 3) + a % 3, the mean of three bytes is the sum of
+    their thirds plus the third of the sum of their remainders.  Thirds and
+    remainders each go one byte per lane into one integer, and one addition
+    of two shifted copies sums every window: at most 255 and 6, so no lane
+    carries.  (r * 11) >> 5 == r // 3 for every r in 0..6, and r * 11 stays
+    below 128, so the low two bits of each lane of the shifted product are
+    that third.
+    """
     if not payload:
         return b""
+    n = len(payload)
     padded = payload[:1] + payload + payload[-1:]
-    out = bytearray()
-    for start in range(0, len(payload), _BLUR_WINDOW):
-        out += _blur_window(padded[start:start + _BLUR_WINDOW + 2])
-    return bytes(out)
-
-
-def _blur_window(padded: bytes) -> bytes:
-    """Means of the len(padded) - 2 windows of three in `padded`.
-
-    Each byte goes into its own 32-bit lane of one integer, so one addition
-    of two shifted copies sums every window (at most 765, no carry between
-    lanes).  (s * 683) >> 11 == s // 3 for every s in 0..765; the product
-    stays below 2**20, so the low byte of each lane is the mean.
-    """
-    width = 4 * len(padded)
-    lanes = bytearray(width)
-    lanes[::4] = padded
-    x = int.from_bytes(lanes, "little")
-    sums = x + (x >> 32) + (x >> 64)
-    return ((sums * 683) >> 11).to_bytes(width, "little")[:width - 8:4]
+    thirds = int.from_bytes(padded.translate(_DIV3), "little")
+    rests = int.from_bytes(padded.translate(_MOD3), "little")
+    thirds += (thirds >> 8) + (thirds >> 16)
+    rests += (rests >> 8) + (rests >> 16)
+    rests = ((rests * 11) >> 5) & int.from_bytes(b"\x03" * n, "little")
+    return (thirds + rests).to_bytes(n + 2, "little")[:n]
 
 
 def rle_compress(payload: bytes) -> bytes:

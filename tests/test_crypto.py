@@ -67,6 +67,34 @@ def test_keystream_bit_exact_past_one_period(length, passphrase):
         oracle_encrypt(payload, passphrase)
 
 
+def _passphrases_at_every_entry():
+    """Passphrases whose keystreams start at each of the 256 byte values,
+    so between them they enter the keystream's cycle at every point."""
+    by_first = {}
+    for n in range(100_000):
+        passphrase = f"p{n}"
+        by_first.setdefault(oracle_encrypt(b"\0", passphrase)[0], passphrase)
+        if len(by_first) == 256:
+            return [by_first[first] for first in range(256)]
+    raise AssertionError("no passphrase found for some first keystream byte")
+
+
+def test_keystream_bit_exact_from_every_entry_point():
+    rng = random.Random(3)
+    for passphrase in _passphrases_at_every_entry():
+        for length in (1, 255, 256, 257, 513):
+            payload = bytes(rng.randrange(256) for _ in range(length))
+            assert encrypt_bytes(payload, passphrase) == \
+                oracle_encrypt(payload, passphrase), (passphrase, length)
+
+
+@pytest.mark.parametrize("passphrase", ["", "a", "s3cret", "image_stream"])
+def test_keystream_period_is_a_permutation_repeated(passphrase):
+    stream = encrypt_bytes(bytes(512), passphrase)
+    assert sorted(stream[:256]) == list(range(256))
+    assert stream[256:] == stream[:256]
+
+
 def test_mismatched_passphrase_garbles():
     rng = random.Random(11)
     payload = bytes(rng.randrange(256) for _ in range(16))

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,24 @@ def test_blur_extreme_values():
     payload = bytes([255, 255, 255, 0, 255, 0, 0, 254, 255]) * 1000
     assert blur_transform(payload) == oracle_blur(payload)
     assert blur_transform(b"\xff") == b"\xff"
+
+
+def test_blur_every_window_over_low_and_high_bytes():
+    # thirds and remainders at both ends of their ranges, in every order
+    alphabet = [*range(6), *range(250, 256)]
+    for window in itertools.product(alphabet, repeat=3):
+        payload = bytes(window)
+        assert blur_transform(payload) == oracle_blur(payload), window
+
+
+@pytest.mark.parametrize("payload", [b"\xfe" * 999, b"\xff" * 1000, b"\xfe\xff" * 500])
+def test_blur_payloads_of_the_largest_thirds_and_remainders(payload):
+    assert blur_transform(payload) == oracle_blur(payload)
+
+
+def test_blur_payload_of_300_kib():
+    payload = random.Random(300).randbytes(300 * 1024)
+    assert blur_transform(payload) == oracle_blur(payload)
 
 
 @pytest.mark.parametrize("run", [254, 255, 256, 257, 510, 511])

@@ -9,8 +9,12 @@ It generates the image_stream workload of perfbench/workloads.py for
 seed 1 and gives each kernel the bytes it gets in that pipeline:
 parse_schedule the schedule text, grayscale_transform the injected
 payloads, blur_transform their grayscale, and encrypt_bytes and
-rle_compress the blurred ones.  A pass calls the kernel once on each of
-its inputs.
+rle_compress the blurred ones.  `blur_transform small` is blur on the
+grayscale of the store_relay seed 1 job's injected payloads, 16 to 256
+bytes each, where the cost per call dominates.  `unpack_csar` reads the
+image_stream CSAR, and `pack_csar` packs that archive's files again, as
+the benchmark's job does.  A pass calls the kernel once on each of its
+inputs.
 
 The parse rows time the two halves of `parse_service_template` on the
 two texts the blueprint_scale seed 1 job parses: the CSAR's entry
@@ -205,17 +209,26 @@ def main(argv=None) -> int:
               f"not from {src}", file=sys.stderr)
         return 2
 
-    schedule = workloads.image_stream(SEED).schedule
+    image = workloads.image_stream(SEED)
+    schedule = image.schedule
     payloads = [entry[4] for entry in parse_schedule(schedule)]
     grays = [grayscale_transform(p) for p in payloads]
     blurred = [blur_transform(p) for p in grays]
+    small_grays = [grayscale_transform(entry[4]) for entry
+                   in parse_schedule(workloads.store_relay(SEED).schedule)]
+    csar = image.csar()
+    archive = toscaflow.unpack_csar(csar)
     # the keystream costs the same whatever the passphrase
     kernels = {
         "parse_schedule": (parse_schedule, [schedule]),
         "grayscale_transform": (grayscale_transform, payloads),
         "blur_transform": (blur_transform, grays),
+        "blur_transform small": (blur_transform, small_grays),
         "encrypt_bytes": (lambda p: encrypt_bytes(p, "image_stream"), blurred),
         "rle_compress": (rle_compress, blurred),
+        "unpack_csar": (toscaflow.unpack_csar, [csar]),
+        "pack_csar": (lambda files: toscaflow.pack_csar(archive.entry_definitions, files),
+                      [archive.files]),
     }
     results = {}
     for name, (kernel, inputs) in kernels.items():
@@ -224,7 +237,9 @@ def main(argv=None) -> int:
                 kernel(data)
         results[name] = _row(name, _time(run, lambda inputs=inputs: inputs, REPEAT),
                              calls=len(inputs),
-                             input_len=sum(len(data) for data in inputs))
+                             input_len=sum(sum(map(len, data.values()))
+                                           if isinstance(data, dict) else len(data)
+                                           for data in inputs))
     parse = {name: _row(name, _time(run, prepare, REPEAT))
              for name, run, prepare in _parse(toscaflow, workloads)}
     engine = {name: _row(name, _time(run, prepare, REPEAT), **facts)
