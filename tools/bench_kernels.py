@@ -10,11 +10,11 @@ seed 1 and gives each kernel the bytes it gets in that pipeline:
 parse_schedule the schedule text, grayscale_transform the injected
 payloads, blur_transform their grayscale, and encrypt_bytes and
 rle_compress the blurred ones.  `blur_transform small` is blur on the
-grayscale of the store_relay seed 1 job's injected payloads, 16 to 256
+grayscale of the store_relay seed 1 job's injected payloads, at most 256
 bytes each, where the cost per call dominates.  `unpack_csar` reads the
 image_stream CSAR, and `pack_csar` packs that archive's files again, as
-the benchmark's job does.  A pass calls the kernel once on each of its
-inputs.
+the benchmark's traced `csar.pack_s` does.  A pass calls the kernel once
+on each of its inputs.
 
 The parse rows time the two halves of `parse_service_template` on the
 two texts the blueprint_scale seed 1 job parses: the CSAR's entry
