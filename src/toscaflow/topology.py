@@ -43,9 +43,9 @@ CONNECTION_KIND = {Locality.LOCAL: cat.CONNECT_NIFI_LOCAL,
 class Topology:
     """Resolved types, pipelines, connections and hosting of one template.
 
-    Derived facts are cached; a repair builds a new template and a new
-    view of it, since templates are never changed.  Types resolve in the
-    template's `combined_definitions`.
+    Derived facts are cached; templates are never changed, so a repair
+    builds a new template, and `_repaired` gives its view.  Types resolve
+    in the template's `combined_definitions`.
     """
 
     def __init__(self, template: ServiceTemplate):
@@ -56,6 +56,23 @@ class Topology:
         self._evaluated = {}
         self._chains = {}  # node -> a host chain found that holds it
         self._nifi = {}
+
+    def _repaired(self, template: ServiceTemplate, replaced) -> Topology:
+        """The view of `template`, this view's with the `replaced` nodes
+        repaired.  A repair adds, removes and retypes no node and keeps the
+        inline types, so types and pipelines carry over.  It can move a host
+        assignment, so a node keeps its host chain and nearest NiFi only when
+        that chain holds no replaced node.  The rest is derived again."""
+        view = Topology.__new__(Topology)
+        view.template, view.defs = template, self.defs
+        view._resolved, view._by_node = self._resolved, self._by_node
+        view.pipelines = self.pipelines
+        view._evaluated = {}
+        view._chains = {name: chain for name, chain in self._chains.items()
+                        if replaced.isdisjoint(chain[chain.index(name):])}
+        view._nifi = {name: nifi for name, nifi in self._nifi.items()
+                      if name in view._chains}
+        return view
 
     # -- types ---------------------------------------------------------------
 

@@ -34,7 +34,7 @@ import random
 from . import catalog as cat
 from .cron import is_valid_cron
 from .crypto import cipher_key
-from .errors import HostCycleError, MissingHostError, VerifierNonConvergenceError
+from .errors import VerifierNonConvergenceError
 from .model import UNBOUNDED, Record, RequirementAssignment, ServiceTemplate
 from .topology import CONNECTION_KIND, Topology, first_of
 
@@ -208,13 +208,8 @@ def check_locality(template: ServiceTemplate) -> list[Diagnostic]:
     return _located(_check_locality, Topology(template))
 
 
-def _check_locality(topo: Topology, changed=None):
-    """R2 and R3 on every pair, or on the pairs where `changed` names a
-    node of either block's host chain."""
-    touched = None if changed is None else _hosted_on(topo, changed)
+def _check_locality(topo: Topology):
     for (a, b), edges in topo.pairs.items():
-        if touched is not None and a not in touched and b not in touched:
-            continue
         locality = topo.locality(a, b)
         if locality is None:
             continue
@@ -234,20 +229,6 @@ def _check_locality(topo: Topology, changed=None):
                     R2_LOCALITY, ERROR if rewrite is None else FIXABLE, [a, b],
                     f"connection {a!r} -> {b!r} uses a {bucket.value} "
                     f"relationship but the blocks are {locality.value}")
-
-
-def _hosted_on(topo: Topology, changed) -> set:
-    """The pipelines whose host chain holds a node named in `changed`, or
-    is broken."""
-    touched = set()
-    for name in topo.pipelines:
-        try:
-            if changed.isdisjoint(topo.host_chain(name)):
-                continue
-        except (MissingHostError, HostCycleError):
-            pass
-        touched.add(name)
-    return touched
 
 
 def _reachable_from(adjacency, start):
@@ -414,10 +395,10 @@ def _fix_encryption(nodes: dict, pairs, mismatches, rng: random.Random) -> dict:
 
 
 def _run_checks(topo: Topology, changed=None) -> list[Diagnostic]:
-    """Every rule's findings; with `changed`, those of R1/R5 and R2/R3
-    only where its nodes take part (see `verify`)."""
+    """Every rule's findings; with `changed`, those of R1/R5 only on its
+    nodes (see `verify`)."""
     return (_located(_check_requirements, topo, changed)
-            + _located(_check_locality, topo, changed)
+            + _located(_check_locality, topo)
             + _located(_check_encryption, topo) + _located(_check_scheduling, topo))
 
 
@@ -440,18 +421,18 @@ def verify(template: ServiceTemplate, fix: bool = False,
     shares with it every node that no repair changed.
 
     A pass after a repair runs R1/R5 only on the nodes the repair
-    replaced, and R2/R3 only on the pairs where one of them is in either
-    block's host chain.  That is exact: a repair never adds, removes or
-    retypes a node, every other finding was reported by the pass before,
-    and every fixable finding's repair replaces its node.  R4 and R6 run
-    in full, since `get_property` carries one node's value to another.
+    replaced.  That is exact: a repair never adds, removes or retypes a
+    node, and a node's R1/R5 findings read only its own assignments and
+    the types of their targets, so every other one was reported by the
+    pass before.  R2/R3, R4 and R6 run in full, on a view that keeps the
+    types and the host chains the repair left alone (`Topology._repaired`).
     """
     work = template
+    topo = Topology(work)
     rng = random.Random(seed)
     reported: dict = {}
     changed = None  # the first pass checks everything
     for attempt in range(MAX_FIX_PASSES + 1):
-        topo = Topology(work)  # a fresh view: each pass repairs the template
         diagnostics = _run_checks(topo, changed)
         for diag in diagnostics:
             reported.setdefault(diag.key(), diag)
@@ -466,6 +447,7 @@ def verify(template: ServiceTemplate, fix: bool = False,
         changed = {name for name, node in nodes.items()
                    if node is not work.node_templates[name]}
         work = work.replace(node_templates=nodes)
+        topo = topo._repaired(work, changed)
     return work, list(reported.values())
 
 

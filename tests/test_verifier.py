@@ -7,14 +7,19 @@ import builders as b
 import topology_gen
 from bruteforce import diagnostics_as_set, rule_violations
 from toscaflow import catalog as cat
-from toscaflow import verifier
+from toscaflow import topology, verifier
 from toscaflow.errors import (
     HostCycleError,
     MissingHostError,
     NotAPipelineError,
     VerifierNonConvergenceError,
 )
-from toscaflow.model import RequirementAssignment, ServiceTemplate, TypeDefinition
+from toscaflow.model import (
+    RequirementAssignment,
+    RequirementDefinition,
+    ServiceTemplate,
+    TypeDefinition,
+)
 from toscaflow.parsing import serialize_template
 from toscaflow.simulator import instantiate
 from toscaflow.topology import Locality, Topology, colocated, host_chain
@@ -848,6 +853,32 @@ def _blueprint(bench):
     return parse_service_template(bench[0].blueprint_scale(1).blueprint, "b.yaml")
 
 
+def _host_renaming():
+    """A relay whose `host` requirement is a remote pipeline connection,
+    hosted on B (NiFi 0) and connected to C (NiFi 1).  Each R2 repair
+    renames one of its two assignments to the other's name, so its host
+    assignment, and with it its NiFi, moves on every pass."""
+    relay = TypeDefinition("acme.Relay", "node", derived_from=b.PRC + "ExecutePython",
+                           requirements=[RequirementDefinition(
+                               "host", cat.CONNECT_TO_PIPELINE_CAP,
+                               relationship_type=cat.CONNECT_NIFI_REMOTE,
+                               occurrences=(1, 1))])
+    nodes = [*b.nifi_stack(0)[0], *b.nifi_stack(1)[0],
+             b.node("B", b.PRC + "ExecutePython", reqs=[("host", "Nifi_0")]),
+             b.node("C", b.PRC + "ExecutePython", reqs=[("host", "Nifi_1")]),
+             b.node("A", "acme.Relay", reqs=[("host", "B"), ("ConnectToPipeline", "C")])]
+    return ServiceTemplate(user_types=[relay], node_templates={n.name: n for n in nodes})
+
+
+def test_a_repair_that_moves_a_host_assignment_does_not_converge():
+    assert [(d.rule, d.nodes) for d in verify(_host_renaming())[1]
+            if d.severity == FIXABLE] == [(R2_LOCALITY, ["A", "B"]),
+                                          (R2_LOCALITY, ["A", "C"])]
+    with pytest.raises(VerifierNonConvergenceError,
+                       match="fixable diagnostics remain after 3 fix passes"):
+        verify(_host_renaming(), fix=True)
+
+
 @pytest.mark.parametrize("make", [
     lambda load, bench: load("duplicate_connection.yaml"),
     lambda load, bench: load("encrypt_mismatch.yaml"),
@@ -859,20 +890,50 @@ def _blueprint(bench):
                                   ("connectToPipelineRemote", "Dst"),
                                   ("connectToPipeline", "Dst")),
     lambda load, bench: _blueprint(bench),
-], ids=["duplicate", "passphrases", "cascade", "overfill", "no-rewrite", "blueprint"])
+    lambda load, bench: _host_renaming(),
+], ids=["duplicate", "passphrases", "cascade", "overfill", "no-rewrite", "blueprint",
+        "host-renaming"])
 def test_the_passes_after_a_repair_find_what_full_passes_find(make, load_fixture, bench,
                                                               monkeypatch):
+    """The carried view and the R1/R5 scope give what full passes on fresh
+    views give."""
     def outcome():
-        fixed, diagnostics = verify(template, fix=True, seed=3)
+        try:
+            fixed, diagnostics = verify(template, fix=True, seed=3)
+        except VerifierNonConvergenceError as exc:
+            return str(exc), None
         return ([(d.to_dict(), d.location) for d in diagnostics],
                 serialize_template(fixed))
 
     template = make(load_fixture, bench)
-    scoped = outcome()
+    carried = outcome()
     run_checks = verifier._run_checks
+    monkeypatch.setattr(Topology, "_repaired", lambda topo, template, replaced:
+                        Topology(template))
     monkeypatch.setattr(verifier, "_run_checks", lambda topo, changed=None: run_checks(topo))
-    assert scoped == outcome()
-    assert any(d["fix"] for d, _ in scoped[0])
+    assert carried == outcome()
+    assert carried[1] is None or any(d["fix"] for d, _ in carried[0])
+
+
+def test_a_repair_carries_one_view_through_its_passes(bench, monkeypatch):
+    """verify(fix=True) builds one Topology for its two passes on the
+    blueprint, and resolves no type more than one pass does."""
+    views, passes, resolved = [], [], []
+    init, run_checks = Topology.__init__, verifier._run_checks
+    resolve = topology.resolve_type
+    monkeypatch.setattr(Topology, "__init__", lambda topo, template:
+                        views.append(topo) or init(topo, template))
+    monkeypatch.setattr(verifier, "_run_checks", lambda topo, changed=None:
+                        passes.append(topo) or run_checks(topo, changed))
+    monkeypatch.setattr(topology, "resolve_type", lambda *args:
+                        resolved.append(args[0]) or resolve(*args))
+    template = _blueprint(bench)
+    verify(template)
+    one_pass = len(resolved)
+    del views[:], passes[:], resolved[:]
+    verify(template, fix=True, seed=1)
+    assert len(views) == 1 and len(passes) == 2
+    assert len(resolved) <= one_pass
 
 
 def test_kind_repair_overrides_a_relationship_r1_accepts():

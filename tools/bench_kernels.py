@@ -21,7 +21,8 @@ two texts the blueprint_scale seed 1 job parses: the CSAR's entry
 definitions, and the serialization of that template repaired by
 `verify(fix=True)`.  `compose` is the YAML node tree alone; `model build`
 is the rest of `parse_service_template`, handed a tree composed before
-the pass.
+the pass.  `serialize repaired` is `serialize_template` writing the
+second text from that repaired template.
 
 The engine rows time each stage of a job after the parse on its own.
 At each rung of the trickle probe below, the `verify fix` rows repair the
@@ -126,6 +127,7 @@ def _parse(toscaflow, workloads):
 
         yield (f"model build {label}", build,
                lambda text=text, filename=filename: compose(text, filename))
+    yield "serialize repaired", toscaflow.serialize_template, lambda: fixed
 
 
 def _engine(toscaflow, workloads, worker):
@@ -176,7 +178,7 @@ def _engine(toscaflow, workloads, worker):
                             ("instantiate", toscaflow.instantiate)):
             yield f"{name} {count} chains", stage, lambda fixed=fixed: fixed, nodes
 
-        def trickle():
+        def trickle(fixed=fixed):
             flow = toscaflow.instantiate(fixed)
             provider, bucket = flow.blocks["C000_Src"].source
             for tick in range(TRICKLE_OBJECTS):
