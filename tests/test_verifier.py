@@ -855,9 +855,9 @@ def _blueprint(bench):
 
 def _host_renaming():
     """A relay whose `host` requirement is a remote pipeline connection,
-    hosted on B (NiFi 0) and connected to C (NiFi 1).  Each R2 repair
-    renames one of its two assignments to the other's name, so its host
-    assignment, and with it its NiFi, moves on every pass."""
+    hosted on B (NiFi 0) and connected to C (NiFi 1).  The two R2 repairs
+    swap the names of its two assignments, so its host, and with it its
+    NiFi, moves on every pass."""
     relay = TypeDefinition("acme.Relay", "node", derived_from=b.PRC + "ExecutePython",
                            requirements=[RequirementDefinition(
                                "host", cat.CONNECT_TO_PIPELINE_CAP,
