@@ -24,7 +24,11 @@ class CronExpr(Record, frozen=True):
 
     def __init__(self, text: str, seconds: frozenset[int], minutes: frozenset[int],
                  hours: frozenset[int]):
-        self.__dict__.update(text=text, seconds=seconds, minutes=minutes, hours=hours)
+        fields = self.__dict__
+        fields["text"] = text
+        fields["seconds"] = seconds
+        fields["minutes"] = minutes
+        fields["hours"] = hours
 
     def matches(self, tick: int) -> bool:
         second_of_day = tick % SECONDS_PER_DAY

@@ -58,7 +58,9 @@ class Record:
     shows the fields.  `location` is not a field, so it takes part in
     neither; `replace` keeps it.  `class R(Record, frozen=True)` makes
     records that hash by their fields and refuse assignment, so their
-    `__init__` sets every field in one `self.__dict__.update(...)`.
+    `__init__` stores each field as an item of `self.__dict__`
+    (``fields = self.__dict__``, then ``fields["name"] = name``), which
+    builds no keyword dict as ``self.__dict__.update(name=name)`` would.
     """
 
     def __init_subclass__(cls, frozen=False):

@@ -59,7 +59,10 @@ class SourceLocation(Record, frozen=True):
     _fields = ("file", "line", "column")
 
     def __init__(self, file: str, line: int, column: int):
-        self.__dict__.update(file=file, line=line, column=column)
+        fields = self.__dict__
+        fields["file"] = file
+        fields["line"] = line
+        fields["column"] = column
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"

@@ -27,7 +27,10 @@ class DependencyEdge(Record, frozen=True):
     _fields = ("source", "target", "kind")
 
     def __init__(self, source: str, target: str, kind: str):
-        self.__dict__.update(source=source, target=target, kind=kind)
+        fields = self.__dict__
+        fields["source"] = source
+        fields["target"] = target
+        fields["kind"] = kind
 
 
 class DependencyGraph(Record):
@@ -41,7 +44,10 @@ class PlanStep(Record, frozen=True):
     _fields = ("node", "op", "annotation")
 
     def __init__(self, node: str, op: str, annotation: str | None = None):
-        self.__dict__.update(node=node, op=op, annotation=annotation)
+        fields = self.__dict__
+        fields["node"] = node
+        fields["op"] = op
+        fields["annotation"] = annotation
 
     def to_dict(self):
         return {"node": self.node, "op": self.op, "annotation": self.annotation}

@@ -7,7 +7,8 @@ into the buckets its stages read and one bucket nothing reads.  Two seeds
 in three also register a function for every function key the flow looks
 up, one that raises or returns None for some payloads.  The flow is ticked
 one tick at a time through T_END, and `run_until` on a second copy of it
-must leave the same state.
+must leave the same state.  After every tick, the flow's running count of
+queued items must equal the sum over its queues.
 
 The hash covers which templates instantiate, every tick's events with
 `born` and `dropped` after it, and the final metrics, stores, store
@@ -98,6 +99,7 @@ def test_every_generated_flow_ticks_and_jumps_to_its_recorded_hash():
             continue
         while ticked.clock <= T_END and ticked.born <= BORN_CUT:
             events = ticked.tick()
+            assert ticked._queued == sum(map(len, ticked.queues.values()))
             digest.update(repr((ticked.clock - 1, events, ticked.born,
                                 ticked.dropped)).encode())
         jumped = _flow(template, seed)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -472,6 +473,52 @@ def test_conservation_and_determinism(load_fixture):
     first, second = run(), run()
     assert first.metrics() == second.metrics()
     assert first.stores == second.stores
+
+
+def test_a_handler_that_loses_an_item_breaks_the_conservation_check(load_fixture):
+    flow = instantiate(load_fixture("image_pipeline.yaml"))
+    stage = flow.blocks["InvokeLambda_0"]
+    handle = stage.handle
+    stage.handle = lambda stage, items, tick: handle(stage, items[1:], tick)
+    flow.put_object("minio", "firstbucket", "a", b"\x01\x02")
+    flow.put_object("minio", "firstbucket", "b", b"\x03\x04")
+    # two objects and the fork of the one passed on, of which one is lost
+    with pytest.raises(RuntimeError,
+                       match=r"^conservation violated: born=3 accounted=2$"):
+        flow.tick()
+
+
+class _Halt(BaseException):
+    """Raised by a registered function; `_transform` lets it through."""
+
+
+@pytest.mark.parametrize("halt", [False, True])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_run_until_pauses_the_collector_and_leaves_it_as_it_found_it(
+        load_fixture, collecting, halt):
+    seen = []  # whether the collector ran while the function ran
+
+    def function(payload):
+        seen.append(gc.isenabled())
+        if halt:
+            raise _Halt
+        return payload
+
+    flow = instantiate(load_fixture("image_pipeline.yaml"))
+    flow.functions["img-grayscale-nifi"] = function
+    flow.put_object("minio", "firstbucket", "a", b"\x01\x02")
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if halt:
+            with pytest.raises(_Halt):
+                flow.run_until(3)
+        else:
+            flow.run_until(3)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 def test_schedule_injection_rejects_past_ticks():

@@ -11,10 +11,11 @@ parse_schedule the schedule text, grayscale_transform the injected
 payloads, blur_transform their grayscale, and encrypt_bytes and
 rle_compress the blurred ones.  `blur_transform small` is blur on the
 grayscale of the store_relay seed 1 job's injected payloads, at most 256
-bytes each, where the cost per call dominates.  `unpack_csar` reads the
-image_stream CSAR, and `pack_csar` packs that archive's files again, as
-the benchmark's traced `csar.pack_s` does.  A pass calls the kernel once
-on each of its inputs.
+bytes each, where the cost per call dominates, and `rle_compress small`
+is RLE on what that job's RLE hop gets: the grayscale of that blur.
+`unpack_csar` reads the image_stream CSAR, and `pack_csar` packs that
+archive's files again, as the benchmark's traced `csar.pack_s` does.  A
+pass calls the kernel once on each of its inputs.
 
 The parse rows time the two halves of `parse_service_template` on the
 two texts the blueprint_scale seed 1 job parses: the CSAR's entry
@@ -218,6 +219,7 @@ def main(argv=None) -> int:
     blurred = [blur_transform(p) for p in grays]
     small_grays = [grayscale_transform(entry[4]) for entry
                    in parse_schedule(workloads.store_relay(SEED).schedule)]
+    small_hop = [grayscale_transform(blur_transform(p)) for p in small_grays]
     csar = image.csar()
     archive = toscaflow.unpack_csar(csar)
     # the keystream costs the same whatever the passphrase
@@ -226,6 +228,7 @@ def main(argv=None) -> int:
         "grayscale_transform": (grayscale_transform, payloads),
         "blur_transform": (blur_transform, grays),
         "blur_transform small": (blur_transform, small_grays),
+        "rle_compress small": (rle_compress, small_hop),
         "encrypt_bytes": (lambda p: encrypt_bytes(p, "image_stream"), blurred),
         "rle_compress": (rle_compress, blurred),
         "unpack_csar": (toscaflow.unpack_csar, [csar]),
