@@ -482,7 +482,7 @@ def test_a_handler_that_loses_an_item_breaks_the_conservation_check(load_fixture
     stage.handle = lambda stage, items, tick: handle(stage, items[1:], tick)
     flow.put_object("minio", "firstbucket", "a", b"\x01\x02")
     flow.put_object("minio", "firstbucket", "b", b"\x03\x04")
-    # two objects and the fork of the one passed on, of which one is lost
+    # two objects, one lost, and the fork InvokeLambda_1 makes of the other
     with pytest.raises(RuntimeError,
                        match=r"^conservation violated: born=3 accounted=2$"):
         flow.tick()
