@@ -7,6 +7,19 @@ with the same name) are detected instead of silently collapsing.
 
 Serialization emits a normalized form: two-space indent, template names
 sorted, stable key order, so serialize(parse(serialize(t))) == serialize(t).
+Its bytes are `yaml.dump`'s with SafeDumper (see `_dump`), written a line
+at a time from the model records and plain data.  A printable-ASCII str
+is plain unless it is empty, has a leading or trailing space, starts with
+one of ``#,[]{}&*!|>'"%@` ``, with ``---`` or ``...``, or with ``?``,
+``:`` or ``-`` before a space or the end, holds ``: `` or `` #``, ends
+with ``:``, or resolves to another tag; then it is single-quoted, each
+``'`` doubled.  A None, bool, int or float is SafeRepresenter's text.
+Anything else goes to `yaml.dump` whole: a str not printable ASCII, a key
+not a str of 1-122 characters, a scalar with a space that ends past
+column 100 (it may fold), a collection reached twice (it is anchored), a
+scalar text resolving to another tag, and any other type.  Both ways, a
+plain scalar is a str when its first character starts no implicit
+resolver, without asking PyYAML's resolver.
 """
 
 from __future__ import annotations
@@ -93,8 +106,10 @@ def _marked_error(exc: yaml.MarkedYAMLError, filename) -> TemplateSyntaxError:
 _LIBYAML_MAX_DEPTH = 2000
 
 _TAG_START = r"(?:^|[\s\[\]{},:\ufeff])!"  # compiled by `re` on first use
-# an empty value before a flow collection's ',', '}' or ']', maybe after comments
-_EMPTY_FLOW_VALUE = r":\s*(?:[,}\]]|#[^\n]*\n(?:\s*#[^\n]*\n)*\s*[,}\]])"
+# an empty value before a flow collection's ',', '}' or ']', maybe after comments;
+# the lookahead takes the whole run of whitespace and never gives any back, as
+# what follows starts with no whitespace (`\s*+` would need Python 3.11)
+_EMPTY_FLOW_VALUE = r":(?=(\s*))\1(?:[,}\]]|#[^\n]*\n(?:\s*#[^\n]*\n)*\s*[,}\]])"
 
 
 def _suits_libyaml(text) -> bool:
@@ -124,13 +139,17 @@ def _suits_libyaml(text) -> bool:
 _STR_TAG = "tag:yaml.org,2002:str"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
 _MAP_TAG = "tag:yaml.org,2002:map"
+# the first characters of a plain scalar that may resolve to another tag
+# (with '' for the empty one): stock SafeLoader's and SafeDumper's table
+_IMPLICIT_FIRST = yaml.resolver.Resolver.yaml_implicit_resolvers
 
 
 class _Resolver(yaml.resolver.Resolver):
     """A resolver put before a stock loader's own.  toscaflow registers no
     path resolver, so a collection takes the default tag, a quoted scalar
-    `!!str`, and a plain scalar's tag depends on its value alone and is
-    resolved once per value in a document; the path hooks do nothing."""
+    `!!str`, and a plain scalar's tag depends on its value alone: a str
+    when no implicit resolver starts with its first character, else
+    resolved once per value in a document.  The path hooks do nothing."""
 
     def __init__(self, stream):
         super().__init__(stream)  # the stock loader's
@@ -139,7 +158,7 @@ class _Resolver(yaml.resolver.Resolver):
     def resolve(self, kind, value, implicit):
         if kind is not yaml.ScalarNode:
             return _MAP_TAG if kind is yaml.MappingNode else _SEQ_TAG
-        if not implicit[0]:
+        if not implicit[0] or value[:1] not in _IMPLICIT_FIRST:
             return _STR_TAG
         tag = self._plain_tags.get(value)
         if tag is None:
@@ -636,14 +655,24 @@ def _parse_requirement_assignments(node, template_name, filename):
 # --------------------------------------------------------------------------
 
 def serialize_template(template: ServiceTemplate) -> str:
-    """Normalized YAML for a service template (sorted template names)."""
-    doc = {TOSCA_VERSION_KEY: template.tosca_version}
-    doc.update(_definition_sections(template.user_types))
-    node_templates = {}
-    for name in sorted(template.node_templates):
-        node_templates[name] = _dump_node_template(template.node_templates[name])
-    doc["topology_template"] = {"node_templates": node_templates}
-    return _dump(doc)
+    """Normalized YAML for a service template (sorted template names).
+
+    Each node template is written from its record: its `type`, its
+    properties and artifacts by sorted name, then its requirements in
+    order.  A template whose bytes `_Writer` cannot prove goes to
+    `yaml.dump` whole, as a document of that shape."""
+    writer, sections = _Writer(), _definition_sections(template.user_types)
+    try:
+        writer.entry("", TOSCA_VERSION_KEY, template.tosca_version, "")
+        writer.mapping(sections, "", "")
+        nodes = template.node_templates
+        writer.out.append("topology_template:\n  node_templates:"
+                          + ("\n" if nodes else " {}\n"))
+        for name in sorted(nodes):
+            writer.node_template(name, nodes[name])
+    except _Unproven:
+        return yaml.dump(_template_document(template, sections), **_DUMP_OPTIONS)
+    return "".join(writer.out)
 
 
 def serialize_definitions(definitions) -> str:
@@ -653,17 +682,27 @@ def serialize_definitions(definitions) -> str:
     return _dump(doc)
 
 
+_DUMP_OPTIONS = dict(Dumper=yaml.SafeDumper, sort_keys=False, indent=2,
+                     default_flow_style=False, width=100)
+
+
 def _dump(doc) -> str:
     """`yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False, indent=2,
-    default_flow_style=False, width=100)`, byte for byte.  Plain data is
-    walked into events once and emitted by libyaml where PyYAML has it;
-    any other document is handed to that call."""
-    events = _events(doc)
-    if events is None:
-        return yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False, indent=2,
-                         default_flow_style=False, width=100)
-    return yaml.emit(events, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
-                     indent=2, width=100)
+    default_flow_style=False, width=100)`, byte for byte: `_Writer` writes
+    a mapping, and a document whose bytes it cannot prove goes to that
+    call."""
+    writer = _Writer()
+    try:
+        if type(doc) is dict and writer.opened(doc):
+            writer.mapping(doc, "", "")
+            return "".join(writer.out)
+    except _Unproven:
+        pass
+    return yaml.dump(doc, **_DUMP_OPTIONS)
+
+
+class _Unproven(Exception):
+    """A value whose bytes `_Writer` cannot prove are `yaml.dump`'s."""
 
 
 _RESOLVER = yaml.resolver.Resolver()
@@ -672,84 +711,136 @@ _RESOLVER = yaml.resolver.Resolver()
 _REPRESENTER = yaml.representer.SafeRepresenter()
 _SCALAR_REPRESENTERS = {kind: _REPRESENTER.yaml_representers[kind]
                         for kind in (type(None), bool, int, float)}
-# collections share their start and end events
-_MAP_START = yaml.MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
-_SEQ_START = yaml.SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
-_MAP_END = yaml.MappingEndEvent()
-_SEQ_END = yaml.SequenceEndEvent()
+# printable ASCII that SafeDumper quotes in block context (its analyze_scalar)
+_NOT_PLAIN = re.compile(r"\A(?:[ #,\[\]{}&*!|>'\"%@`]|[-?:](?: |\Z)|---|\.\.\.)"
+                        r"|: |:\Z| #| \Z")
 
 
-class _NotPlain(Exception):
-    """A value `_events` leaves to `yaml.dump`."""
+def _scalar_text(value) -> str:
+    """`value` as SafeDumper writes a scalar in block context."""
+    kind = type(value)
+    if kind is str:
+        if not (value.isascii() and value.isprintable()):
+            raise _Unproven  # escaped in double quotes
+        if value and not _NOT_PLAIN.search(value) and (
+                value[0] not in _IMPLICIT_FIRST
+                or _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR_TAG):
+            return value
+        return "'" + value.replace("'", "''") + "'"
+    if kind not in _SCALAR_REPRESENTERS:
+        raise _Unproven
+    node = _SCALAR_REPRESENTERS[kind](_REPRESENTER, value)
+    if _RESOLVER.resolve(yaml.ScalarNode, node.value, (True, False)) != node.tag:
+        raise _Unproven  # written with its tag
+    return node.value
 
 
-def _events(doc):
-    """The events SafeDumper emits for `doc`, in one walk, when `doc` is
-    plain data; else None.
+class _Writer:
+    """Plain data as `yaml.dump` writes it, a line at a time into `out`,
+    by the rules in the module docstring; `_Unproven` where they end."""
 
-    Plain data is a dict or a list at the root, and below it dicts with
-    str keys of 1 to 122 characters, lists, and printable-ASCII strs,
-    ints, floats, bools and None; no collection is reached twice, so
-    nothing is anchored.  libyaml writes its events byte for byte as the
-    pure emitter does.  The two emitters differ in folding a long
-    double-quoted scalar, which a string of printable ASCII never is.
-    They also differ in which keys they write in the explicit `? key`
-    form: the pure emitter does so for an empty key, and for one that
-    comes to 128 characters or more with its five-character tag `!!str`;
-    libyaml only for a key past 128.  And libyaml ends a plain root
-    scalar without the pure emitter's `...`.
+    def __init__(self):
+        self.out, self.texts = [], {}  # the text of each str written
+        self.walked = set()  # ids of the collections written
 
-    A string is one event, built once per distinct string in the call;
-    any other scalar is the event of SafeRepresenter's node for it.
-    """
-    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
-    strings = {}
-    walked = set()  # ids of the collections walked
-
-    def string(text):
-        if not (text.isascii() and text.isprintable()):
-            raise _NotPlain
-        plain = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False)) == _STR_TAG
-        strings[text] = event = yaml.ScalarEvent(None, _STR_TAG, (plain, True), text)
-        return event
-
-    def walk(value):
+    def text(self, value) -> str:
+        """The text of a scalar or an empty collection."""
         kind = type(value)
-        if kind is str:
-            events.append(strings.get(value) or string(value))
-        elif kind in _SCALAR_REPRESENTERS:
-            node = _SCALAR_REPRESENTERS[kind](_REPRESENTER, value)
-            plain = _RESOLVER.resolve(yaml.ScalarNode, node.value, (True, False))
-            events.append(yaml.ScalarEvent(None, node.tag, (node.tag == plain, False),
-                                           node.value))
-        elif kind is list and id(value) not in walked:
-            walked.add(id(value))
-            events.append(_SEQ_START)
-            for item in value:
-                walk(item)
-            events.append(_SEQ_END)
-        elif kind is dict and id(value) not in walked:
-            walked.add(id(value))
-            events.append(_MAP_START)
-            for key, item in value.items():
-                if type(key) is not str or not 0 < len(key) < 123:
-                    raise _NotPlain
-                events.append(strings.get(key) or string(key))
-                if type(item) is str:
-                    events.append(strings.get(item) or string(item))
-                else:
-                    walk(item)
-            events.append(_MAP_END)
-        else:
-            raise _NotPlain
+        if kind is not str:
+            return "{}" if kind is dict else "[]" if kind is list else _scalar_text(value)
+        text = self.texts.get(value)
+        if text is None:
+            text = self.texts[value] = _scalar_text(value)
+        return text
 
-    if type(doc) is not dict and type(doc) is not list:
-        return None
-    try:
-        walk(doc)
-    except _NotPlain:
-        return None
-    return events + [yaml.DocumentEndEvent(), yaml.StreamEndEvent()]
+    def key(self, key) -> str:
+        if type(key) is not str or not 0 < len(key) < 123:
+            raise _Unproven  # written as `? key`
+        return self.texts.get(key) or self.text(key)
+
+    def opened(self, value) -> bool:
+        """Whether `value` is a collection with items."""
+        kind = type(value)
+        if kind is not dict and kind is not list:
+            return False
+        if id(value) in self.walked:
+            raise _Unproven  # anchored
+        self.walked.add(id(value))
+        return bool(value)
+
+    def end(self, line, text):
+        line = f"{line} {text}\n"
+        if len(line) > 101 and " " in text:
+            raise _Unproven  # maybe folded
+        self.out.append(line)
+
+    def entry(self, lead, key, value, pad):
+        """`key: value` in a mapping indented by `pad`, its first line
+        starting with `lead`, which is as long."""
+        line = lead + self.key(key) + ":"
+        if type(value) is str:
+            self.end(line, self.texts.get(value) or self.text(value))
+        elif not self.opened(value):
+            self.end(line, self.text(value))
+        else:
+            self.out.append(line + "\n")
+            if type(value) is dict:
+                self.mapping(value, pad + "  ", pad + "  ")
+            else:
+                self.sequence(value, pad, pad)
+
+    def mapping(self, mapping, pad, lead):
+        for key, value in mapping.items():
+            self.entry(lead, key, value, pad)
+            lead = pad
+
+    def sequence(self, sequence, pad, lead):
+        for value in sequence:
+            if not self.opened(value):
+                self.end(lead + "-", self.text(value))
+            elif type(value) is dict:
+                self.mapping(value, pad + "  ", lead + "- ")
+            else:
+                self.sequence(value, pad + "  ", lead + "- ")
+            lead = pad
+
+    def node_template(self, name, node: NodeTemplate):
+        self.out.append(f"    {self.key(name)}:\n")
+        self.entry("      ", "type", node.type, "      ")
+        for section, values in (("properties", node.property_values),
+                                ("artifacts", node.artifacts)):
+            if values:
+                self.out.append(f"      {section}:\n")
+                for key in sorted(values):
+                    self.entry("        ", key, values[key], "        ")
+        if node.requirement_assignments:
+            self.out.append("      requirements:\n")
+        for req in node.requirement_assignments:
+            if req.relationship is None:
+                self.entry("      - ", req.name, req.target, "        ")
+            else:
+                self.out.append(f"      - {self.key(req.name)}:\n")
+                self.entry("          ", "node", req.target, "          ")
+                self.entry("          ", "relationship", req.relationship, "          ")
+
+
+def _template_document(template: ServiceTemplate, sections):
+    """What `serialize_template` writes, as a document for `yaml.dump`."""
+    nodes = {}
+    for name in sorted(template.node_templates):
+        node = template.node_templates[name]
+        body = nodes[name] = {"type": node.type}
+        for section, values in (("properties", node.property_values),
+                                ("artifacts", node.artifacts)):
+            if values:
+                body[section] = {key: values[key] for key in sorted(values)}
+        if node.requirement_assignments:
+            body["requirements"] = [
+                {req.name: req.target if req.relationship is None
+                 else {"node": req.target, "relationship": req.relationship}}
+                for req in node.requirement_assignments]
+    return {TOSCA_VERSION_KEY: template.tosca_version, **sections,
+            "topology_template": {"node_templates": nodes}}
 
 
 def _definition_sections(definitions):
@@ -773,12 +864,11 @@ def _dump_values(definitions):
     out = {}
     for name in sorted(definitions):
         definition = definitions[name]
-        body = {"type": definition.value_type}
+        body = out[name] = {"type": definition.value_type}
         if definition.default is not None:
             body["default"] = definition.default
         if not getattr(definition, "required", True):
             body["required"] = False
-        out[name] = body
     return out
 
 
@@ -788,52 +878,23 @@ def _dump_type(definition: TypeDefinition):
         out["derived_from"] = definition.derived_from
     if definition.metadata:
         out["metadata"] = dict(definition.metadata)
-    if definition.attributes:
-        out["attributes"] = _dump_values(definition.attributes)
-    if definition.properties:
-        out["properties"] = _dump_values(definition.properties)
+    for section in ("attributes", "properties"):
+        if getattr(definition, section):
+            out[section] = _dump_values(getattr(definition, section))
     if definition.requirements:
-        out["requirements"] = [
-            {req.name: {
-                "capability": req.capability_type,
-                "node": req.node_type,
-                "relationship": req.relationship_type,
-                "occurrences": _dump_occurrences(req.occurrences),
-            }}
-            for req in definition.requirements
-        ]
+        out["requirements"] = [{req.name: {
+            "capability": req.capability_type, "node": req.node_type,
+            "relationship": req.relationship_type,
+            "occurrences": _dump_occurrences(req.occurrences)}}
+            for req in definition.requirements]
     if definition.capabilities:
-        caps = {}
+        out["capabilities"] = caps = {}
         for name in sorted(definition.capabilities):
             cap = definition.capabilities[name]
-            body = {"occurrences": _dump_occurrences(cap.occurrences)}
+            body = caps[name] = {"occurrences": _dump_occurrences(cap.occurrences)}
             if cap.valid_source_types:
                 body["valid_source_types"] = list(cap.valid_source_types)
             body["type"] = cap.capability_type
-            caps[name] = body
-        out["capabilities"] = caps
-    return out
-
-
-def _dump_node_template(node: NodeTemplate):
-    out = {"type": node.type}
-    if node.property_values:
-        out["properties"] = {name: node.property_values[name]
-                             for name in sorted(node.property_values)}
-    if node.artifacts:
-        out["artifacts"] = {name: node.artifacts[name]
-                            for name in sorted(node.artifacts)}
-    if node.requirement_assignments:
-        reqs = []
-        for assignment in node.requirement_assignments:
-            if assignment.relationship is None:
-                reqs.append({assignment.name: assignment.target})
-            else:
-                reqs.append({assignment.name: {
-                    "node": assignment.target,
-                    "relationship": assignment.relationship,
-                }})
-        out["requirements"] = reqs
     return out
 
 

@@ -1,12 +1,15 @@
-"""libyaml against the pure-Python PyYAML classes.
+"""libyaml against the pure-Python PyYAML classes, and the writer
+against `yaml.dump`.
 
-Parsing composes with libyaml and serializing emits with it when PyYAML
-has it, falling back to the pure classes.  These tests hold the two paths
-to the same trees, the same errors and the same bytes.
+Parsing composes with libyaml when PyYAML has it, falling back to the
+pure classes; serializing writes block YAML itself, falling back to
+`yaml.dump` with the pure SafeDumper.  These tests hold the paths to the
+same trees, the same errors and the same bytes.
 """
 
 import datetime
 import pathlib
+import re
 
 import pytest
 import yaml
@@ -14,13 +17,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import topology_gen
-from toscaflow import parsing
+from toscaflow.catalog import builtin_catalog
+from toscaflow.csar import unpack_csar
 from toscaflow.errors import TemplateSyntaxError
+from toscaflow.model import (
+    UNBOUNDED,
+    NodeTemplate,
+    RequirementAssignment,
+    ServiceTemplate,
+)
 from toscaflow.parsing import (
     _compose,
     _construct,
+    _EMPTY_FLOW_VALUE,
     _dump,
-    _events,
     _suits_libyaml,
     export_catalog_yaml,
     parse_service_template,
@@ -48,12 +58,126 @@ def _pure_only(monkeypatch):
 
 def _assert_dumps_as_yaml_dump(doc):
     """`_dump(doc)` is what `yaml.dump` writes with SafeDumper, byte for
-    byte, both where libyaml emits and where only the pure classes exist."""
+    byte, both where PyYAML has libyaml and where only the pure classes
+    exist."""
     expected = yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
     assert _dump(doc) == expected
     with pytest.MonkeyPatch.context() as monkeypatch:
         _pure_only(monkeypatch)
         assert _dump(doc) == expected
+
+
+def _handed_to_yaml_dump(write, *args):
+    """The documents `write(*args)` hands to `yaml.dump`."""
+    handed = []
+    dump = yaml.dump
+
+    def record(doc, *dump_args, **options):
+        handed.append(doc)
+        return dump(doc, *dump_args, **options)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(yaml, "dump", record)
+        write(*args)
+    return handed
+
+
+# -- the reference documents: what serializing wrote through `yaml.dump` --
+
+def _reference_sections(definitions):
+    def occurrences(bounds):
+        lo, hi = bounds
+        return [lo, "UNBOUNDED" if hi is UNBOUNDED else hi]
+
+    def values(definitions):
+        out = {}
+        for name in sorted(definitions):
+            definition = definitions[name]
+            body = {"type": definition.value_type}
+            if definition.default is not None:
+                body["default"] = definition.default
+            if not getattr(definition, "required", True):
+                body["required"] = False
+            out[name] = body
+        return out
+
+    def body(definition):
+        out = {}
+        if definition.derived_from:
+            out["derived_from"] = definition.derived_from
+        if definition.metadata:
+            out["metadata"] = dict(definition.metadata)
+        if definition.attributes:
+            out["attributes"] = values(definition.attributes)
+        if definition.properties:
+            out["properties"] = values(definition.properties)
+        if definition.requirements:
+            out["requirements"] = [
+                {req.name: {"capability": req.capability_type, "node": req.node_type,
+                            "relationship": req.relationship_type,
+                            "occurrences": occurrences(req.occurrences)}}
+                for req in definition.requirements]
+        if definition.capabilities:
+            caps = {}
+            for name in sorted(definition.capabilities):
+                cap = definition.capabilities[name]
+                caps[name] = {"occurrences": occurrences(cap.occurrences)}
+                if cap.valid_source_types:
+                    caps[name]["valid_source_types"] = list(cap.valid_source_types)
+                caps[name]["type"] = cap.capability_type
+            out["capabilities"] = caps
+        return out
+
+    sections = {}
+    for key, kind in (("node_types", "node"), ("capability_types", "capability"),
+                      ("relationship_types", "relationship")):
+        group = {d.name: d for d in definitions if d.kind == kind}
+        if group:
+            sections[key] = {name: body(group[name]) for name in sorted(group)}
+    return sections
+
+
+def _reference_node(node):
+    out = {"type": node.type}
+    if node.property_values:
+        out["properties"] = {name: node.property_values[name]
+                             for name in sorted(node.property_values)}
+    if node.artifacts:
+        out["artifacts"] = {name: node.artifacts[name] for name in sorted(node.artifacts)}
+    if node.requirement_assignments:
+        reqs = []
+        for assignment in node.requirement_assignments:
+            if assignment.relationship is None:
+                reqs.append({assignment.name: assignment.target})
+            else:
+                reqs.append({assignment.name: {"node": assignment.target,
+                                               "relationship": assignment.relationship}})
+        out["requirements"] = reqs
+    return out
+
+
+def _reference_document(template):
+    doc = {"tosca_definitions_version": template.tosca_version}
+    doc.update(_reference_sections(template.user_types))
+    doc["topology_template"] = {"node_templates": {
+        name: _reference_node(template.node_templates[name])
+        for name in sorted(template.node_templates)}}
+    return doc
+
+
+def _assert_writes_as_yaml_dump(write, reference):
+    """`write()` is what `yaml.dump` writes of `reference` with SafeDumper,
+    with and without libyaml."""
+    expected = yaml.dump(reference, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
+    assert write() == expected
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _pure_only(monkeypatch)
+        assert write() == expected
+
+
+def _assert_serializes_as_yaml_dump(template):
+    _assert_writes_as_yaml_dump(lambda: serialize_template(template),
+                                _reference_document(template))
 
 
 def _tree(node):
@@ -197,13 +321,24 @@ def test_nesting_bound_sends_deep_text_to_the_pure_loader():
     assert not _suits_libyaml("a:\n" + "[\n" * 2000 + "]\n" * 2000)
 
 
-@needs_libyaml
+# the pattern before its leading whitespace was made atomic
+_GREEDY_EMPTY_FLOW_VALUE = r":\s*(?:[,}\]]|#[^\n]*\n(?:\s*#[^\n]*\n)*\s*[,}\]])"
+
+
+@given(st.text(": \n#,}]a", max_size=40))
+def test_the_atomic_empty_flow_value_finds_what_the_greedy_one_found(text):
+    """Both alternatives after the leading whitespace start with a
+    character that is not whitespace, so giving it back never matches."""
+    greedy = re.search(_GREEDY_EMPTY_FLOW_VALUE, text)
+    atomic = re.search(_EMPTY_FLOW_VALUE, text)
+    assert (greedy and greedy.span()) == (atomic and atomic.span())
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_libyaml_emits_the_corpus_as_the_pure_emitter(name):
+def test_the_writer_writes_the_corpus_as_the_pure_emitter(name):
     doc = yaml.safe_load(CORPUS[name])
-    assert _events(doc) is not None
-    assert yaml.dump(doc, Dumper=yaml.CSafeDumper, **DUMP_OPTIONS) == \
-        yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
+    assert _handed_to_yaml_dump(_dump, doc) == []
+    _assert_dumps_as_yaml_dump(doc)
 
 
 _PRINTABLE_ASCII = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e),
@@ -238,7 +373,8 @@ def test_printable_ascii_is_emitted_as_by_the_pure_emitter(doc):
 def test_what_libyaml_emits_otherwise_goes_to_the_pure_emitter(doc):
     pure = yaml.dump(doc, Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
     assert yaml.dump(doc, Dumper=yaml.CSafeDumper, **DUMP_OPTIONS) != pure
-    assert _events(doc) is None
+    [handed] = _handed_to_yaml_dump(_dump, doc)
+    assert handed is doc
     _assert_dumps_as_yaml_dump(doc)
 
 
@@ -254,33 +390,25 @@ def test_without_libyaml_fixtures_parse_and_serialize_alike(monkeypatch):
     assert export_catalog_yaml() == CORPUS["catalog"]
 
 
-# -- `_dump` against `yaml.dump` ----------------------------------------------
-
-def _document(serialize, *args):
-    """The document `serialize(*args)` hands to `_dump`."""
-    documents = []
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(parsing, "_dump", documents.append)
-        serialize(*args)
-    [document] = documents
-    return document
-
+# -- the writer against `yaml.dump` ------------------------------------------
 
 @pytest.mark.parametrize("name", [path.name for path in FIXTURES])
 def test_dump_writes_the_fixtures_as_yaml_dump(name):
     _assert_dumps_as_yaml_dump(yaml.safe_load(CORPUS[name]))
-    template = parse_service_template(CORPUS[name], filename=name)
-    _assert_dumps_as_yaml_dump(_document(serialize_template, template))
+    _assert_serializes_as_yaml_dump(parse_service_template(CORPUS[name], filename=name))
 
 
 def test_dump_writes_the_catalog_export_as_yaml_dump():
-    _assert_dumps_as_yaml_dump(_document(export_catalog_yaml))
+    definitions = list(builtin_catalog().definitions.values())
+    _assert_writes_as_yaml_dump(export_catalog_yaml, {
+        "tosca_definitions_version": ServiceTemplate.tosca_version,
+        **_reference_sections(definitions)})
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dump_writes_repaired_generated_topologies_as_yaml_dump(seed):
     fixed, _ = verify(topology_gen.random_topology(seed), fix=True, seed=seed)
-    _assert_dumps_as_yaml_dump(_document(serialize_template, fixed))
+    _assert_serializes_as_yaml_dump(fixed)
 
 
 _HASHABLE = st.one_of(
@@ -313,6 +441,7 @@ def test_dump_writes_every_scalar_type_as_yaml_dump(doc):
 @pytest.mark.parametrize("text", [
     "yes", "no", "on", "true", "1", "1.0", "-1", "0o17", "1e3", ".nan", "~", "null",
     "", " ", "2020-01-01", "a\nb", "a\n", "\n", "a\n\nb\n", "x " * 80, "a:b", "{a}",
+    "---a", "...x", "a #b", "a# b", "x " * 47 + "x", "x " * 60 + "x",  # the last folds
 ], ids=repr)
 def test_dump_writes_strings_another_type_would_read_as_yaml_dump(text):
     _assert_dumps_as_yaml_dump({"key": text, text or "k": [text]})
@@ -334,7 +463,8 @@ _SHARED = ["a", 1]
     {"k" * 123: 1},
 ], ids=repr)
 def test_dump_hands_what_is_not_plain_data_to_yaml_dump(doc):
-    assert _events(doc) is None
+    [handed] = _handed_to_yaml_dump(_dump, doc)
+    assert handed is doc
     _assert_dumps_as_yaml_dump(doc)
 
 
@@ -368,5 +498,87 @@ def test_dump_emits_str_int_bool_and_none_without_the_representer(monkeypatch):
 
     monkeypatch.setattr(yaml.representer.SafeRepresenter, "represent_data", refuse)
     monkeypatch.setattr(yaml, "dump", refuse)
+    assert [serialize_template(template) for template in templates] == expected
+    assert export_catalog_yaml() == catalog
+
+
+# -- node templates written from their records ------------------------------
+
+_SIGNIFICANT = st.sampled_from(
+    ["yes", "1.0", "~", "", "- a", "a: b", "x #y", "'q", "---", "...", "-", "?", ":",
+     "a:", "?a", "-a", "=", "<<", " lead", "trail ", "#", "@x", "`x", "%x", "a'b"])
+_ASCII_150 = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e),
+                     max_size=150)
+# words and spaces that end a line between about column 70 and 140
+_NEAR_COLUMN_100 = st.builds(lambda word, size: ((word + " ") * 60)[:size],
+                             st.text("abc'#:", min_size=1, max_size=12),
+                             st.integers(60, 110))
+_TEXTS = st.one_of(_SIGNIFICANT, _ASCII_150, _NEAR_COLUMN_100, st.text(max_size=20))
+_KEYS = st.one_of(_SIGNIFICANT, st.text(st.characters(min_codepoint=0x20,
+                                                      max_codepoint=0x7e), max_size=20),
+                  st.text(max_size=12))
+_VALUES = st.recursive(
+    st.one_of(_TEXTS, st.integers(), st.floats(), st.booleans(), st.none()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(_KEYS, children, max_size=3),
+        children.map(lambda child: [child, child])),  # one object twice
+    max_leaves=8)
+
+
+@st.composite
+def _service_templates(draw):
+    """Node templates over YAML-significant, long, folded and non-ASCII
+    text, every scalar type, nested, shared and empty collections, and
+    relationship overrides; `shared` may sit in several nodes at once."""
+    shared = draw(st.one_of(st.lists(_VALUES, max_size=2),
+                            st.dictionaries(_KEYS, _VALUES, max_size=2)))
+    values = st.one_of(_VALUES, st.just(shared))
+    nodes = {}
+    for name in draw(st.lists(_KEYS, unique=True, max_size=4)):
+        nodes[name] = NodeTemplate(
+            name, draw(_TEXTS),
+            property_values=draw(st.dictionaries(_KEYS, values, max_size=4)),
+            artifacts=draw(st.dictionaries(_KEYS, _TEXTS, max_size=2)),
+            requirement_assignments=draw(st.lists(st.builds(
+                RequirementAssignment, _KEYS, _TEXTS, st.none() | _TEXTS), max_size=3)))
+    return ServiceTemplate(draw(st.just(ServiceTemplate.tosca_version) | _TEXTS),
+                           node_templates=nodes)
+
+
+@given(_service_templates())
+def test_node_templates_are_written_as_yaml_dump_writes_their_document(template):
+    _assert_serializes_as_yaml_dump(template)
+
+
+def test_the_writer_writes_real_inputs_without_yaml_dump(bench, monkeypatch):
+    """The fixtures, the catalog, each workload's repaired seed 1 template
+    and relationship overrides are written without PyYAML's dumper or
+    emitter."""
+    workloads, _ = bench
+    templates = [parse_service_template(CORPUS[path.name], filename=path.name)
+                 for path in FIXTURES]
+    for generate in workloads.GENERATORS.values():
+        workload = generate(1)
+        archive = unpack_csar(workload.csar())
+        entry = archive.entry_definitions
+        template = parse_service_template(archive.files[entry].decode("utf-8"), entry)
+        templates.append(verify(template, fix=True, seed=workload.seed)[0])
+    templates.append(ServiceTemplate(node_templates={
+        name: NodeTemplate(name, "T", requirement_assignments=[
+            RequirementAssignment("r", "x", "tosca.relationships.DependsOn"),
+            RequirementAssignment("s", "y", "tosca.relationships.ConnectsTo")])
+        for name in ("a", "b")}))  # relationship overrides
+    expected = [yaml.dump(_reference_document(template), Dumper=yaml.SafeDumper,
+                          **DUMP_OPTIONS) for template in templates]
+    catalog = yaml.dump({"tosca_definitions_version": ServiceTemplate.tosca_version,
+                         **_reference_sections(builtin_catalog().definitions.values())},
+                        Dumper=yaml.SafeDumper, **DUMP_OPTIONS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PyYAML's dumper ran")
+
+    monkeypatch.setattr(yaml, "dump", refuse)
+    monkeypatch.setattr(yaml, "emit", refuse)
     assert [serialize_template(template) for template in templates] == expected
     assert export_catalog_yaml() == catalog

@@ -29,7 +29,11 @@ The engine rows time each stage of a job after the parse on its own.
 At each rung of the trickle probe below, the `verify fix` rows repair the
 blueprint_scale seed 1 template with `verify(fix=True)`, and the
 `verify clean`, `plan` and `instantiate` rows verify, plan and build a
-flow from the repaired template.
+flow from the repaired template.  The rung's `serialize repaired`,
+`compose repaired` and `model build repaired` rows write that template
+and parse the text again, as the parse rows do at 32 chains; at 512
+chains the text goes to the pure loader (see _suits_libyaml), so those
+rows show that cliff.
 The other rows time `Flow.run_until` alone, on a flow built before the
 pass: the store_relay seed 1 job's flow through its horizon; the same flow
 with a long schedule, one 16-byte object a tick for LONG_TICKS ticks into
@@ -104,30 +108,33 @@ def _row(name, timed, **facts):
             "collections": collections}
 
 
+def _parse_halves(toscaflow, label, text, filename):
+    """The `compose` and `model build` rows of `text` as (name, run,
+    prepare): `_time`'s arguments."""
+    from toscaflow import parsing
+    compose = parsing._compose
+    yield f"compose {label}", lambda text: compose(text, filename), lambda: text
+
+    def build(node):
+        parsing._compose = lambda text, filename: node
+        try:
+            toscaflow.parse_service_template(text, filename)
+        finally:
+            parsing._compose = compose
+
+    yield f"model build {label}", build, lambda: compose(text, filename)
+
+
 def _parse(toscaflow, workloads):
     """The parse rows as (name, run, prepare): `_time`'s arguments."""
-    from toscaflow import parsing
     archive = toscaflow.unpack_csar(workloads.blueprint_scale(SEED).csar())
     entry = archive.entry_definitions
     entry_text = archive.files[entry].decode("utf-8")
     fixed = toscaflow.verify(toscaflow.parse_service_template(entry_text, entry),
                              fix=True, seed=SEED)[0]
-    compose = parsing._compose
-    for label, text, filename in (
-            ("entry", entry_text, entry),
-            ("repaired", toscaflow.serialize_template(fixed), "fixed.yaml")):
-        yield (f"compose {label}", lambda text, filename=filename: compose(text, filename),
-               lambda text=text: text)
-
-        def build(node, text=text, filename=filename):
-            parsing._compose = lambda text, filename: node
-            try:
-                toscaflow.parse_service_template(text, filename)
-            finally:
-                parsing._compose = compose
-
-        yield (f"model build {label}", build,
-               lambda text=text, filename=filename: compose(text, filename))
+    yield from _parse_halves(toscaflow, "entry", entry_text, entry)
+    yield from _parse_halves(toscaflow, "repaired", toscaflow.serialize_template(fixed),
+                             "fixed.yaml")
     yield "serialize repaired", toscaflow.serialize_template, lambda: fixed
 
 
@@ -178,6 +185,11 @@ def _engine(toscaflow, workloads, worker):
         for name, stage in (("verify clean", toscaflow.verify), ("plan", toscaflow.plan),
                             ("instantiate", toscaflow.instantiate)):
             yield f"{name} {count} chains", stage, lambda fixed=fixed: fixed, nodes
+        yield (f"serialize repaired {count} chains", toscaflow.serialize_template,
+               lambda fixed=fixed: fixed, nodes)
+        for row in _parse_halves(toscaflow, f"repaired {count} chains",
+                                 toscaflow.serialize_template(fixed), "fixed.yaml"):
+            yield *row, nodes
 
         def trickle(fixed=fixed):
             flow = toscaflow.instantiate(fixed)
